@@ -9,7 +9,6 @@ decide, so those run as seeded falsifiers and say only "not falsified".
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,7 +29,7 @@ from .errors import (
     WeightTooLarge,
 )
 from .frames import COMPLEX, REAL, FramePair, frame_flags, frame_operator, verify
-from .numerics import Tolerance, entry_max, herm_sqrt, opnorm2, spectral
+from .numerics import Tolerance, _gaussian_blocks, entry_max, herm_sqrt, opnorm2, spectral
 
 QUADRATIC = "quadratic"
 NORMSUM = "normsum"
@@ -127,26 +126,61 @@ def _rank(M: np.ndarray, tol: Tolerance) -> int:
     return int(np.sum(s > cutoff))
 
 
+def _first_misaligned(T: np.ndarray, Y: np.ndarray, tol: Tolerance) -> Optional[int]:
+    """First member j whose tau_j y_j^* is not Hermitian psd, or None.
+
+    The verdict on each outer product is numerics.spectral's, taken for
+    all members with one batched eigvalsh.
+    """
+    outer = T.T[:, :, None] * Y.conj().T[:, None, :]  # [j] = tau_j y_j^*
+    finite = np.isfinite(outer).all(axis=(1, 2))
+    adjoint = outer.conj().transpose(0, 2, 1)
+    scale = np.abs(outer).max(axis=(1, 2))
+    hermitian = np.abs(outer - adjoint).max(axis=(1, 2)) <= tol.abs_tol + tol.rel_tol * scale
+    psd = np.zeros(len(outer), dtype=bool)
+    checked = finite & hermitian
+    if checked.any():
+        lowest = np.linalg.eigvalsh(0.5 * (outer[checked] + adjoint[checked]))[:, 0]
+        psd[checked] = lowest >= -tol.abs_tol
+    bad = np.flatnonzero(~psd)
+    if not bad.size:
+        return None
+    if not finite[bad[0]]:
+        raise ValueError("matrix entries must be finite")
+    return int(bad[0])
+
+
 def span_characterization(fp: FramePair) -> SpanCharacterization:
-    """Frame test by exhausting the 2^n mixed selections.
+    """Frame test through the 2^n mixed selections (x_j or tau_j for each j).
 
     Hypothesis per member: tau_j x_j^* = x_j tau_j^* and tau_j x_j^*
-    Hermitian psd.  The pair is a frame exactly when every selection
-    (pick x_j or tau_j for each j) spans K^m.
+    Hermitian psd.  The pair is a frame exactly when every selection spans
+    K^m.  Under the hypothesis tau_j is a positive multiple of x_j or one
+    of the two is 0, so a selection fails to span exactly when its worst
+    completion does, the one taking the smaller-norm vector of every
+    member left open.  The lexicographically first failing selection ("x"
+    before "tau") is therefore built greedily with at most n + 1 rank
+    tests: keep "x" at j when it still has a failing completion.
     """
     if fp.n > 20:
         raise TooManyVectors("selection enumeration is capped at n = 20")
     tol = fp.tol
-    for j in range(fp.n):
-        outer = np.outer(fp.T[:, j], fp.X[:, j].conj())
-        rep = spectral(outer, tol)
-        if not (rep.is_hermitian and rep.is_psd):
-            raise HypothesisFails(f"member {j} violates the alignment/positivity hypothesis")
-    for choice in itertools.product(("x", "tau"), repeat=fp.n):
-        cols = [fp.X[:, j] if pick == "x" else fp.T[:, j] for j, pick in enumerate(choice)]
-        if _rank(np.column_stack(cols), tol) < fp.m:
-            return SpanCharacterization(False, choice)
-    return SpanCharacterization(True, None)
+    j = _first_misaligned(fp.T, fp.X, tol)
+    if j is not None:
+        raise HypothesisFails(f"member {j} violates the alignment/positivity hypothesis")
+    tau_smaller = np.linalg.norm(fp.T, axis=0) < np.linalg.norm(fp.X, axis=0)
+    cols = np.where(tau_smaller, fp.T, fp.X)
+    if _rank(cols, tol) >= fp.m:
+        return SpanCharacterization(True, None)
+    choice = []
+    for j in range(fp.n):  # invariant: the prefix chosen so far plus the worst completion fails
+        cols[:, j] = fp.X[:, j]
+        if _rank(cols, tol) < fp.m:
+            choice.append("x")
+        else:
+            cols[:, j] = fp.T[:, j]
+            choice.append("tau")
+    return SpanCharacterization(False, tuple(choice))
 
 
 @dataclass(frozen=True)
@@ -235,9 +269,8 @@ def weighted_onb_check(fp: FramePair, c) -> WeightedOnbResult:
         raise NotWeightedOnb("the x family must be orthonormal")
     if not tol.mat_close(fp.T, fp.X * weights):
         raise NotWeightedOnb("tau_j must equal c_j x_j")
-    M = np.eye(fp.m, dtype=complex if fp.field == COMPLEX else float)
-    for cj, j in zip(weights, range(fp.n)):
-        M = M - (2.0 - cj) * cj * np.outer(fp.X[:, j], fp.X[:, j].conj())
+    eye = np.eye(fp.m, dtype=complex if fp.field == COMPLEX else float)
+    M = eye - (fp.X * ((2.0 - weights) * weights)) @ fp.X.conj().T
     rep = spectral(M, tol)
     return WeightedOnbResult(bool(rep.is_hermitian and rep.is_psd))
 
@@ -268,12 +301,7 @@ def _as_columns(fp: FramePair, Y) -> np.ndarray:
 
 def _alignment_ok(fp: FramePair, Y) -> bool:
     # per member: tau_j y_j^* = y_j tau_j^* and tau_j y_j^* Hermitian psd
-    for j in range(fp.n):
-        outer = np.outer(fp.T[:, j], Y[:, j].conj())
-        rep = spectral(outer, fp.tol)
-        if not (rep.is_hermitian and rep.is_psd):
-            return False
-    return True
+    return _first_misaligned(fp.T, Y, fp.tol) is None
 
 
 def _actual_bounds(fp: FramePair, Y):
@@ -293,7 +321,7 @@ def perturb_quadratic(fp: FramePair, Y) -> PerturbCertificate:
     total = float(diffs @ weights)
     hypothesis = _alignment_ok(fp, Y) and total < 1.0
     lower = (1.0 - total) / opnorm2(Sinv)
-    upper = opnorm2(fp.T) * (float(np.sum(diffs**2)) + opnorm2(fp.X))
+    upper = opnorm2(fp.T) * (np.sqrt(float(np.sum(diffs**2))) + opnorm2(fp.X))
     actual_a, actual_b = _actual_bounds(fp, Y)
     return PerturbCertificate(QUADRATIC, bool(hypothesis), lower, upper, actual_a, actual_b)
 
@@ -333,7 +361,6 @@ def perturb_sampled(fp: FramePair, Y, alpha: float, beta: float, gamma: float,
     S = frame_operator(fp)
     Sinv = np.linalg.inv(S)
     a, b = report.lower_a, report.upper_b
-    tol = fp.tol
 
     if kind == SAMPLED_LINEAR:
         gate = alpha + gamma * opnorm2(fp.T.conj().T @ Sinv)
@@ -350,41 +377,34 @@ def perturb_sampled(fp: FramePair, Y, alpha: float, beta: float, gamma: float,
         raise ValueError(f"unknown sampling kind {kind!r}")
 
     rng = np.random.default_rng(seed)
-    complex_field = fp.field == COMPLEX
-    diff = fp.X - Y
-    falsified = False
-    for _ in range(samples):
-        v = rng.standard_normal(fp.n if kind == SAMPLED_LINEAR else fp.m)
-        if complex_field:
-            v = v + 1j * rng.standard_normal(v.shape[0])
-        slack = tol.margin(1.0) * max(1.0, float(np.linalg.norm(v)))
-        if kind == SAMPLED_LINEAR:
-            lhs = np.linalg.norm(diff @ v)
-            rhs = (alpha * np.linalg.norm(fp.X @ v) + gamma * np.linalg.norm(v)
-                   + beta * np.linalg.norm(Y @ v))
-            if lhs > rhs + slack:
-                falsified = True
-                break
-        else:
-            coeff_x = fp.X.conj().T @ v
-            coeff_y = Y.conj().T @ v
-            coeff_t = fp.T.conj().T @ v
-            s_x = complex(np.vdot(coeff_t, coeff_x))
-            s_y = complex(np.vdot(coeff_t, coeff_y))
-            if s_y.real < -slack or abs(s_y.imag) > slack:
-                falsified = True
-                break
-            lhs = np.sqrt(abs(s_x - s_y))  # principal modulus
-            rhs = (alpha * np.sqrt(max(s_x.real, 0.0))
-                   + beta * np.sqrt(max(s_y.real, 0.0))
-                   + gamma * np.linalg.norm(v))
-            if lhs > rhs + slack:
-                falsified = True
-                break
+    blocks = _gaussian_blocks(rng, samples, fp.n if kind == SAMPLED_LINEAR else fp.m,
+                              fp.field == COMPLEX, max(fp.m, fp.n))
+    falsified = any(_falsifying_samples(fp, Y, V, alpha, beta, gamma, kind).any() for V in blocks)
 
     actual_a, actual_b = _actual_bounds(fp, Y)
     return PerturbCertificate(kind, not falsified, float(lower), float(upper),
                               actual_a, actual_b)
+
+
+def _falsifying_samples(fp: FramePair, Y, V, alpha, beta, gamma, kind) -> np.ndarray:
+    """Mask of the rows v of V that break perturb_sampled's inequality."""
+    tol = fp.tol
+    vnorm = np.linalg.norm(V, axis=1)
+    slack = tol.margin(1.0) * np.maximum(1.0, vnorm)
+    if kind == SAMPLED_LINEAR:
+        lhs = np.linalg.norm(V @ (fp.X - Y).T, axis=1)
+        rhs = (alpha * np.linalg.norm(V @ fp.X.T, axis=1) + gamma * vnorm
+               + beta * np.linalg.norm(V @ Y.T, axis=1))
+        return lhs > rhs + slack
+    coeff_t = (V @ fp.T.conj()).conj()  # row k = conj(T^* v_k), ready for <., .>
+    s_x = (coeff_t * (V @ fp.X.conj())).sum(axis=1)
+    s_y = (coeff_t * (V @ Y.conj())).sum(axis=1)
+    negative = (s_y.real < -slack) | (np.abs(s_y.imag) > slack)
+    lhs = np.sqrt(np.abs(s_x - s_y))  # principal modulus
+    rhs = (alpha * np.sqrt(np.maximum(s_x.real, 0.0))
+           + beta * np.sqrt(np.maximum(s_y.real, 0.0))
+           + gamma * vnorm)
+    return negative | (lhs > rhs + slack)
 
 
 def real_to_complex(fp: FramePair) -> FramePair:

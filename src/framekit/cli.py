@@ -1,9 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 I/O or parse failure, 2 mathematical domain error
-(NotAFrame and friends).  Reports are deterministic given the argument
-vector, the input files and --seed: keys are emitted in a fixed order and
-floats with 12 significant digits.
+(NotAFrame and friends) or numerical failure (numpy's LinAlgError, which
+subclasses ValueError and must not pass for a parse failure).  Reports are
+deterministic given the argument vector, the input files and --seed: keys
+are emitted in a fixed order and floats with 12 significant digits.
 """
 
 from __future__ import annotations
@@ -458,7 +459,7 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         pairs = _dispatch(args)
-    except FramekitError as exc:
+    except (FramekitError, np.linalg.LinAlgError) as exc:
         sys.stdout.write(_render([
             ("kind", "domain_error"),
             ("error", type(exc).__name__),

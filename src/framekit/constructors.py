@@ -43,21 +43,17 @@ class GroupTable:
             raise BadGroupTable("identity index out of range")
         if np.any(mul < 0) or np.any(mul >= n):
             raise BadGroupTable("table entries must be element indices")
-        full = set(range(n))
-        for g in range(n):
-            if set(mul[g, :].tolist()) != full or set(mul[:, g].tolist()) != full:
-                raise BadGroupTable("rows and columns must be permutations")
-        if np.any(mul[e, :] != np.arange(n)) or np.any(mul[:, e] != np.arange(n)):
+        idx = np.arange(n)
+        if np.any(np.sort(mul, axis=1) != idx) or np.any(np.sort(mul, axis=0) != idx[:, None]):
+            raise BadGroupTable("rows and columns must be permutations")
+        if np.any(mul[e, :] != idx) or np.any(mul[:, e] != idx):
             raise BadGroupTable("identity does not act trivially")
+        if np.any(np.count_nonzero(mul == e, axis=1) != 1):
+            raise BadGroupTable("inverses must exist and be unique")
+        # associativity (gh)q = g(hq), one g at a time to keep temporaries O(order^2)
         for g in range(n):
-            if np.count_nonzero(mul[g, :] == e) != 1:
-                raise BadGroupTable("inverses must exist and be unique")
-        # associativity, O(order^3)
-        for g in range(n):
-            for h in range(n):
-                gh = mul[g, h]
-                if np.any(mul[gh, :] != mul[g, mul[h, :]]):
-                    raise BadGroupTable("table is not associative")
+            if np.any(mul[mul[g], :] != mul[g, mul]):
+                raise BadGroupTable("table is not associative")
         mul.setflags(write=False)
         object.__setattr__(self, "mul", mul)
 
@@ -74,8 +70,7 @@ class GroupTable:
         """Permutation matrix of q -> g*q."""
         n = self.order
         L = np.zeros((n, n))
-        for q in range(n):
-            L[self.mul[g, q], q] = 1.0
+        L[self.mul[g], np.arange(n)] = 1.0
         return L
 
 
@@ -93,21 +88,44 @@ class Representation:
             raise NotARepresentation("need one matrix per group element")
         m = mats[0].shape[0]
         tol = self.tol
-        for M in mats:
-            if M.ndim != 2 or M.shape != (m, m):
-                raise NotARepresentation("matrices must be square of equal size")
-            if not tol.is_identity(M @ M.conj().T) or not tol.is_identity(M.conj().T @ M):
-                raise NotARepresentation("matrices must be unitary")
         mul = self.group.mul
-        for g in range(self.group.order):
-            for h in range(self.group.order):
-                if not tol.mat_close(mats[g] @ mats[h], mats[mul[g, h]]):
-                    raise NotARepresentation("matrices do not respect the group law")
+        order = self.group.order
+        # Products of 0/1 permutation matrices are exact and unitarity holds
+        # exactly; once a unit entry difference exceeds the margin, two such
+        # matrices are tol-close iff they are equal, so the law runs on indices.
+        perms = _permutation_indices(mats, m) if tol.margin(1.0) < 1.0 else None
+        if perms is not None:
+            law = all(np.array_equal(perms[g][perms], perms[mul[g]]) for g in range(order))
+        else:
+            for M in mats:
+                if M.ndim != 2 or M.shape != (m, m):
+                    raise NotARepresentation("matrices must be square of equal size")
+                if not tol.is_identity(M @ M.conj().T) or not tol.is_identity(M.conj().T @ M):
+                    raise NotARepresentation("matrices must be unitary")
+            law = all(tol.mat_close(mats[g] @ mats[h], mats[mul[g, h]])
+                      for g in range(order) for h in range(order))
+        if not law:
+            raise NotARepresentation("matrices do not respect the group law")
         object.__setattr__(self, "mats", mats)
 
     @property
     def dim(self) -> int:
         return self.mats[0].shape[0]
+
+
+def _permutation_indices(mats, m: int) -> Optional[np.ndarray]:
+    """perm[g, q] = i with mats[g] e_q = e_i, when every matrix is an exact
+    m x m 0/1 permutation matrix; None otherwise."""
+    perms = np.empty((len(mats), m), dtype=np.intp)
+    for g, M in enumerate(mats):
+        if M.ndim != 2 or M.shape != (m, m) or M.dtype.kind not in "iufc":
+            return None
+        ones = M == 1
+        if not (np.all(ones | (M == 0)) and np.all(ones.sum(axis=0) == 1)
+                and np.all(ones.sum(axis=1) == 1)):
+            return None
+        perms[g] = np.argmax(ones, axis=0)
+    return perms
 
 
 def left_regular(g: GroupTable, tol: Tolerance = Tolerance()) -> Representation:

@@ -35,6 +35,10 @@ class BadExponent(FramekitError):
     pass
 
 
+class InconsistentInterval(FramekitError):
+    pass
+
+
 # frame pairs
 class NotAFrame(FramekitError):
     pass

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     BadExponent,
     EigenFailure,
+    InconsistentInterval,
     NonSquare,
     NotDiagonalizable,
     NotPsd,
@@ -182,11 +183,88 @@ class PNormInterval:
     upper: float
 
 
-def _lp_norm(v, p: float) -> float:
-    v = np.abs(np.asarray(v, dtype=complex))
+def _lp_norms(V, p: float) -> np.ndarray:
+    """lp norm of each row of V (of V itself when V is a vector)."""
+    V = np.asarray(V)
+    A = np.abs(V.astype(complex if np.iscomplexobj(V) else float, order="C", copy=False))
     if p == np.inf:
-        return float(v.max()) if v.size else 0.0
-    return float((v**p).sum() ** (1.0 / p))
+        return A.max(axis=-1, initial=0.0)
+    A **= p
+    return A.sum(axis=-1) ** (1.0 / p)
+
+
+def _lp_norm(v, p: float) -> float:
+    return float(_lp_norms(np.ravel(v), p))
+
+
+# Candidates per block times max(rows, cols) stays below this, so the
+# temporaries of a witness sweep stay small however tall M is.
+_BLOCK_ENTRIES = 1 << 15
+
+
+def _image_lp_norms(M: np.ndarray, C, p: float) -> np.ndarray:
+    """||M c||_p for every row c of C.
+
+    The stacked matrix-vector product reproduces M @ c of each candidate
+    bit for bit, unlike a single matrix-matrix product.
+    """
+    step = max(1, _BLOCK_ENTRIES // max(*M.shape, 1))
+    norms = [_lp_norms((M @ C[k:k + step, :, None])[..., 0], p) for k in range(0, len(C), step)]
+    return np.concatenate(norms) if norms else np.zeros(0)
+
+
+def _normalized_image_lp_norms(M: np.ndarray, C, p: float) -> np.ndarray:
+    """||M (c / ||c||_p)||_p for every row c of C with ||c||_p > 0.
+
+    Each candidate is cast to M's dtype before it is scaled, so an integer
+    M sees integer candidates.
+    """
+    nc = _lp_norms(C, p)
+    keep = nc > 0.0
+    if not keep.all():
+        C, nc = C[keep], nc[keep]
+    return _image_lp_norms(M, np.asarray(C, dtype=M.dtype) / nc[:, None], p)
+
+
+def _sign_patterns(n: int) -> np.ndarray:
+    """All 2^n vectors of +-1 as the rows of a 2^n x n array.
+
+    Row k has +1 in column j exactly when bit j of k is set.
+    """
+    bits = np.arange(2**n)[:, None] >> np.arange(n)
+    bits &= 1
+    signs = bits.astype(float)
+    signs *= 2.0
+    signs -= 1.0
+    return signs
+
+
+def _gaussian_rows(rng: np.random.Generator, count: int, n: int, complex_field: bool) -> np.ndarray:
+    """count seeded draws of length n as rows.
+
+    Consumes the stream exactly as count successive draws of n normals
+    (each followed, for a complex field, by n more for the imaginary part)
+    would.
+    """
+    count = max(count, 0)
+    if complex_field:
+        draws = rng.standard_normal((count, 2, n))
+        return draws[:, 0] + 1j * draws[:, 1]
+    return rng.standard_normal((count, n))
+
+
+def _gaussian_blocks(rng: np.random.Generator, count: int, n: int, complex_field: bool,
+                     width: int):
+    """The draws of _gaussian_rows(rng, count, n, complex_field), yielded as
+    blocks of rows small enough that a (rows, width) temporary per block
+    stays below _BLOCK_ENTRIES entries.
+
+    A falsifier that stops at its first failing block then needs bounded
+    memory however many samples it is asked for.
+    """
+    step = max(1, _BLOCK_ENTRIES // max(width, 1))
+    for start in range(0, max(count, 0), step):
+        yield _gaussian_rows(rng, min(step, count - start), n, complex_field)
 
 
 def pnorm_estimate(
@@ -200,9 +278,14 @@ def pnorm_estimate(
 
     lower: best witness among all standard basis vectors, all +-1 sign
     patterns (when cols <= 12), the leading right singular vector, and
-    `samples` seeded random directions, each normalised in lp.
+    `samples` seeded random directions, each normalised in lp; each
+    family of witnesses goes through one stacked product.
     upper: exact largest singular value at p = 2, else the interpolation
     bound ||M||_1^(1/p) * ||M||_inf^(1-1/p).
+
+    A witness above the upper end by more than round-off
+    (8 cols eps relative) means the upper bound is wrong and raises
+    InconsistentInterval; smaller overshoot is clamped.
     """
     if p < 1:
         raise BadExponent(f"p must be >= 1, got {p}")
@@ -221,30 +304,22 @@ def pnorm_estimate(
     else:
         upper = norm1 ** (1.0 / p) * norminf ** (1.0 - 1.0 / p)
 
-    complex_field = np.iscomplexobj(M)
-    candidates = [np.eye(cols, dtype=M.dtype)[:, j] for j in range(cols)]
+    # a standard basis vector has unit lp norm and maps to its column exactly
+    witnesses = [_lp_norms(M.T, p)]
     if cols <= 12:
-        for bits in range(2**cols):
-            signs = np.array([1.0 if (bits >> j) & 1 else -1.0 for j in range(cols)])
-            candidates.append(signs)
+        witnesses.append(_normalized_image_lp_norms(M, _sign_patterns(cols), p))
     try:
         _, _, Vh = np.linalg.svd(M)
-        candidates.append(Vh[0].conj())
+        witnesses.append(_normalized_image_lp_norms(M, Vh[:1].conj(), p))
     except np.linalg.LinAlgError:
         pass
     rng = np.random.default_rng(seed)
-    for _ in range(max(samples, 0)):
-        v = rng.standard_normal(cols)
-        if complex_field:
-            v = v + 1j * rng.standard_normal(cols)
-        candidates.append(v)
+    draws = _gaussian_rows(rng, samples, cols, np.iscomplexobj(M))
+    witnesses.append(_normalized_image_lp_norms(M, draws, p))
+    lower = max(float(w.max(initial=0.0)) for w in witnesses)
 
-    lower = 0.0
-    for c in candidates:
-        nc = _lp_norm(c, p)
-        if nc == 0.0:
-            continue
-        lower = max(lower, _lp_norm(M @ (np.asarray(c, dtype=M.dtype) / nc), p))
-    # every witness is a true lower bound; clamp only round-off overshoot
-    lower = min(lower, upper)
-    return PNormInterval(lower, upper)
+    # every witness is a true lower bound; only round-off may exceed the upper one
+    if lower > upper * (1.0 + 8.0 * cols * np.finfo(float).eps):
+        raise InconsistentInterval(
+            f"lp norm witness {lower!r} exceeds the upper bound {upper!r} beyond round-off")
+    return PNormInterval(min(lower, upper), upper)

@@ -128,18 +128,19 @@ class OvfReport(FrameReport):
 
 
 def _cross_identities_ok(op: OvfPair, left, right, tol: Tolerance) -> bool:
-    """max_jk || left_j right_k^* - delta_jk I || <= tol; needs a common codomain."""
+    """max_jk || left_j right_k^* - delta_jk I || <= tol; needs a common codomain.
+
+    All blocks come from one stacked product; each d x d block keeps its
+    own margin, tol.margin(1.0, entry_max(block)).
+    """
     if op.d is None:
         return False
-    d = op.d
-    eye = np.eye(d)
-    for j, Lj in enumerate(left):
-        for k, Rk in enumerate(right):
-            prod = Lj @ Rk.conj().T
-            target = eye if j == k else np.zeros((d, d))
-            if entry_max(prod - target) > tol.margin(1.0, entry_max(prod)):
-                return False
-    return True
+    n, d = len(left), op.d
+    prod = _stack(left) @ _stack(right).conj().T
+    blocks = (n, d, n, d)
+    deviation = np.abs(prod - np.eye(n * d)).reshape(blocks).max(axis=(1, 3))
+    scale = np.abs(prod).reshape(blocks).max(axis=(1, 3))
+    return bool(np.all(deviation <= tol.abs_tol + tol.rel_tol * np.maximum(scale, 1.0)))
 
 
 def verify_ovf(op: OvfPair) -> OvfReport:
@@ -301,12 +302,17 @@ def weighted_onb_bessel_check(op: OvfPair, c) -> WeightedBesselResult:
         raise WeightTooLarge("weights must not exceed 2")
     if not _cross_identities_ok(op, op.A, op.A, tol):
         raise NotWeightedOnb("members must satisfy the orthonormal-set identities")
-    for cj, Aj, Pj in zip(weights, op.A, op.Psi):
-        if not tol.mat_close(Pj, cj * Aj):
-            raise NotWeightedOnb("Psi_j must equal c_j A_j")
-    deficiency = np.eye(op.m, dtype=complex if op.field == COMPLEX else float)
-    for cj, Aj, Pj in zip(weights, op.A, op.Psi):
-        deficiency = deficiency - (2.0 - cj) * (Pj.conj().T @ Aj)
+    thetaA, thetaPsi = _stack(op.A), _stack(op.Psi)
+    scaled = np.repeat(weights, op.d)[:, None] * thetaA  # member j is c_j A_j
+
+    def block_max(M):  # entry_max of each member's d x m block
+        return np.abs(M).reshape(op.n, -1).max(axis=1)
+
+    margin = tol.abs_tol + tol.rel_tol * np.maximum(block_max(thetaPsi), block_max(scaled))
+    if np.any(block_max(thetaPsi - scaled) > margin):
+        raise NotWeightedOnb("Psi_j must equal c_j A_j")
+    eye = np.eye(op.m, dtype=complex if op.field == COMPLEX else float)
+    deficiency = eye - thetaPsi.conj().T @ (np.repeat(2.0 - weights, op.d)[:, None] * thetaA)
     rep = spectral(deficiency, tol)
     return WeightedBesselResult(bool(rep.is_hermitian and rep.is_psd), deficiency)
 

@@ -29,7 +29,13 @@ from .numerics import (
     PNormInterval,
     Tolerance,
     _cut_distance,
+    _gaussian_blocks,
+    _gaussian_rows,
+    _image_lp_norms,
     _lp_norm,
+    _lp_norms,
+    _normalized_image_lp_norms,
+    _sign_patterns,
     pnorm_estimate,
     principal_power,
     smallest_singular_value,
@@ -114,37 +120,31 @@ class POrthonormalResult:
     witness: Optional[np.ndarray]
 
 
-def _coefficient_candidates(n: int, trials: int, seed: int, complex_field: bool):
-    if n <= 12:
-        for bits in itertools.product((1.0, -1.0), repeat=n):
-            yield np.asarray(bits)
-    rng = np.random.default_rng(seed)
-    for _ in range(max(trials, 0)):
-        c = rng.standard_normal(n)
-        if complex_field:
-            c = c + 1j * rng.standard_normal(n)
-        yield c
-
-
 def p_orthonormal_check(vectors, p: float, trials: int = 200, seed: int = 0,
                         tol: Tolerance = Tolerance()) -> POrthonormalResult:
     """Falsifier for ||sum c_j x_j||_p^p = sum |c_j|^p.
 
     Exhausts all +-1 sign patterns for n <= 12 and adds seeded random
-    coefficients; consistency is evidence, not a decision.
+    coefficients; consistency is evidence, not a decision.  Candidates are
+    evaluated in batches and the first failing one, in the order sign
+    patterns (lexicographic, +1 before -1) then draws, is the witness.
     """
     M = np.asarray(vectors)
     if M.ndim != 2:
         raise ValueError("vectors must be the columns of a matrix")
     n = M.shape[1]
-    for j in range(n):
-        if abs(_lp_norm(M[:, j], p) - 1.0) > tol.margin(1.0):
-            return POrthonormalResult(False, np.eye(n)[:, j])
-    for c in _coefficient_candidates(n, trials, seed, np.iscomplexobj(M)):
-        lhs = _lp_norm(M @ np.asarray(c, dtype=M.dtype), p) ** p
-        rhs = float(np.sum(np.abs(c) ** p))
-        if abs(lhs - rhs) > tol.margin(lhs, rhs):
-            return POrthonormalResult(False, np.asarray(c))
+    off = np.flatnonzero(np.abs(_lp_norms(M.T, p) - 1.0) > tol.margin(1.0))
+    if off.size:
+        return POrthonormalResult(False, np.eye(n)[:, off[0]])
+    signs = [np.ascontiguousarray(-_sign_patterns(n)[:, ::-1])] if n <= 12 else []
+    draws = _gaussian_blocks(np.random.default_rng(seed), trials, n, np.iscomplexobj(M), max(M.shape))
+    for C in itertools.chain(signs, draws):
+        lhs = _image_lp_norms(M, np.asarray(C, dtype=M.dtype), p) ** p
+        rhs = (np.abs(C) ** p).sum(axis=1)
+        margin = tol.abs_tol + tol.rel_tol * np.maximum(np.abs(lhs), np.abs(rhs))
+        bad = np.flatnonzero(np.abs(lhs - rhs) > margin)
+        if bad.size:
+            return POrthonormalResult(False, C[bad[0]].copy())
     return POrthonormalResult(True, None)
 
 
@@ -176,18 +176,11 @@ def riesz_p_bounds(vectors, p: float, trials: int = 200, seed: int = 0,
     L = np.linalg.pinv(M)
     linv = pnorm_estimate(L, p, trials, seed + 1, tol)
     certified = 1.0 / linv.upper**p
-    sampled_min = np.inf
     rng = np.random.default_rng(seed + 2)
-    candidates = [np.eye(n)[:, j] for j in range(n)]
-    for _ in range(max(trials, 0)):
-        c = rng.standard_normal(n)
-        if np.iscomplexobj(M):
-            c = c + 1j * rng.standard_normal(n)
-        candidates.append(c)
-    for c in candidates:
-        nc = _lp_norm(c, p)
-        if nc > 0:
-            sampled_min = min(sampled_min, _lp_norm(M @ (np.asarray(c, dtype=M.dtype) / nc), p) ** p)
+    draws = _gaussian_rows(rng, trials, n, np.iscomplexobj(M))
+    # a unit basis vector maps to its column; the draws are normalised in lp
+    sampled = np.concatenate([_lp_norms(M.T, p), _normalized_image_lp_norms(M, draws, p)]) ** p
+    sampled_min = float(sampled.min(initial=np.inf))
     # certified <= a <= every sampled witness
     return RieszPBounds(PNormInterval(certified, max(sampled_min, certified)), b)
 

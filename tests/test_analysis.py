@@ -271,6 +271,17 @@ def test_perturb_quadratic_scaled_standard_pair():
     assert cert.actual_upper <= cert.predicted_upper
 
 
+def test_perturb_quadratic_window_contains_scaled_mercedes_benz():
+    # x_j -> 1.01 x_j moves b from 1.5 to 1.515; the upper bound needs
+    # sqrt(sum ||x_j - y_j||^2) = ||X - Y||_F, not the plain sum of squares
+    fp = mercedes_benz()
+    cert = fk.perturb_quadratic(fp, 1.01 * fp.X)
+    assert cert.hypothesis_ok
+    assert cert.actual_upper == pytest.approx(1.515, abs=1e-12)
+    assert cert.predicted_lower <= cert.actual_lower
+    assert cert.actual_upper <= cert.predicted_upper
+
+
 def test_perturb_quadratic_sign_flip_fails_hypothesis():
     cert = fk.perturb_quadratic(STD2, -np.eye(2))
     assert not cert.hypothesis_ok

@@ -257,3 +257,16 @@ def test_cli_float_format_is_12_digits(tmp_path, capsys):
     fio.write_frame_pair(str(path), FramePair(X, X, "real"))
     _, text = run_cli(capsys, "verify", str(path))
     assert "0.111111111111" in text  # bound 1/9 at 12 significant digits
+
+
+def test_cli_numerical_failure_is_a_domain_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "mb.frame"
+    fio.write_frame_pair(str(path), mercedes_benz())
+
+    def failing_solve(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    code, text = run_cli(capsys, "dual", str(path))
+    assert code == 2
+    assert "kind = domain_error" in text and "error = LinAlgError" in text

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from framekit import Tolerance, herm_sqrt, pnorm_estimate, principal_power, spectral
-from framekit.errors import BadExponent, NonSquare, NotDiagonalizable, NotPsd, SpectrumOnCut
+import framekit.numerics
+from framekit.errors import (
+    BadExponent,
+    InconsistentInterval,
+    NonSquare,
+    NotDiagonalizable,
+    NotPsd,
+    SpectrumOnCut,
+)
 
 from conftest import random_matrix, random_spd
 from oracles import eigenvalues_via_charpoly
@@ -126,3 +134,19 @@ def test_pnorm_interval_order_and_p2_tightness(rng):
             assert iv.lower <= iv.upper + TOL.abs_tol
         iv2 = pnorm_estimate(M, 2.0, samples=0, seed=k)
         assert iv2.lower == pytest.approx(iv2.upper, rel=1e-9, abs=1e-12)
+
+
+def test_pnorm_estimate_raises_on_an_upper_bound_below_a_witness(monkeypatch):
+    M = np.diag([3.0, 1.0])
+    monkeypatch.setattr(framekit.numerics, "opnorm2", lambda A: 2.0)
+    with pytest.raises(InconsistentInterval) as info:
+        pnorm_estimate(M, 2.0)
+    assert "3.0" in str(info.value) and "2.0" in str(info.value)
+
+
+def test_pnorm_estimate_clamps_round_off_overshoot(monkeypatch):
+    M = np.diag([3.0, 1.0])
+    below = 3.0 * (1.0 - 4.0 * np.finfo(float).eps)
+    monkeypatch.setattr(framekit.numerics, "opnorm2", lambda A: below)
+    iv = pnorm_estimate(M, 2.0)
+    assert iv.lower == iv.upper == below
