@@ -49,13 +49,13 @@ def iterate_reconstruct(fp: FramePair, h, steps: int) -> IterationTrace:
 
     The error after k steps is bounded by ((b-a)/(b+a))^k ||h||.
     """
-    report = verify(fp)
+    S = frame_operator(fp)
+    report = frame_flags(S, fp.tol)
     if not report.is_frame:
         raise NotAFrame("reconstruction iterates on a frame")
     h = np.asarray(h, dtype=complex if fp.field == COMPLEX else float).ravel()
     if h.shape != (fp.m,):
         raise ShapeMismatch("vector must live in the frame's space")
-    S = frame_operator(fp)
     a, b = report.lower_a, report.upper_b
     factor = 2.0 / (a + b)
     ratio = (b - a) / (b + a)
@@ -74,10 +74,10 @@ def iterate_reconstruct(fp: FramePair, h, steps: int) -> IterationTrace:
 def extend_tight_append(fp: FramePair, lam: float) -> FramePair:
     """Append the m columns of (lam I - S)^(1/2) to both families."""
     S = frame_operator(fp)
-    flags = frame_flags(S, fp.tol)
-    if not flags.is_bessel:
+    rep = spectral(S, fp.tol)
+    if not (rep.is_hermitian and rep.is_psd):
         raise NotBessel("tight extension starts from a Bessel pair")
-    top = float(spectral(S, fp.tol).eigenvalues.real.max())
+    top = float(rep.eigenvalues.real.max())
     if lam <= top + fp.tol.abs_tol:
         raise LambdaTooSmall(f"lambda must exceed the top eigenvalue {top}")
     R = herm_sqrt(lam * np.eye(fp.m) - S, fp.tol)
@@ -203,7 +203,7 @@ def formulas_report(fp: FramePair) -> FormulasReport:
     """
     S = frame_operator(fp)
     report = frame_flags(S, fp.tol)
-    diag = np.array([complex(np.vdot(fp.T[:, j], fp.X[:, j])) for j in range(fp.n)])
+    diag = np.einsum("ij,ij->j", fp.T.conj(), fp.X)  # [j] = <x_j, tau_j>
     sum_inner = complex(diag.sum())
     trace_S = complex(np.trace(S))
     trace_S2 = complex(np.trace(S @ S))
@@ -217,8 +217,8 @@ def formulas_report(fp: FramePair) -> FormulasReport:
     if report.tight:
         target = sum_inner**2 / fp.m
         variation_ok = bool(abs(double_sum - target) <= tol.margin(abs(double_sum), abs(target)))
-        spread = max(abs(d - diag[0]) for d in diag)
-        if spread <= tol.margin(max(abs(d) for d in diag)):
+        spread = float(np.abs(diag - diag[0]).max())
+        if spread <= tol.margin(float(np.abs(diag).max())):
             equal_b = report.upper_b * fp.m / fp.n
             equal_ok = bool(abs(equal_b - diag[0]) <= tol.margin(equal_b, abs(diag[0])))
     if report.parseval:
@@ -286,10 +286,12 @@ class PerturbCertificate:
 
 
 def _require_frame_report(fp: FramePair):
-    report = verify(fp)
+    """S and its flags, for a pair that must be a frame."""
+    S = frame_operator(fp)
+    report = frame_flags(S, fp.tol)
     if not report.is_frame:
         raise NotAFrame("perturbation certificates start from a frame")
-    return report
+    return S, report
 
 
 def _as_columns(fp: FramePair, Y) -> np.ndarray:
@@ -312,9 +314,8 @@ def _actual_bounds(fp: FramePair, Y):
 
 def perturb_quadratic(fp: FramePair, Y) -> PerturbCertificate:
     """Certificate from sum ||x_j - y_j|| ||S^-1 tau_j|| < 1."""
-    _require_frame_report(fp)
+    S, _ = _require_frame_report(fp)
     Y = _as_columns(fp, Y)
-    S = frame_operator(fp)
     Sinv = np.linalg.inv(S)
     diffs = np.linalg.norm(fp.X - Y, axis=0)
     weights = np.linalg.norm(Sinv @ fp.T, axis=0)
@@ -328,9 +329,8 @@ def perturb_quadratic(fp: FramePair, Y) -> PerturbCertificate:
 
 def perturb_normsum(fp: FramePair, Y) -> PerturbCertificate:
     """Certificate from r = sum ||x_j - y_j||^2 < 1 / ||theta_tau S^-1||^2."""
-    _require_frame_report(fp)
+    S, _ = _require_frame_report(fp)
     Y = _as_columns(fp, Y)
-    S = frame_operator(fp)
     Sinv = np.linalg.inv(S)
     r = float(np.sum(np.linalg.norm(fp.X - Y, axis=0) ** 2))
     theta_tau_Sinv = opnorm2(fp.T.conj().T @ Sinv)
@@ -354,11 +354,10 @@ def perturb_sampled(fp: FramePair, Y, alpha: float, beta: float, gamma: float,
     together with nonnegativity of s_y(h).  hypothesis_ok means "not
     falsified by any sample" - it is not a proof.
     """
-    report = _require_frame_report(fp)
+    S, report = _require_frame_report(fp)
     Y = _as_columns(fp, Y)
     if min(alpha, beta, gamma) < 0:
         raise BadParams("coefficients must be nonnegative")
-    S = frame_operator(fp)
     Sinv = np.linalg.inv(S)
     a, b = report.lower_a, report.upper_b
 

@@ -196,11 +196,12 @@ def _dispatch(args) -> list:
 
     if verb == "verify":
         fp = _load_frame(args)
-        report = frames.verify(fp)
+        S = frames.frame_operator(fp)
+        report = frames.frame_flags(S, fp.tol)
         pairs = [("kind", "frame_report"), ("dim", fp.m), ("count", fp.n)]
         pairs += _report_pairs(report)
         if report.is_frame:
-            cls = frames.classify(fp)
+            cls = frames._classify(fp, S, report)
             pairs += [("riesz_frame", cls.riesz_frame),
                       ("orthonormal_frame", cls.orthonormal_frame)]
         pairs.append(("basis", _VERIFY_BASIS))

@@ -128,9 +128,20 @@ def frame_operator(fp: FramePair) -> np.ndarray:
 
 
 def frame_flags(S: np.ndarray, tol: Tolerance) -> FrameReport:
-    """Verdicts for a would-be frame operator; never raises."""
+    """Verdicts for a would-be frame operator; never raises.
+
+    One spectral decomposition decides everything.  For a Hermitian S
+    (within tolerance), invertible means min |lambda| > abs_tol over the
+    eigenvalues of its Hermitian part, so is_frame is exactly spectral's
+    is_pd.  Only a non-Hermitian S, which is never a frame, pays for an SVD
+    to report invertible as sigma_min(S) > abs_tol.
+    """
     rep = spectral(S, tol)
-    invertible = smallest_singular_value(S) > tol.abs_tol
+    if rep.is_hermitian:
+        lam = rep.eigenvalues.real
+        invertible = bool(lam.size) and float(np.abs(lam).min()) > tol.abs_tol
+    else:
+        invertible = smallest_singular_value(S) > tol.abs_tol
     is_bessel = rep.is_hermitian and rep.is_psd
     is_frame = is_bessel and invertible
     if is_frame:
@@ -156,18 +167,26 @@ def frame_flags(S: np.ndarray, tol: Tolerance) -> FrameReport:
 def verify(fp: FramePair) -> FrameReport:
     """Full verdict on the pair; degenerate input yields is_frame=False.
 
-    Weak-frame verification coincides with this predicate: at finite
-    dimension the coordinatewise Bessel conditions hold automatically, so
-    only the frame-operator conditions remain to be checked.
+    Costs one S and one Hermitian eigendecomposition; see frame_flags for
+    the invertibility rule.  Weak-frame verification coincides with this
+    predicate: at finite dimension the coordinatewise Bessel conditions
+    hold automatically, so only the frame-operator conditions remain to be
+    checked.
     """
     return frame_flags(frame_operator(fp), fp.tol)
 
 
 def _require_frame(fp: FramePair) -> np.ndarray:
     S = frame_operator(fp)
-    if not frame_flags(S, fp.tol).is_frame:
-        raise NotAFrame("operation requires a frame")
+    _require_frame_flags(S, fp.tol)
     return S
+
+
+def _require_frame_flags(S: np.ndarray, tol: Tolerance) -> FrameReport:
+    report = frame_flags(S, tol)
+    if not report.is_frame:
+        raise NotAFrame("operation requires a frame")
+    return report
 
 
 def canonical_dual(fp: FramePair) -> FramePair:
@@ -252,8 +271,13 @@ class ClassifyResult:
 
 def classify(fp: FramePair) -> ClassifyResult:
     """Riesz frame: P = I.  Orthonormal frame: Parseval and cross gram I."""
-    P = frame_idempotent(fp)
-    report = verify(fp)
+    S = frame_operator(fp)
+    return _classify(fp, S, _require_frame_flags(S, fp.tol))
+
+
+def _classify(fp: FramePair, S: np.ndarray, report: FrameReport) -> ClassifyResult:
+    """classify for a frame whose S and flags the caller already holds."""
+    P = fp.X.conj().T @ np.linalg.solve(S, fp.T)
     gram = fp.T.conj().T @ fp.X
     riesz = fp.tol.is_identity(P)
     orthonormal = report.parseval and fp.tol.is_identity(gram)
@@ -352,15 +376,18 @@ def range_basis(A: np.ndarray, tol: Tolerance) -> np.ndarray:
     return U[:, :rank]
 
 
-def _same_column_space(A: np.ndarray, B: np.ndarray, tol: Tolerance) -> bool:
+def _shared_range_basis(A: np.ndarray, B: np.ndarray, tol: Tolerance) -> Optional[np.ndarray]:
+    """range_basis(A) when A and B have the same column space, else None."""
     # mutual projection residuals below tol * norm
     QA = range_basis(A, tol)
     QB = range_basis(B, tol)
     if QA.shape[1] != QB.shape[1]:
-        return False
+        return None
     resB = entry_max(B - QA @ (QA.conj().T @ B))
     resA = entry_max(A - QB @ (QB.conj().T @ A))
-    return resB <= tol.margin(entry_max(B)) and resA <= tol.margin(entry_max(A))
+    if resB <= tol.margin(entry_max(B)) and resA <= tol.margin(entry_max(A)):
+        return QA
+    return None
 
 
 def dilate(fp: FramePair) -> DilationResult:
@@ -375,13 +402,13 @@ def dilate(fp: FramePair) -> DilationResult:
         raise NotParseval("dilation starts from a Parseval pair")
     theta_x = fp.X.conj().T
     theta_t = fp.T.conj().T
-    if not _same_column_space(theta_x, theta_t, tol):
+    Q = _shared_range_basis(theta_x, theta_t, tol)
+    if Q is None:
         raise RangesDiffer("theta_x and theta_tau must have equal ranges")
     P = fp.X.conj().T @ fp.T  # S = I for a Parseval pair
     if entry_max(P - P.conj().T) > tol.margin(entry_max(P)) or \
             entry_max(P @ P - P) > tol.margin(entry_max(P)):
         raise IdempotentNotProjection("frame idempotent is not an orthogonal projection")
-    Q = range_basis(theta_x, tol)
     r = Q.shape[1]
     Pperp = np.eye(fp.n, dtype=P.dtype) - hermitian_part(P)
     Qperp = range_basis(np.eye(fp.n, dtype=P.dtype) - Q @ Q.conj().T, tol)

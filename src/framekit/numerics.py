@@ -49,10 +49,19 @@ class Tolerance:
         return entry_max(A - B) <= self.margin(entry_max(A), entry_max(B))
 
     def is_identity(self, A) -> bool:
+        """Whether A is the identity within tolerance, scaled by entry_max(A).
+
+        The deviation is entry_max(A - I), taken without building I: |A| in
+        the dtype A - I would have, with |a_ii - 1| on the diagonal.
+        """
         A = np.asarray(A)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             return False
-        return entry_max(A - np.eye(A.shape[0])) <= self.margin(1.0, entry_max(A))
+        B = A.astype(np.result_type(A.dtype, np.float64), copy=False)
+        dev = np.abs(B)
+        scale = float(dev.max(initial=0.0)) if B is A else entry_max(A)
+        np.fill_diagonal(dev, np.abs(np.diagonal(B) - 1.0))
+        return float(dev.max(initial=0.0)) <= self.margin(1.0, scale)
 
     def is_zero(self, A, scale: float = 1.0) -> bool:
         return entry_max(np.asarray(A)) <= self.margin(scale)
@@ -104,6 +113,10 @@ class SpectralReport:
     is_pd: bool
 
 
+def _is_hermitian(M: np.ndarray, tol: Tolerance) -> bool:
+    return entry_max(M - M.conj().T) <= tol.margin(entry_max(M))
+
+
 def spectral(M, tol: Tolerance = Tolerance()) -> SpectralReport:
     """Eigenvalue verdicts: hermiticity, positivity, definiteness.
 
@@ -111,7 +124,7 @@ def spectral(M, tol: Tolerance = Tolerance()) -> SpectralReport:
     up to dtype; general inputs use eig.  psd/pd require hermiticity first.
     """
     M = _require_square(M)
-    hermitian = entry_max(M - M.conj().T) <= tol.margin(entry_max(M))
+    hermitian = _is_hermitian(M, tol)
     try:
         if hermitian:
             vals = np.linalg.eigvalsh(hermitian_part(M)).astype(complex)
@@ -130,14 +143,20 @@ def spectral(M, tol: Tolerance = Tolerance()) -> SpectralReport:
 def herm_sqrt(M, tol: Tolerance = Tolerance()) -> np.ndarray:
     """Hermitian psd square root via eigendecomposition.
 
-    Eigenvalues in [-abs_tol, 0] are clipped to 0 so that round-off on an
-    intended-psd input does not raise.
+    One eigh of the Hermitian part both gates and builds the root: the
+    input must pass spectral's hermiticity test and have no eigenvalue
+    below -abs_tol.  Eigenvalues in [-abs_tol, 0] are clipped to 0 so that
+    round-off on an intended-psd input does not raise.
     """
     M = _require_square(M)
-    rep = spectral(M, tol)
-    if not rep.is_psd:
+    if not _is_hermitian(M, tol):
         raise NotPsd("herm_sqrt needs a Hermitian positive semidefinite matrix")
-    w, V = np.linalg.eigh(hermitian_part(M))
+    try:
+        w, V = np.linalg.eigh(hermitian_part(M))
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(str(exc)) from exc
+    if w.size and w[0] < -tol.abs_tol:
+        raise NotPsd("herm_sqrt needs a Hermitian positive semidefinite matrix")
     w = np.clip(w, 0.0, None)
     R = (V * np.sqrt(w)) @ V.conj().T
     R = hermitian_part(R)

@@ -14,6 +14,7 @@ for it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,7 +41,7 @@ from .frames import (
     frame_flags,
     infer_field,
     range_basis,
-    _same_column_space,
+    _shared_range_basis,
 )
 from .numerics import (
     Tolerance,
@@ -107,18 +108,36 @@ class OvfOperators:
     S: np.ndarray
     thetaA: np.ndarray
     thetaPsi: np.ndarray
-    P: Optional[np.ndarray]
+    tol: Tolerance
+
+    @cached_property
+    def P(self) -> Optional[np.ndarray]:
+        """The idempotent theta_A S^-1 theta_Psi^* when sigma_min(S) > abs_tol, else None.
+
+        Computed on first access, so a caller that needs only S pays for
+        neither the SVD nor the solve.
+        """
+        if smallest_singular_value(self.S) > self.tol.abs_tol:
+            return _idempotent(self)
+        return None
+
+
+def _idempotent(ops: OvfOperators) -> np.ndarray:
+    """theta_A S^-1 theta_Psi^*, for an S known to be invertible.
+
+    When frame_flags calls S a frame, the Hermitian part H of S has
+    lambda_min(H) > abs_tol, and sigma_min(S) >= lambda_min(H) because the
+    rest of S is skew-Hermitian; so OvfOperators.P's gate holds and a
+    caller holding those flags may skip its SVD.
+    """
+    return ops.thetaA @ np.linalg.solve(ops.S, ops.thetaPsi.conj().T)
 
 
 def ovf_operators(op: OvfPair) -> OvfOperators:
     """S = theta_Psi^* theta_A and, when S is invertible, the idempotent P."""
     thetaA = _stack(op.A)
     thetaPsi = _stack(op.Psi)
-    S = thetaPsi.conj().T @ thetaA
-    P = None
-    if smallest_singular_value(S) > op.tol.abs_tol:
-        P = thetaA @ np.linalg.solve(S, thetaPsi.conj().T)
-    return OvfOperators(S, thetaA, thetaPsi, P)
+    return OvfOperators(thetaPsi.conj().T @ thetaA, thetaA, thetaPsi, op.tol)
 
 
 @dataclass(frozen=True)
@@ -147,24 +166,23 @@ def verify_ovf(op: OvfPair) -> OvfReport:
     """Frame verdict on S plus the Riesz / orthonormal OVF refinements."""
     ops = ovf_operators(op)
     base = frame_flags(ops.S, op.tol)
-    riesz = bool(base.is_frame and ops.P is not None and op.tol.is_identity(ops.P))
+    riesz = bool(base.is_frame and op.tol.is_identity(_idempotent(ops)))
     orthonormal = bool(
         riesz and base.parseval and _cross_identities_ok(op, op.A, op.Psi, op.tol)
     )
     return OvfReport(**vars(base), riesz_ovf=riesz, orthonormal_ovf=orthonormal)
 
 
-def _require_ovf_frame(op: OvfPair) -> np.ndarray:
-    S = ovf_operators(op).S
-    if not frame_flags(S, op.tol).is_frame:
+def _require_ovf_frame(op: OvfPair) -> OvfOperators:
+    ops = ovf_operators(op)
+    if not frame_flags(ops.S, op.tol).is_frame:
         raise NotAFrame("operation requires an operator-valued frame")
-    return S
+    return ops
 
 
 def canonical_dual_ovf(op: OvfPair) -> OvfPair:
     """(A_j S^-1, Psi_j S^-1)."""
-    S = _require_ovf_frame(op)
-    Sinv = np.linalg.inv(S)
+    Sinv = np.linalg.inv(_require_ovf_frame(op).S)
     return OvfPair(
         tuple(Aj @ Sinv for Aj in op.A),
         tuple(Pj @ Sinv for Pj in op.Psi),
@@ -325,11 +343,11 @@ class RightSimilarityTransforms:
 
 def right_similarity_detect(op1: OvfPair, op2: OvfPair) -> Optional[RightSimilarityTransforms]:
     """Invertible right factors with B_j = A_j R, Phi_j = Psi_j R', if any."""
-    S = _require_ovf_frame(op1)
-    _require_ovf_frame(op2)
+    ops1 = _require_ovf_frame(op1)
+    ops2 = _require_ovf_frame(op2)
     if op1.m != op2.m or op1.n != op2.n or op1.codims != op2.codims:
         raise ShapeMismatch("pairs must share member shapes")
-    ops1, ops2 = ovf_operators(op1), ovf_operators(op2)
+    S = ops1.S
     RAB = np.linalg.solve(S, ops1.thetaPsi.conj().T @ ops2.thetaA)
     RPsiPhi = np.linalg.solve(S, ops1.thetaA.conj().T @ ops2.thetaPsi)
     tol = op1.tol
@@ -371,21 +389,6 @@ def tensor_ovf(op1: OvfPair, op2: OvfPair) -> OvfPair:
     return OvfPair(tuple(A), tuple(Psi), field, op1.tol)
 
 
-def tensor_shuffle_permutation(n1: int, d1: int, n2: int, d2: int) -> np.ndarray:
-    """Row permutation carrying kron(theta_A, theta_B) onto the stacked
-    member-major layout used by tensor_ovf: (j, a, l, b) -> (j, l, a, b)."""
-    size = n1 * d1 * n2 * d2
-    perm = np.zeros(size, dtype=int)
-    for j in range(n1):
-        for a in range(d1):
-            for l in range(n2):
-                for b in range(d2):
-                    src = ((j * d1 + a) * n2 + l) * d2 + b
-                    dst = ((j * n2 + l) * d1 + a) * d2 + b
-                    perm[dst] = src
-    return perm
-
-
 def extend_tight_ovf(op: OvfPair, lam: float) -> OvfPair:
     """Append the member B = (lam I - S)^(1/2) to both families.
 
@@ -393,10 +396,10 @@ def extend_tight_ovf(op: OvfPair, lam: float) -> OvfPair:
     codomains, so the output may be codomain-heterogeneous.
     """
     S = ovf_operators(op).S
-    flags = frame_flags(S, op.tol)
-    if not flags.is_bessel:
+    rep = spectral(S, op.tol)
+    if not (rep.is_hermitian and rep.is_psd):
         raise NotBessel("tight extension starts from a Bessel pair")
-    top = float(spectral(S, op.tol).eigenvalues.real.max())
+    top = float(rep.eigenvalues.real.max())
     if lam <= top + op.tol.abs_tol:
         raise LambdaTooSmall(f"lambda must exceed the top eigenvalue {top}")
     B = herm_sqrt(lam * np.eye(op.m) - S, op.tol)
@@ -408,18 +411,17 @@ def dilate_ovf(op: OvfPair) -> OvfPair:
     tol = op.tol
     if op.d is None:
         raise ShapeMismatch("dilation needs a uniform codomain")
-    report = verify_ovf(op)
-    if not report.parseval:
-        raise NotParseval("dilation starts from a Parseval pair")
     ops = ovf_operators(op)
-    if not _same_column_space(ops.thetaA, ops.thetaPsi, tol):
+    if not frame_flags(ops.S, tol).parseval:
+        raise NotParseval("dilation starts from a Parseval pair")
+    Q = _shared_range_basis(ops.thetaA, ops.thetaPsi, tol)
+    if Q is None:
         raise RangesDiffer("theta_A and theta_Psi must have equal ranges")
-    P = ops.P
-    if P is None or entry_max(P - P.conj().T) > tol.margin(entry_max(P)) or \
+    P = _idempotent(ops)  # a Parseval S is a frame's
+    if entry_max(P - P.conj().T) > tol.margin(entry_max(P)) or \
             entry_max(P @ P - P) > tol.margin(entry_max(P)):
         raise IdempotentNotProjection("frame idempotent is not an orthogonal projection")
     nd = op.n * op.d
-    Q = range_basis(ops.thetaA, tol)
     r = Q.shape[1]
     Pperp = np.eye(nd, dtype=P.dtype) - hermitian_part(P)
     Qperp = range_basis(np.eye(nd, dtype=P.dtype) - Q @ Q.conj().T, tol)

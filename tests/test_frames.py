@@ -82,6 +82,17 @@ def test_verify_never_raises_on_degenerate():
     assert r.is_bessel and not r.is_frame
 
 
+def test_verify_no_frame_below_abs_tol_within_hermitian_tolerance():
+    # Hermitian within tolerance, sigma_min 1.03e-9 > abs_tol, but the
+    # Hermitian part is 9e-10 * I: invertibility is judged on the eigenvalues,
+    # so no frame is reported with a lower bound below abs_tol.
+    S = np.array([[9e-10, 4.9e-10], [-4.9e-10, 9e-10]])
+    r = fk.verify(FramePair(np.eye(2), S, "real"))
+    assert r.self_adjoint and r.psd
+    assert not r.invertible and not r.is_frame
+    assert (r.lower_a, r.upper_b) == (0.0, 0.0)
+
+
 def test_verify_agrees_with_brute_force(rng):
     # eigen verdict vs characteristic-polynomial oracle
     agree = 0

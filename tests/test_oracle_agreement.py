@@ -1,4 +1,6 @@
-"""The batched routines against the per-element loops they replaced.
+"""The batched routines against the per-element loops they replaced, and
+the one-decomposition verdicts against the extra SVD and spectral passes
+they dropped.
 
 Each library routine must reach the loop's verdict, witness and exception
 (class and message) on seeded random inputs, planted failures included;
@@ -12,11 +14,19 @@ import framekit as fk
 from framekit import FramePair, GroupTable, OvfPair, Representation, Tolerance
 from framekit.analysis import _falsifying_samples
 from framekit.errors import FramekitError
-from framekit.numerics import _BLOCK_ENTRIES, _gaussian_blocks, _gaussian_rows, _sign_patterns
+from framekit.frames import FrameReport, frame_flags
+from framekit.numerics import (
+    _BLOCK_ENTRIES,
+    _gaussian_blocks,
+    _gaussian_rows,
+    _sign_patterns,
+    entry_max,
+    smallest_singular_value,
+)
 from framekit.ovf import _cross_identities_ok
 
 import oracles
-from conftest import random_matrix, random_parseval_ovf
+from conftest import random_frame, random_matrix, random_parseval, random_parseval_ovf
 
 RTOL = 1e-13
 
@@ -357,3 +367,149 @@ def test_falsifier_negativity_of_s_y_matches_loop(rng):
         assert (np.flatnonzero(mask)[0] if mask.any() else None) == index
         falsified += index is not None
     assert 0 < falsified < 12
+
+
+# --- one decomposition per verdict ------------------------------------------------
+
+def assert_same_report(got, want):
+    for name in ("self_adjoint", "psd", "invertible", "is_bessel", "is_frame", "tight", "parseval"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("lower_a", "upper_b"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=RTOL, abs=0.0), name
+
+
+def near_threshold(rng, m, field, tol, skew):
+    """Hermitian S whose smallest |eigenvalue| is within a factor 2 of abs_tol,
+    plus, when skew is set, a skew-Hermitian part up to half of abs_tol
+    entrywise, so that S is Hermitian only within tolerance."""
+    Q, _ = np.linalg.qr(random_matrix(rng, m, m, field))
+    lam = rng.uniform(0.5, 2.5, m) * rng.choice([1.0, tol.abs_tol])
+    lam[0] = rng.uniform(0.5, 2.0) * tol.abs_tol * rng.choice([1.0, -1.0])
+    S = (Q * lam) @ Q.conj().T
+    S = 0.5 * (S + S.conj().T)
+    if skew:
+        K = random_matrix(rng, m, m, field)
+        K = K - K.conj().T
+        S = S + K * (rng.uniform(0.0, 0.5) * tol.abs_tol / np.abs(K).max())
+    return S
+
+
+def test_frame_flags_match_svd_flags_on_random_singular_and_nonhermitian_s(rng):
+    tol = Tolerance()
+    for k in range(200):
+        field = "complex" if k % 2 else "real"
+        m = int(rng.integers(1, 7))
+        fp = random_frame(rng, m, m + int(rng.integers(0, 5)), field)
+        kind = k % 4
+        if kind == 0:
+            S = fk.frame_operator(fp)
+        elif kind == 1:  # exactly singular: rank below m
+            X = random_matrix(rng, m, max(m - 1, 1), field)
+            S = X @ X.conj().T if m > 1 else np.zeros((1, 1))
+        elif kind == 2:  # far from Hermitian
+            S = random_matrix(rng, m, m, field)
+        else:  # a frame pair's S, forced non-Hermitian by one planted entry
+            S = fk.frame_operator(fp).copy()
+            if m > 1:
+                S[0, -1] += 1e-3
+        assert_same_report(frame_flags(S, tol), oracles.frame_flags_by_svd(S, tol))
+
+
+def test_frame_flags_match_svd_flags_near_the_threshold(rng):
+    tol = Tolerance()
+    for k in range(1000):
+        S = near_threshold(rng, int(rng.integers(2, 7)), "complex" if k % 2 else "real", tol, skew=False)
+        assert_same_report(frame_flags(S, tol), oracles.frame_flags_by_svd(S, tol))
+
+
+def test_frame_flags_near_the_threshold_differ_only_where_svd_contradicted_itself(rng):
+    """With a skew part K = S - H (H the Hermitian part), sigma_min(S) and
+    min |lambda(H)| may fall on opposite sides of abs_tol, but only within
+    ||K||_2 of it (Weyl).  The verdict can only move from frame to not a
+    frame, since sigma_min(S) >= lambda_min(H): exactly the inputs where
+    the SVD rule reported a frame whose lower bound is at most abs_tol."""
+    tol = Tolerance()
+    changed = 0
+    for k in range(2000):
+        S = near_threshold(rng, int(rng.integers(2, 7)), "complex" if k % 2 else "real", tol, skew=True)
+        got, want = frame_flags(S, tol), oracles.frame_flags_by_svd(S, tol)
+        assert got.is_frame == fk.spectral(S, tol).is_pd
+        assert not got.is_frame or got.lower_a > tol.abs_tol
+        assert not got.is_frame or smallest_singular_value(S) > tol.abs_tol
+        if got.invertible == want.invertible:
+            assert_same_report(got, want)
+            continue
+        H = 0.5 * (S + S.conj().T)
+        gap = abs(np.abs(np.linalg.eigvalsh(H)).min() - tol.abs_tol)
+        assert gap <= np.linalg.norm(S - H, 2) * (1 + 1e-9)
+        assert not got.is_frame
+        if want.is_frame:
+            changed += 1
+            assert want.lower_a <= tol.abs_tol
+        assert_same_report(got, FrameReport(**{**vars(want), "invertible": got.invertible,
+                                                  "is_frame": False, "lower_a": 0.0, "upper_b": 0.0,
+                                                  "tight": False, "parseval": False}))
+    assert changed > 0  # the contradicting verdicts are represented
+
+
+def test_verify_ovf_riesz_matches_the_svd_gated_idempotent(rng):
+    # d = 1 members: theta_A = I and theta_Psi = S^*, so the pair's frame operator is S
+    tol = Tolerance()
+    for k in range(400):
+        field = "complex" if k % 2 else "real"
+        m = int(rng.integers(2, 6))
+        S = near_threshold(rng, m, field, tol, skew=k % 4 != 0)
+        if k % 8 == 1:
+            S = S + np.eye(m)
+        op = OvfPair(tuple(np.eye(m)[j:j + 1] for j in range(m)),
+                     tuple(S.conj().T[j:j + 1] for j in range(m)), field)
+        ops = fk.ovf_operators(op)
+        want = bool(frame_flags(ops.S, tol).is_frame and ops.P is not None
+                    and tol.is_identity(ops.P))
+        assert fk.verify_ovf(op).riesz_ovf == want
+
+
+def test_herm_sqrt_gate_matches_spectral_gate(rng):
+    tol = Tolerance()
+    for k in range(600):
+        field = "complex" if k % 2 else "real"
+        m = int(rng.integers(1, 6))
+        if k % 3 == 2:
+            M = random_matrix(rng, m, m, field)  # not Hermitian (for m > 1)
+        else:
+            M = near_threshold(rng, max(m, 2), field, tol, skew=k % 3 == 1)
+        got = outcome(lambda: fk.herm_sqrt(M, tol))
+        want = outcome(lambda: oracles.herm_sqrt_by_spectral(M, tol))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_dilate_reuses_the_range_basis_bit_for_bit(rng, field):
+    for k in range(20):
+        m = int(rng.integers(1, 5))
+        fp = random_parseval(rng, m, m + int(rng.integers(0, 5)), field, self_dual=k % 2 == 0)
+        got = outcome(lambda: fk.dilate(fp))
+        want = outcome(lambda: oracles.dilate_by_range_bases(fp))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got.embed_dim == want.embed_dim
+            assert np.array_equal(got.big.X, want.big.X) and np.array_equal(got.big.T, want.big.T)
+
+
+def test_is_identity_matches_subtracting_the_identity(rng):
+    tol = Tolerance()
+    cases = [np.eye(3, dtype=int), np.eye(3, dtype=bool), 2 * np.eye(2, dtype=int),
+             np.eye(3, dtype=np.float32), np.eye(2, dtype=np.complex64), np.zeros((0, 0))]
+    for k in range(300):
+        n = int(rng.integers(1, 6))
+        E = random_matrix(rng, n, n, "complex" if k % 2 else "real")
+        # deviations straddling the margin, on and off the diagonal
+        cases.append(np.eye(n) + E * (rng.uniform(0.2, 2.0) * tol.abs_tol / np.abs(E).max()))
+    cases.append(np.array([[1, 0], [3, 1]]))
+    for A in cases:
+        want = entry_max(A - np.eye(A.shape[0])) <= tol.margin(1.0, entry_max(A))
+        assert tol.is_identity(A) == want

@@ -13,7 +13,7 @@ from framekit.errors import (
     ShapeMismatch,
     WeightTooLarge,
 )
-from framekit.ovf import tensor_shuffle_permutation
+from oracles import tensor_shuffle_permutation
 
 from conftest import mercedes_benz, random_frame, random_ovf, random_parseval_ovf
 
