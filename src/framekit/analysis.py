@@ -17,19 +17,24 @@ import numpy as np
 from .errors import (
     BadParams,
     HypothesisFails,
-    LambdaTooSmall,
     NotAFrame,
-    NotBessel,
     NotParseval,
     NotReal,
     NotSelfPair,
-    NotWeightedOnb,
     ShapeMismatch,
-    TooManyVectors,
-    WeightTooLarge,
 )
-from .frames import COMPLEX, REAL, FramePair, frame_flags, frame_operator, verify
-from .numerics import Tolerance, _gaussian_blocks, entry_max, herm_sqrt, opnorm2, spectral
+from .frames import (
+    COMPLEX,
+    REAL,
+    FramePair,
+    _thetas,
+    _tight_block,
+    _weighted_onb,
+    frame_flags,
+    frame_operator,
+    verify,
+)
+from .numerics import Tolerance, _gaussian_blocks, entry_max, opnorm2
 
 QUADRATIC = "quadratic"
 NORMSUM = "normsum"
@@ -73,17 +78,8 @@ def iterate_reconstruct(fp: FramePair, h, steps: int) -> IterationTrace:
 
 def extend_tight_append(fp: FramePair, lam: float) -> FramePair:
     """Append the m columns of (lam I - S)^(1/2) to both families."""
-    S = frame_operator(fp)
-    rep = spectral(S, fp.tol)
-    if not (rep.is_hermitian and rep.is_psd):
-        raise NotBessel("tight extension starts from a Bessel pair")
-    top = float(rep.eigenvalues.real.max())
-    if lam <= top + fp.tol.abs_tol:
-        raise LambdaTooSmall(f"lambda must exceed the top eigenvalue {top}")
-    R = herm_sqrt(lam * np.eye(fp.m) - S, fp.tol)
-    if fp.field == REAL:
-        R = R.real
-    return FramePair(np.hstack([fp.X, R]), np.hstack([fp.T, R]), fp.field, fp.tol)
+    B = _tight_block(frame_operator(fp), lam, fp.tol)
+    return FramePair(np.hstack([fp.X, B]), np.hstack([fp.T, B]), fp.field, fp.tol)
 
 
 def extend_tight_minimal(fp: FramePair) -> FramePair:
@@ -107,8 +103,6 @@ def extend_tight_minimal(fp: FramePair) -> FramePair:
     if not cols:
         return fp
     extra = np.column_stack(cols)
-    if fp.field == REAL:
-        extra = extra.real
     return FramePair(np.hstack([fp.X, extra]), np.hstack([fp.T, extra]), fp.field, fp.tol)
 
 
@@ -162,8 +156,6 @@ def span_characterization(fp: FramePair) -> SpanCharacterization:
     before "tau") is therefore built greedily with at most n + 1 rank
     tests: keep "x" at j when it still has a failing completion.
     """
-    if fp.n > 20:
-        raise TooManyVectors("selection enumeration is capped at n = 20")
     tol = fp.tol
     j = _first_misaligned(fp.T, fp.X, tol)
     if j is not None:
@@ -257,22 +249,12 @@ class WeightedOnbResult:
 
 
 def weighted_onb_check(fp: FramePair, c) -> WeightedOnbResult:
-    """I - sum (2 - c_j) c_j x_j x_j^* psd for an orthonormal {x_j}, tau_j = c_j x_j."""
-    weights = np.asarray(c, dtype=float)
-    if weights.shape != (fp.n,):
-        raise ShapeMismatch("need one weight per member")
-    tol = fp.tol
-    if np.any(weights > 2.0 + tol.abs_tol):
-        raise WeightTooLarge("weights must not exceed 2")
-    gram = fp.X.conj().T @ fp.X
-    if not tol.is_identity(gram):
-        raise NotWeightedOnb("the x family must be orthonormal")
-    if not tol.mat_close(fp.T, fp.X * weights):
-        raise NotWeightedOnb("tau_j must equal c_j x_j")
-    eye = np.eye(fp.m, dtype=complex if fp.field == COMPLEX else float)
-    M = eye - (fp.X * ((2.0 - weights) * weights)) @ fp.X.conj().T
-    rep = spectral(M, tol)
-    return WeightedOnbResult(bool(rep.is_hermitian and rep.is_psd))
+    """I - sum (2 - c_j) tau_j x_j^* psd for an orthonormal {x_j}, tau_j = c_j x_j.
+
+    The d = 1 case of ovf.weighted_onb_bessel_check.
+    """
+    holds, _ = _weighted_onb(*_thetas(fp), (1,) * fp.n, c, fp.tol)
+    return WeightedOnbResult(holds)
 
 
 @dataclass(frozen=True)

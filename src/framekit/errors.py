@@ -96,10 +96,6 @@ class HypothesisFails(FramekitError):
     pass
 
 
-class TooManyVectors(FramekitError):
-    pass
-
-
 class NotWeightedOnb(FramekitError):
     pass
 

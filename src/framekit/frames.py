@@ -21,12 +21,16 @@ from .errors import (
     BadCoefficients,
     CountMismatch,
     IdempotentNotProjection,
+    LambdaTooSmall,
     NotAFrame,
+    NotBessel,
     NotOrthogonal,
     NotParseval,
+    NotWeightedOnb,
     ParamNotAdmissible,
     RangesDiffer,
     ShapeMismatch,
+    WeightTooLarge,
 )
 from .numerics import (
     Tolerance,
@@ -256,10 +260,15 @@ def common_dual(fp: FramePair, gq: FramePair) -> FramePair:
     return FramePair(Z, R, fp.field if fp.field == gq.field else COMPLEX, fp.tol)
 
 
+def _thetas(fp: FramePair):
+    """The analysis operators (theta_x, theta_tau) = (X^*, T^*)."""
+    return fp.X.conj().T, fp.T.conj().T
+
+
 def frame_idempotent(fp: FramePair) -> np.ndarray:
     """P = X^* S^-1 T  (n x n), idempotent on coefficient space."""
     S = _require_frame(fp)
-    return fp.X.conj().T @ np.linalg.solve(S, fp.T)
+    return _idempotent(*_thetas(fp), S)
 
 
 @dataclass(frozen=True)
@@ -277,7 +286,7 @@ def classify(fp: FramePair) -> ClassifyResult:
 
 def _classify(fp: FramePair, S: np.ndarray, report: FrameReport) -> ClassifyResult:
     """classify for a frame whose S and flags the caller already holds."""
-    P = fp.X.conj().T @ np.linalg.solve(S, fp.T)
+    P = _idempotent(*_thetas(fp), S)
     gram = fp.T.conj().T @ fp.X
     riesz = fp.tol.is_identity(P)
     orthonormal = report.parseval and fp.tol.is_identity(gram)
@@ -326,22 +335,17 @@ class SimilarityTransforms:
 def similarity_detect(fp: FramePair, gq: FramePair) -> Optional[SimilarityTransforms]:
     """Invertible (Txy, Ttw) with y_j = Txy x_j, omega_j = Ttw tau_j, if any.
 
-    The candidates Txy = Y T^* S^-1 and Ttw = Omega X^* S^-1 are the unique
+    The candidates Txy = Y T^* S^-* and Ttw = Omega X^* S^-* are the unique
     possible transforms; similarity holds exactly when the two frame
     idempotents coincide.
     """
     S = _require_frame(fp)
     _require_frame(gq)
     _check_shapes(fp, gq)
-    Sinv = np.linalg.inv(S)
-    Txy = gq.X @ fp.T.conj().T @ Sinv
-    Ttw = gq.T @ fp.X.conj().T @ Sinv
-    tol = fp.tol
-    if smallest_singular_value(Txy) <= tol.abs_tol or smallest_singular_value(Ttw) <= tol.abs_tol:
+    found = _right_similarity(*_thetas(fp), S, *_thetas(gq), (1,) * fp.n, fp.tol)
+    if found is None:
         return None
-    if not (tol.mat_close(Txy @ fp.X, gq.X) and tol.mat_close(Ttw @ fp.T, gq.T)):
-        return None
-    return SimilarityTransforms(Txy, Ttw)
+    return SimilarityTransforms(found[0].conj().T, found[1].conj().T)
 
 
 LEFT_ON_X = "left_on_x"
@@ -397,25 +401,117 @@ def dilate(fp: FramePair) -> DilationResult:
     orthogonal complement of ran(theta_x) appended below the originals),
     so projecting onto the first m coordinates recovers the input.
     """
-    tol = fp.tol
-    if not verify(fp).parseval:
+    rows = _dilation_rows(*_thetas(fp), frame_operator(fp), fp.tol)
+    big = FramePair(np.vstack([fp.X, rows]), np.vstack([fp.T, rows]), fp.field, fp.tol)
+    return DilationResult(big, fp.m + rows.shape[0])
+
+
+# --- one body per operation for both layers ---------------------------------------
+#
+# These take stacked analysis operators: theta_A and theta_Psi are N x m, the
+# members' d_j x m blocks in order, and codims lists the d_j.  A vector pair
+# is the case theta_A = X^*, theta_Psi = T^*, every d_j = 1.
+
+
+def _idempotent(theta_A: np.ndarray, theta_Psi: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """The frame idempotent theta_A S^-1 theta_Psi^* (N x N), for an invertible S."""
+    return theta_A @ np.linalg.solve(S, theta_Psi.conj().T)
+
+
+def _members_close(M: np.ndarray, N: np.ndarray, codims, tol: Tolerance) -> bool:
+    """tol.mat_close on each member's row block of two stacked operators."""
+    starts = np.cumsum((0,) + codims[:-1])
+
+    def block_max(B):  # entry_max of each block, 0 for an empty one
+        rows = np.append(np.abs(B).max(axis=1, initial=0.0), 0.0)
+        return np.where(np.asarray(codims) > 0, np.maximum.reduceat(rows, starts), 0.0)
+
+    margin = tol.abs_tol + tol.rel_tol * np.maximum(block_max(M), block_max(N))
+    return bool(np.all(block_max(M - N) <= margin))
+
+
+def _block_identities_ok(L: np.ndarray, R: np.ndarray, codims, tol: Tolerance) -> bool:
+    """max_jk || L_j R_k^* - delta_jk I || within tolerance; needs equal member sizes.
+
+    Each d x d block keeps its own margin abs_tol + rel_tol * max(block max, 1),
+    so the block reductions run only when some entry exceeds abs_tol + rel_tol.
+    """
+    if len(set(codims)) != 1:
+        return False
+    blocks = (len(codims), codims[0], len(codims), codims[0])
+    prod = L @ R.conj().T
+    dev = np.abs(prod)
+    np.fill_diagonal(dev, np.abs(np.diagonal(prod) - 1.0))
+    if dev.max(initial=0.0) <= tol.abs_tol + tol.rel_tol:
+        return True
+    deviation = dev.reshape(blocks).max(axis=(1, 3))
+    scale = np.abs(prod).reshape(blocks).max(axis=(1, 3))
+    return bool(np.all(deviation <= tol.abs_tol + tol.rel_tol * np.maximum(scale, 1.0)))
+
+
+def _dilation_rows(theta_A: np.ndarray, theta_Psi: np.ndarray, S: np.ndarray,
+                   tol: Tolerance) -> np.ndarray:
+    """Rows W = Qperp^* P_perp ((N - r) x N) that dilate a Parseval pair to an orthonormal one.
+
+    The vector layer appends W below X and T, the operator layer W^* as new
+    columns of theta_A and theta_Psi.
+    """
+    if not frame_flags(S, tol).parseval:
         raise NotParseval("dilation starts from a Parseval pair")
-    theta_x = fp.X.conj().T
-    theta_t = fp.T.conj().T
-    Q = _shared_range_basis(theta_x, theta_t, tol)
+    Q = _shared_range_basis(theta_A, theta_Psi, tol)
     if Q is None:
-        raise RangesDiffer("theta_x and theta_tau must have equal ranges")
-    P = fp.X.conj().T @ fp.T  # S = I for a Parseval pair
+        raise RangesDiffer("theta_A and theta_Psi must have equal ranges")
+    P = theta_A @ theta_Psi.conj().T  # S = I for a Parseval pair
     if entry_max(P - P.conj().T) > tol.margin(entry_max(P)) or \
             entry_max(P @ P - P) > tol.margin(entry_max(P)):
         raise IdempotentNotProjection("frame idempotent is not an orthogonal projection")
-    r = Q.shape[1]
-    Pperp = np.eye(fp.n, dtype=P.dtype) - hermitian_part(P)
-    Qperp = range_basis(np.eye(fp.n, dtype=P.dtype) - Q @ Q.conj().T, tol)
-    bottom = Qperp.conj().T @ Pperp  # (n - r) x n
-    if fp.field == REAL:
-        bottom = bottom.real
-    X = np.vstack([fp.X, bottom])
-    T = np.vstack([fp.T, bottom])
-    big = FramePair(X, T, fp.field, tol)
-    return DilationResult(big, fp.m + (fp.n - r))
+    N = theta_A.shape[0]
+    Pperp = np.eye(N, dtype=P.dtype) - hermitian_part(P)
+    Qperp = range_basis(np.eye(N, dtype=P.dtype) - Q @ Q.conj().T, tol)
+    return Qperp.conj().T @ Pperp
+
+
+def _tight_block(S: np.ndarray, lam: float, tol: Tolerance) -> np.ndarray:
+    """The block B = (lam I - S)^(1/2) whose appending makes a Bessel pair lam-tight.
+
+    The vector layer appends its columns to X and T, the operator layer its
+    rows to theta_A and theta_Psi; herm_sqrt's B is exactly Hermitian, so
+    these are the same pair.
+    """
+    rep = spectral(S, tol)
+    if not (rep.is_hermitian and rep.is_psd):
+        raise NotBessel("tight extension starts from a Bessel pair")
+    top = float(rep.eigenvalues.real.max())
+    if lam <= top + tol.abs_tol:
+        raise LambdaTooSmall(f"lambda must exceed the top eigenvalue {top}")
+    return herm_sqrt(lam * np.eye(S.shape[0]) - S, tol)
+
+
+def _weighted_onb(theta_A: np.ndarray, theta_Psi: np.ndarray, codims, c, tol: Tolerance):
+    """(holds, deficiency) of ovf.weighted_onb_bessel_check."""
+    weights = np.asarray(c, dtype=float)
+    if weights.shape != (len(codims),):
+        raise ShapeMismatch("need one weight per member")
+    if np.any(weights > 2.0 + tol.abs_tol):
+        raise WeightTooLarge("weights must not exceed 2")
+    if not _block_identities_ok(theta_A, theta_A, codims, tol):
+        raise NotWeightedOnb("members must satisfy the orthonormal-set identities")
+    if not _members_close(theta_Psi, np.repeat(weights, codims)[:, None] * theta_A, codims, tol):
+        raise NotWeightedOnb("Psi_j must equal c_j A_j")
+    eye = np.eye(theta_A.shape[1], dtype=theta_A.dtype)
+    deficiency = eye - theta_Psi.conj().T @ (np.repeat(2.0 - weights, codims)[:, None] * theta_A)
+    rep = spectral(deficiency, tol)
+    return bool(rep.is_hermitian and rep.is_psd), deficiency
+
+
+def _right_similarity(theta_A: np.ndarray, theta_Psi: np.ndarray, S: np.ndarray,
+                      theta_B: np.ndarray, theta_Phi: np.ndarray, codims, tol: Tolerance):
+    """Invertible (R, R') with B_j = A_j R and Phi_j = Psi_j R', or None; S is (A, Psi)'s."""
+    R = np.linalg.solve(S, theta_Psi.conj().T @ theta_B)
+    R2 = np.linalg.solve(S, theta_A.conj().T @ theta_Phi)
+    if smallest_singular_value(R) <= tol.abs_tol or smallest_singular_value(R2) <= tol.abs_tol:
+        return None
+    if not (_members_close(theta_A @ R, theta_B, codims, tol)
+            and _members_close(theta_Psi @ R2, theta_Phi, codims, tol)):
+        return None
+    return R, R2

@@ -1,9 +1,16 @@
 """Operator-valued frame pairs at finite dimension.
 
-Members A_j, Psi_j map K^m to K^(d_j) and are stored as d_j x m arrays.
-The frame operator S = sum_j Psi_j^* A_j is m x m; the stacked analysis
-operator theta_A (all members vertically) lives on the coefficient space
-K^(sum d_j), where the frame idempotent P = theta_A S^-1 theta_Psi^* acts.
+Members A_j, Psi_j map K^m to K^(d_j).  A pair is stored as its stacked
+analysis operators theta_A and theta_Psi (all members vertically, read-only
+(sum d_j) x m arrays) plus the member codomain sizes; the per-member d_j x m
+arrays A and Psi are views into them.  The frame operator is
+S = theta_Psi^* theta_A = sum_j Psi_j^* A_j, and the frame idempotent
+P = theta_A S^-1 theta_Psi^* acts on the coefficient space K^(sum d_j).
+
+A vector pair is the d = 1 case (ovf_bridge: theta_A = X^*, theta_Psi = T^*),
+so dilation, tight extension, the weighted-ONB check, similarity and the
+frame idempotent have one body each, shared with the vector layer in
+frames.py.
 
 Codomain dimensions are usually uniform, but a pair may carry one
 odd-sized member (the tight-extension construction appends an m x m
@@ -19,50 +26,40 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    CodomainNotOneDim,
-    IdempotentNotProjection,
-    LambdaTooSmall,
-    NotAFrame,
-    NotBessel,
-    NotOnb,
-    NotParseval,
-    NotWeightedOnb,
-    RangesDiffer,
-    ShapeMismatch,
-    WeightTooLarge,
-)
+from .errors import CodomainNotOneDim, NotAFrame, NotOnb, ShapeMismatch
 from .frames import (
     COMPLEX,
     REAL,
     FramePair,
     FrameReport,
     _as_matrix,
+    _block_identities_ok,
+    _dilation_rows,
+    _idempotent,
+    _members_close,
+    _right_similarity,
+    _thetas,
+    _tight_block,
+    _weighted_onb,
     frame_flags,
     infer_field,
-    range_basis,
-    _shared_range_basis,
 )
-from .numerics import (
-    Tolerance,
-    entry_max,
-    hermitian_part,
-    herm_sqrt,
-    smallest_singular_value,
-    spectral,
-)
+from .numerics import Tolerance, entry_max, smallest_singular_value, spectral
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OvfPair:
-    A: tuple
-    Psi: tuple
-    field: str
-    tol: Tolerance = Tolerance()
+    """Members A_j, Psi_j stored as the stacked analysis operators theta_A, theta_Psi."""
 
-    def __post_init__(self):
-        A = tuple(_as_matrix(M, self.field) for M in self.A)
-        Psi = tuple(_as_matrix(M, self.field) for M in self.Psi)
+    theta_A: np.ndarray
+    theta_Psi: np.ndarray
+    codims: tuple
+    field: str
+    tol: Tolerance
+
+    def __init__(self, A, Psi, field: str, tol: Tolerance = Tolerance()):
+        A = [_as_matrix(M, field) for M in A]
+        Psi = [_as_matrix(M, field) for M in Psi]
         if len(A) != len(Psi) or not A:
             raise ShapeMismatch("need equally many (and at least one) A and Psi members")
         m = A[0].shape[1]
@@ -71,8 +68,19 @@ class OvfPair:
                 raise ShapeMismatch("each A_j and Psi_j must share shape")
             if Aj.shape[1] != m:
                 raise ShapeMismatch("all members must share the domain dimension")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "Psi", Psi)
+        self._store(np.vstack(A), np.vstack(Psi), tuple(Aj.shape[0] for Aj in A), field, tol)
+
+    @classmethod
+    def _stacked(cls, theta_A, theta_Psi, codims: tuple, field: str, tol: Tolerance) -> "OvfPair":
+        """The pair whose members are the row blocks of sizes codims."""
+        op = object.__new__(cls)
+        op._store(_as_matrix(theta_A, field), _as_matrix(theta_Psi, field), codims, field, tol)
+        return op
+
+    def _store(self, theta_A, theta_Psi, codims, field, tol):
+        theta_A.setflags(write=False)
+        theta_Psi.setflags(write=False)
+        vars(self).update(theta_A=theta_A, theta_Psi=theta_Psi, codims=codims, field=field, tol=tol)
 
     @classmethod
     def from_members(cls, A: Sequence, Psi: Sequence, field: Optional[str] = None,
@@ -80,27 +88,27 @@ class OvfPair:
         field = field or infer_field(*A, *Psi)
         return cls(tuple(np.asarray(M) for M in A), tuple(np.asarray(M) for M in Psi), field, tol)
 
+    @cached_property
+    def A(self) -> tuple:
+        return tuple(np.split(self.theta_A, np.cumsum(self.codims[:-1])))
+
+    @cached_property
+    def Psi(self) -> tuple:
+        return tuple(np.split(self.theta_Psi, np.cumsum(self.codims[:-1])))
+
     @property
     def m(self) -> int:
-        return self.A[0].shape[1]
+        return self.theta_A.shape[1]
 
     @property
     def n(self) -> int:
-        return len(self.A)
-
-    @property
-    def codims(self) -> tuple:
-        return tuple(M.shape[0] for M in self.A)
+        return len(self.codims)
 
     @property
     def d(self) -> Optional[int]:
         """Common codomain dimension, or None when members disagree."""
         dims = set(self.codims)
         return dims.pop() if len(dims) == 1 else None
-
-
-def _stack(members) -> np.ndarray:
-    return np.vstack(members)
 
 
 @dataclass(frozen=True)
@@ -115,29 +123,20 @@ class OvfOperators:
         """The idempotent theta_A S^-1 theta_Psi^* when sigma_min(S) > abs_tol, else None.
 
         Computed on first access, so a caller that needs only S pays for
-        neither the SVD nor the solve.
+        neither the SVD nor the solve.  When frame_flags calls S a frame,
+        the Hermitian part H of S has lambda_min(H) > abs_tol, and
+        sigma_min(S) >= lambda_min(H) because the rest of S is
+        skew-Hermitian; so this gate holds and a caller holding those flags
+        may skip the SVD and call frames._idempotent directly.
         """
         if smallest_singular_value(self.S) > self.tol.abs_tol:
-            return _idempotent(self)
+            return _idempotent(self.thetaA, self.thetaPsi, self.S)
         return None
-
-
-def _idempotent(ops: OvfOperators) -> np.ndarray:
-    """theta_A S^-1 theta_Psi^*, for an S known to be invertible.
-
-    When frame_flags calls S a frame, the Hermitian part H of S has
-    lambda_min(H) > abs_tol, and sigma_min(S) >= lambda_min(H) because the
-    rest of S is skew-Hermitian; so OvfOperators.P's gate holds and a
-    caller holding those flags may skip its SVD.
-    """
-    return ops.thetaA @ np.linalg.solve(ops.S, ops.thetaPsi.conj().T)
 
 
 def ovf_operators(op: OvfPair) -> OvfOperators:
     """S = theta_Psi^* theta_A and, when S is invertible, the idempotent P."""
-    thetaA = _stack(op.A)
-    thetaPsi = _stack(op.Psi)
-    return OvfOperators(thetaPsi.conj().T @ thetaA, thetaA, thetaPsi, op.tol)
+    return OvfOperators(op.theta_Psi.conj().T @ op.theta_A, op.theta_A, op.theta_Psi, op.tol)
 
 
 @dataclass(frozen=True)
@@ -149,26 +148,21 @@ class OvfReport(FrameReport):
 def _cross_identities_ok(op: OvfPair, left, right, tol: Tolerance) -> bool:
     """max_jk || left_j right_k^* - delta_jk I || <= tol; needs a common codomain.
 
-    All blocks come from one stacked product; each d x d block keeps its
-    own margin, tol.margin(1.0, entry_max(block)).
+    left and right are stacked operators of op's shape, or their member sequences.
     """
     if op.d is None:
         return False
-    n, d = len(left), op.d
-    prod = _stack(left) @ _stack(right).conj().T
-    blocks = (n, d, n, d)
-    deviation = np.abs(prod - np.eye(n * d)).reshape(blocks).max(axis=(1, 3))
-    scale = np.abs(prod).reshape(blocks).max(axis=(1, 3))
-    return bool(np.all(deviation <= tol.abs_tol + tol.rel_tol * np.maximum(scale, 1.0)))
+    return _block_identities_ok(np.reshape(left, (-1, op.m)), np.reshape(right, (-1, op.m)),
+                                op.codims, tol)
 
 
 def verify_ovf(op: OvfPair) -> OvfReport:
     """Frame verdict on S plus the Riesz / orthonormal OVF refinements."""
     ops = ovf_operators(op)
     base = frame_flags(ops.S, op.tol)
-    riesz = bool(base.is_frame and op.tol.is_identity(_idempotent(ops)))
+    riesz = bool(base.is_frame and op.tol.is_identity(_idempotent(ops.thetaA, ops.thetaPsi, ops.S)))
     orthonormal = bool(
-        riesz and base.parseval and _cross_identities_ok(op, op.A, op.Psi, op.tol)
+        riesz and base.parseval and _cross_identities_ok(op, op.theta_A, op.theta_Psi, op.tol)
     )
     return OvfReport(**vars(base), riesz_ovf=riesz, orthonormal_ovf=orthonormal)
 
@@ -183,12 +177,7 @@ def _require_ovf_frame(op: OvfPair) -> OvfOperators:
 def canonical_dual_ovf(op: OvfPair) -> OvfPair:
     """(A_j S^-1, Psi_j S^-1)."""
     Sinv = np.linalg.inv(_require_ovf_frame(op).S)
-    return OvfPair(
-        tuple(Aj @ Sinv for Aj in op.A),
-        tuple(Pj @ Sinv for Pj in op.Psi),
-        op.field,
-        op.tol,
-    )
+    return OvfPair._stacked(op.theta_A @ Sinv, op.theta_Psi @ Sinv, op.codims, op.field, op.tol)
 
 
 @dataclass(frozen=True)
@@ -199,10 +188,10 @@ class DualityRelation:
 
 def duality_relation(op1: OvfPair, op2: OvfPair) -> DualityRelation:
     """Mixed sums sum Phi_j^* A_j and sum B_j^* Psi_j against I and 0."""
-    if op1.m != op2.m or op1.n != op2.n or op1.codims != op2.codims:
+    if op1.m != op2.m or op1.codims != op2.codims:
         raise ShapeMismatch("pairs must share member shapes")
-    sum1 = sum(Pj.conj().T @ Aj for Pj, Aj in zip(op2.Psi, op1.A))
-    sum2 = sum(Bj.conj().T @ Pj for Bj, Pj in zip(op2.A, op1.Psi))
+    sum1 = op2.theta_Psi.conj().T @ op1.theta_A
+    sum2 = op2.theta_A.conj().T @ op1.theta_Psi
     tol = op1.tol
     scale = max(entry_max(sum1), entry_max(sum2), 1.0)
     dual = tol.is_identity(sum1) and tol.is_identity(sum2)
@@ -221,15 +210,10 @@ def onb_blocks(n: int, d: int, tol: Tolerance = Tolerance()) -> OvfPair:
 
 def _is_onb_family(op: OvfPair) -> bool:
     tol = op.tol
-    if op.d is None or op.m != op.n * op.d:
-        return False
-    for Aj, Pj in zip(op.A, op.Psi):
-        if not tol.mat_close(Aj, Pj):
-            return False
-    if not _cross_identities_ok(op, op.A, op.A, tol):
-        return False
-    total = sum(Aj.conj().T @ Aj for Aj in op.A)
-    return tol.is_identity(total)
+    return (op.d is not None and op.m == op.n * op.d
+            and _members_close(op.theta_A, op.theta_Psi, op.codims, tol)
+            and _cross_identities_ok(op, op.theta_A, op.theta_A, tol)
+            and tol.is_identity(op.theta_A.conj().T @ op.theta_A))
 
 
 _LABEL_ORDER = ("none", "bessel", "frame", "riesz_ovf", "riesz_basis",
@@ -256,8 +240,8 @@ def factorize_against_onb(op: OvfPair, F: OvfPair) -> FactorizationResult:
         raise NotOnb("F must be an orthonormal basis pair (m = n*d with block identities)")
     if op.d != F.d or op.m != F.m or op.n != F.n:
         raise ShapeMismatch("op and F must share member shapes")
-    U = sum(Fj.conj().T @ Aj for Fj, Aj in zip(F.A, op.A))
-    V = sum(Fj.conj().T @ Pj for Fj, Pj in zip(F.A, op.Psi))
+    U = F.theta_A.conj().T @ op.theta_A
+    V = F.theta_A.conj().T @ op.theta_Psi
     tol = op.tol
 
     VhU = V.conj().T @ U
@@ -271,19 +255,15 @@ def factorize_against_onb(op: OvfPair, F: OvfPair) -> FactorizationResult:
     riesz_basis = bool(frame and u_inv and v_inv)
 
     unitary = tol.is_identity(U @ U.conj().T) and tol.is_identity(U.conj().T @ U)
+    A_rows = op.theta_A.reshape(op.n, -1)  # row j holds member j's entries
+    denom = np.einsum("jk,jk->j", A_rows.conj(), A_rows).real
     onb_pair = False
-    if unitary:
-        onb_pair = True
-        for Aj, Pj in zip(op.A, op.Psi):
-            denom = float(np.vdot(Aj, Aj).real)
-            if denom <= tol.abs_tol:
-                onb_pair = False
-                break
-            c = np.vdot(Aj, Pj) / denom
-            if abs(c.imag) > tol.margin(abs(c)) or c.real <= tol.abs_tol \
-                    or not tol.mat_close(Pj, c.real * Aj):
-                onb_pair = False
-                break
+    if unitary and np.all(denom > tol.abs_tol):  # Psi_j = c_j A_j with every c_j > 0
+        c = np.einsum("jk,jk->j", A_rows.conj(), op.theta_Psi.reshape(op.n, -1)) / denom
+        onb_pair = (np.all(np.abs(c.imag) <= tol.abs_tol + tol.rel_tol * np.abs(c))
+                    and np.all(c.real > tol.abs_tol)
+                    and _members_close(op.theta_Psi, np.repeat(c.real, op.d)[:, None] * op.theta_A,
+                                       op.codims, tol))
 
     flags = {
         "bessel": bool(bessel),
@@ -312,27 +292,7 @@ def weighted_onb_bessel_check(op: OvfPair, c) -> WeightedBesselResult:
     Requires {A_j} to satisfy the orthonormal-set cross identities and
     all weights <= 2; holds iff the deficiency is Hermitian psd.
     """
-    weights = np.asarray(c, dtype=float)
-    if weights.shape != (op.n,):
-        raise ShapeMismatch("need one weight per member")
-    tol = op.tol
-    if np.any(weights > 2.0 + tol.abs_tol):
-        raise WeightTooLarge("weights must not exceed 2")
-    if not _cross_identities_ok(op, op.A, op.A, tol):
-        raise NotWeightedOnb("members must satisfy the orthonormal-set identities")
-    thetaA, thetaPsi = _stack(op.A), _stack(op.Psi)
-    scaled = np.repeat(weights, op.d)[:, None] * thetaA  # member j is c_j A_j
-
-    def block_max(M):  # entry_max of each member's d x m block
-        return np.abs(M).reshape(op.n, -1).max(axis=1)
-
-    margin = tol.abs_tol + tol.rel_tol * np.maximum(block_max(thetaPsi), block_max(scaled))
-    if np.any(block_max(thetaPsi - scaled) > margin):
-        raise NotWeightedOnb("Psi_j must equal c_j A_j")
-    eye = np.eye(op.m, dtype=complex if op.field == COMPLEX else float)
-    deficiency = eye - thetaPsi.conj().T @ (np.repeat(2.0 - weights, op.d)[:, None] * thetaA)
-    rep = spectral(deficiency, tol)
-    return WeightedBesselResult(bool(rep.is_hermitian and rep.is_psd), deficiency)
+    return WeightedBesselResult(*_weighted_onb(op.theta_A, op.theta_Psi, op.codims, c, op.tol))
 
 
 @dataclass(frozen=True)
@@ -344,23 +304,12 @@ class RightSimilarityTransforms:
 def right_similarity_detect(op1: OvfPair, op2: OvfPair) -> Optional[RightSimilarityTransforms]:
     """Invertible right factors with B_j = A_j R, Phi_j = Psi_j R', if any."""
     ops1 = _require_ovf_frame(op1)
-    ops2 = _require_ovf_frame(op2)
-    if op1.m != op2.m or op1.n != op2.n or op1.codims != op2.codims:
+    _require_ovf_frame(op2)
+    if op1.m != op2.m or op1.codims != op2.codims:
         raise ShapeMismatch("pairs must share member shapes")
-    S = ops1.S
-    RAB = np.linalg.solve(S, ops1.thetaPsi.conj().T @ ops2.thetaA)
-    RPsiPhi = np.linalg.solve(S, ops1.thetaA.conj().T @ ops2.thetaPsi)
-    tol = op1.tol
-    if smallest_singular_value(RAB) <= tol.abs_tol or \
-            smallest_singular_value(RPsiPhi) <= tol.abs_tol:
-        return None
-    for Aj, Bj in zip(op1.A, op2.A):
-        if not tol.mat_close(Aj @ RAB, Bj):
-            return None
-    for Pj, Fj in zip(op1.Psi, op2.Psi):
-        if not tol.mat_close(Pj @ RPsiPhi, Fj):
-            return None
-    return RightSimilarityTransforms(RAB, RPsiPhi)
+    found = _right_similarity(ops1.thetaA, ops1.thetaPsi, ops1.S, op2.theta_A, op2.theta_Psi,
+                              op1.codims, op1.tol)
+    return None if found is None else RightSimilarityTransforms(*found)
 
 
 def compose_ovf(outer: OvfPair, inner: OvfPair) -> OvfPair:
@@ -395,56 +344,31 @@ def extend_tight_ovf(op: OvfPair, lam: float) -> OvfPair:
     The appended block maps K^m to K^m regardless of the other members'
     codomains, so the output may be codomain-heterogeneous.
     """
-    S = ovf_operators(op).S
-    rep = spectral(S, op.tol)
-    if not (rep.is_hermitian and rep.is_psd):
-        raise NotBessel("tight extension starts from a Bessel pair")
-    top = float(rep.eigenvalues.real.max())
-    if lam <= top + op.tol.abs_tol:
-        raise LambdaTooSmall(f"lambda must exceed the top eigenvalue {top}")
-    B = herm_sqrt(lam * np.eye(op.m) - S, op.tol)
-    return OvfPair(op.A + (B,), op.Psi + (B,), op.field, op.tol)
+    B = _tight_block(ovf_operators(op).S, lam, op.tol)
+    return OvfPair._stacked(np.vstack([op.theta_A, B]), np.vstack([op.theta_Psi, B]),
+                            op.codims + (op.m,), op.field, op.tol)
 
 
 def dilate_ovf(op: OvfPair) -> OvfPair:
-    """Extend a Parseval OVF pair to an orthonormal OVF on K^(m + nd - r)."""
-    tol = op.tol
+    """Extend a Parseval OVF pair to an orthonormal OVF on K^(m + nd - r).
+
+    The appended columns are the adjoint of the rows frames.dilate appends.
+    """
     if op.d is None:
         raise ShapeMismatch("dilation needs a uniform codomain")
     ops = ovf_operators(op)
-    if not frame_flags(ops.S, tol).parseval:
-        raise NotParseval("dilation starts from a Parseval pair")
-    Q = _shared_range_basis(ops.thetaA, ops.thetaPsi, tol)
-    if Q is None:
-        raise RangesDiffer("theta_A and theta_Psi must have equal ranges")
-    P = _idempotent(ops)  # a Parseval S is a frame's
-    if entry_max(P - P.conj().T) > tol.margin(entry_max(P)) or \
-            entry_max(P @ P - P) > tol.margin(entry_max(P)):
-        raise IdempotentNotProjection("frame idempotent is not an orthogonal projection")
-    nd = op.n * op.d
-    r = Q.shape[1]
-    Pperp = np.eye(nd, dtype=P.dtype) - hermitian_part(P)
-    Qperp = range_basis(np.eye(nd, dtype=P.dtype) - Q @ Q.conj().T, tol)
-    ext = Pperp @ Qperp  # nd x (nd - r)
-    if op.field == REAL:
-        ext = ext.real
-    d = op.d
-    A = tuple(np.hstack([Aj, ext[j * d:(j + 1) * d, :]]) for j, Aj in enumerate(op.A))
-    Psi = tuple(np.hstack([Pj, ext[j * d:(j + 1) * d, :]]) for j, Pj in enumerate(op.Psi))
-    return OvfPair(A, Psi, op.field, tol)
+    cols = _dilation_rows(ops.thetaA, ops.thetaPsi, ops.S, op.tol).conj().T
+    return OvfPair._stacked(np.hstack([op.theta_A, cols]), np.hstack([op.theta_Psi, cols]),
+                            op.codims, op.field, op.tol)
 
 
 def ovf_bridge(fp: FramePair) -> OvfPair:
     """Frame pair -> rank-one OVF pair: A_j = x_j^*, Psi_j = tau_j^*."""
-    A = tuple(fp.X[:, j].conj().reshape(1, -1) for j in range(fp.n))
-    Psi = tuple(fp.T[:, j].conj().reshape(1, -1) for j in range(fp.n))
-    return OvfPair(A, Psi, fp.field, fp.tol)
+    return OvfPair._stacked(*_thetas(fp), (1,) * fp.n, fp.field, fp.tol)
 
 
 def ovf_bridge_inverse(op: OvfPair) -> FramePair:
     """Rank-one OVF pair -> frame pair; requires codomain dimension one."""
     if op.d != 1:
         raise CodomainNotOneDim("the inverse bridge needs d = 1")
-    X = np.column_stack([Aj.conj().ravel() for Aj in op.A])
-    T = np.column_stack([Pj.conj().ravel() for Pj in op.Psi])
-    return FramePair(X, T, op.field, op.tol)
+    return FramePair(op.theta_A.conj().T, op.theta_Psi.conj().T, op.field, op.tol)

@@ -15,16 +15,33 @@ from framekit.errors import (
     BadGroupTable,
     HypothesisFails,
     IdempotentNotProjection,
+    LambdaTooSmall,
     NotARepresentation,
+    NotBessel,
     NotParseval,
     NotPsd,
+    NotWeightedOnb,
     RangesDiffer,
-    TooManyVectors,
+    ShapeMismatch,
+    WeightTooLarge,
 )
-from framekit.frames import REAL, DilationResult, FramePair, FrameReport, range_basis, verify
+from framekit.frames import (
+    COMPLEX,
+    REAL,
+    DilationResult,
+    FramePair,
+    FrameReport,
+    SimilarityTransforms,
+    _check_shapes,
+    _require_frame,
+    frame_operator,
+    range_basis,
+    verify,
+)
 from framekit.numerics import (
     _lp_norm,
     entry_max,
+    herm_sqrt,
     hermitian_part,
     opnorm2,
     smallest_singular_value,
@@ -92,17 +109,28 @@ def brute_force_extreme_eigs(S):
 # reach the same verdict, witness and exception as these loops.
 
 
+class EnumerationCapped(Exception):
+    """The exhaustive enumerator gave up before finding or ruling out a failing selection."""
+
+
+SELECTION_CAP = 2**20
+
+
 def span_by_enumeration(fp):
-    """Frame test by exhausting the 2^n mixed selections in lexicographic order."""
-    if fp.n > 20:
-        raise TooManyVectors("selection enumeration is capped at n = 20")
+    """Frame test by exhausting the 2^n mixed selections in lexicographic order.
+
+    Stops after SELECTION_CAP selections (every selection for n <= 20)
+    and raises EnumerationCapped if none of them failed to span.
+    """
     tol = fp.tol
     for j in range(fp.n):
         outer = np.outer(fp.T[:, j], fp.X[:, j].conj())
         rep = spectral(outer, tol)
         if not (rep.is_hermitian and rep.is_psd):
             raise HypothesisFails(f"member {j} violates the alignment/positivity hypothesis")
-    for choice in itertools.product(("x", "tau"), repeat=fp.n):
+    for count, choice in enumerate(itertools.product(("x", "tau"), repeat=fp.n)):
+        if count == SELECTION_CAP:
+            raise EnumerationCapped(f"stopped after {SELECTION_CAP} selections")
         cols = [fp.X[:, j] if pick == "x" else fp.T[:, j] for j, pick in enumerate(choice)]
         if _rank(np.column_stack(cols), tol) < fp.m:
             return SpanCharacterization(False, choice)
@@ -365,3 +393,66 @@ def tensor_shuffle_permutation(n1, d1, n2, d2):
                     dst = ((j * n2 + l) * d1 + a) * d2 + b
                     perm[dst] = src
     return perm
+
+
+# --- the vector layer's own bodies before it became the d = 1 case of the OVF layer ----
+#
+# The library now runs one body per operation on stacked analysis operators.
+# These are the frame-layer forms it replaced: a global margin where the
+# shared body compares each member at its own scale, S^-1 where it takes
+# S^-* through a solve.  dilate's is dilate_by_range_bases above.
+
+
+def frame_idempotent_by_solve(fp):
+    """P = X^* S^-1 T."""
+    S = _require_frame(fp)
+    return fp.X.conj().T @ np.linalg.solve(S, fp.T)
+
+
+def extend_tight_append_by_columns(fp, lam):
+    """Append the m columns of (lam I - S)^(1/2) to both families."""
+    S = frame_operator(fp)
+    rep = spectral(S, fp.tol)
+    if not (rep.is_hermitian and rep.is_psd):
+        raise NotBessel("tight extension starts from a Bessel pair")
+    top = float(rep.eigenvalues.real.max())
+    if lam <= top + fp.tol.abs_tol:
+        raise LambdaTooSmall(f"lambda must exceed the top eigenvalue {top}")
+    R = herm_sqrt(lam * np.eye(fp.m) - S, fp.tol)
+    if fp.field == REAL:
+        R = R.real
+    return FramePair(np.hstack([fp.X, R]), np.hstack([fp.T, R]), fp.field, fp.tol)
+
+
+def weighted_onb_check_by_gram(fp, c):
+    """holds for I - sum (2 - c_j) c_j x_j x_j^*, with one global margin for each test."""
+    weights = np.asarray(c, dtype=float)
+    if weights.shape != (fp.n,):
+        raise ShapeMismatch("need one weight per member")
+    tol = fp.tol
+    if np.any(weights > 2.0 + tol.abs_tol):
+        raise WeightTooLarge("weights must not exceed 2")
+    if not tol.is_identity(fp.X.conj().T @ fp.X):
+        raise NotWeightedOnb("the x family must be orthonormal")
+    if not tol.mat_close(fp.T, fp.X * weights):
+        raise NotWeightedOnb("tau_j must equal c_j x_j")
+    eye = np.eye(fp.m, dtype=complex if fp.field == COMPLEX else float)
+    M = eye - (fp.X * ((2.0 - weights) * weights)) @ fp.X.conj().T
+    rep = spectral(M, tol)
+    return bool(rep.is_hermitian and rep.is_psd)
+
+
+def similarity_detect_by_inverse(fp, gq):
+    """Txy = Y T^* S^-1 and Ttw = Omega X^* S^-1, checked with one global margin."""
+    S = _require_frame(fp)
+    _require_frame(gq)
+    _check_shapes(fp, gq)
+    Sinv = np.linalg.inv(S)
+    Txy = gq.X @ fp.T.conj().T @ Sinv
+    Ttw = gq.T @ fp.X.conj().T @ Sinv
+    tol = fp.tol
+    if smallest_singular_value(Txy) <= tol.abs_tol or smallest_singular_value(Ttw) <= tol.abs_tol:
+        return None
+    if not (tol.mat_close(Txy @ fp.X, gq.X) and tol.mat_close(Ttw @ fp.T, gq.T)):
+        return None
+    return SimilarityTransforms(Txy, Ttw)

@@ -12,7 +12,6 @@ from framekit.errors import (
     NotReal,
     NotSelfPair,
     NotWeightedOnb,
-    TooManyVectors,
     WeightTooLarge,
 )
 
@@ -154,10 +153,18 @@ def test_span_hypothesis_gate():
         fk.span_characterization(FramePair(np.eye(2), np.eye(2)[:, ::-1], "real"))
 
 
-def test_span_cap():
-    X = np.ones((1, 21))
-    with pytest.raises(TooManyVectors):
-        fk.span_characterization(FramePair(X, X, "real"))
+def test_span_decides_past_twenty_members(rng):
+    X = rng.standard_normal((3, 21))
+    result = fk.span_characterization(FramePair(X, X * rng.uniform(0.5, 2.0, 21), "real"))
+    assert result.is_frame and result.witness is None
+    # four members with tau_j = 0 off a hyperplane, sixty aligned members inside it:
+    # choosing tau at the first four leaves only the hyperplane
+    X = np.hstack([rng.standard_normal((4, 4)), np.vstack([rng.standard_normal((3, 60)), np.zeros((1, 60))])])
+    T = X * np.concatenate([np.zeros(4), rng.uniform(0.5, 2.0, 60)])
+    result = fk.span_characterization(FramePair(X, T, "real"))
+    assert not result.is_frame and len(result.witness) == 64
+    picked = np.column_stack([X[:, j] if w == "x" else T[:, j] for j, w in enumerate(result.witness)])
+    assert np.linalg.matrix_rank(picked) < 4
 
 
 def hypothesis_pair(rng, m, n, spanning):

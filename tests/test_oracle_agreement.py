@@ -513,3 +513,141 @@ def test_is_identity_matches_subtracting_the_identity(rng):
     for A in cases:
         want = entry_max(A - np.eye(A.shape[0])) <= tol.margin(1.0, entry_max(A))
         assert tol.is_identity(A) == want
+
+
+# --- the vector layer as the d = 1 case of the operator-valued layer ----------------
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_frame_idempotent_matches_the_frame_layer_solve(rng, field):
+    for k in range(30):
+        m = int(rng.integers(1, 5))
+        fp = random_frame(rng, m, m + int(rng.integers(0, 4)), field)
+        if k % 5 == 4:
+            fp = FramePair(np.zeros_like(fp.X), fp.T, field)
+        got = outcome(lambda: fk.frame_idempotent(fp))
+        want = outcome(lambda: oracles.frame_idempotent_by_solve(fp))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_extend_tight_append_matches_the_column_form_bit_for_bit(rng, field):
+    for k in range(30):
+        m = int(rng.integers(1, 5))
+        fp = random_frame(rng, m, m + int(rng.integers(0, 4)), field)
+        lam = fk.verify(fp).upper_b + (rng.uniform(0.1, 2.0) if k % 4 else -0.5)
+        if k % 7 == 6:
+            fp = FramePair(fp.X, -fp.T, field)
+        got = outcome(lambda: fk.extend_tight_append(fp, lam))
+        want = outcome(lambda: oracles.extend_tight_append_by_columns(fp, lam))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert np.array_equal(got.X, want.X) and np.array_equal(got.T, want.T)
+
+
+def near_weighted_onb(rng, k, tol):
+    """Orthonormal x_j with tau_j = c_j x_j + e_j, some weights tiny and some
+    c_j = 1 (deficiency with a zero eigenvalue), |e_j| straddling the margins."""
+    field = "complex" if k % 2 else "real"
+    m = int(rng.integers(1, 6))
+    n = int(rng.integers(1, m + 1))
+    X = np.linalg.qr(random_matrix(rng, m, m, field))[0][:, :n]
+    c = rng.uniform(0.0, 2.0, n) * rng.choice([1.0, 1e-3], n)
+    if k % 7 == 0:
+        c[0] = 1.0
+    E = random_matrix(rng, m, n, field)
+    E *= rng.uniform(0.0, 3.5) * tol.abs_tol / np.abs(E).max(axis=0)
+    E[:, rng.random(n) < 0.5] = 0.0
+    return FramePair(X, X * c + E, field), c
+
+
+def test_weighted_onb_check_moves_only_to_reject_near_the_margin(rng):
+    """The shared body compares each tau_j with c_j x_j at its own scale and
+    takes the deficiency I - sum (2 - c_j) tau_j x_j^* from the pair itself.
+    The old verdict could only be True here (its deficiency has eigenvalues
+    (1 - c_j)^2 and 1), so a moved verdict goes from accept to reject, and
+    only where some tau_j misses c_j x_j by no more than the old global margin."""
+    tol = Tolerance()
+    moved = 0
+    for k in range(1500):
+        fp, c = near_weighted_onb(rng, k, tol)
+        got = outcome(lambda: fk.weighted_onb_check(fp, c))
+        want = outcome(lambda: oracles.weighted_onb_check_by_gram(fp, c))
+        got = got[0] if isinstance(got, tuple) else got.holds  # messages name the OVF members
+        want = want[0] if isinstance(want, tuple) else want
+        if got == want:
+            continue
+        moved += 1
+        assert want is True
+        assert got in (False, "NotWeightedOnb")
+        deviation = np.abs(fp.T - fp.X * c).max(axis=0)
+        assert 0.0 < deviation.max() <= tol.margin(entry_max(fp.T), entry_max(fp.X * c))
+    assert moved > 0
+
+
+def test_weighted_onb_check_compares_each_member_at_its_own_scale():
+    # tau_1 misses 0.01 x_1 by 1.5e-9: within the global margin set by the
+    # weight 2 (3e-9), beyond member 1's own (1.01e-9)
+    c = [2.0, 0.01]
+    T = np.diag([2.0, 0.01 + 1.5e-9])
+    with pytest.raises(fk.errors.NotWeightedOnb):
+        fk.weighted_onb_check(FramePair(np.eye(2), T, "real"), c)
+    assert oracles.weighted_onb_check_by_gram(FramePair(np.eye(2), T, "real"), c)
+
+
+def near_similar(rng, k, tol):
+    """A frame with member norms over three decades against a transformed copy
+    whose members miss the transform by amounts straddling the margins."""
+    field = "complex" if k % 2 else "real"
+    m = int(rng.integers(1, 5))
+    n = m + int(rng.integers(0, 4))
+    fp = random_frame(rng, m, n, field)
+    scale = 10.0 ** rng.uniform(-3.0, 0.0, n)
+    fp = FramePair(fp.X * scale, fp.T * scale, field)
+    A = random_matrix(rng, m, m, field) + 3.0 * np.eye(m)
+    B = random_matrix(rng, m, m, field) + 3.0 * np.eye(m)
+    E = random_matrix(rng, m, n, field)
+    E *= rng.uniform(0.0, 3.5) * tol.abs_tol / np.abs(E).max(axis=0)
+    E[:, rng.random(n) < 0.6] = 0.0
+    if k % 3 == 0:
+        return fp, FramePair(A @ fp.X, B @ fp.T + E, field)
+    return fp, FramePair(A @ fp.X + E, B @ fp.T, field)
+
+
+def test_similarity_moves_only_to_none_near_the_margin(rng):
+    """Txy = (S^-1 T Y^*)^* against Y T^* S^-1 within 1e-12 relative; a verdict
+    moves only from similar to None, where a member misses the transform
+    within the old global margin but beyond its own."""
+    tol = Tolerance()
+    moved = same = 0
+    for k in range(1000):
+        fp, gq = near_similar(rng, k, tol)
+        got = outcome(lambda: fk.similarity_detect(fp, gq))
+        want = outcome(lambda: oracles.similarity_detect_by_inverse(fp, gq))
+        if isinstance(want, tuple):
+            assert got == want
+            continue
+        if got is not None and want is not None:
+            same += 1
+            for a, b in ((got.Txy, want.Txy), (got.Ttw, want.Ttw)):
+                assert entry_max(a - b) <= 1e-12 * entry_max(b)
+            continue
+        if want is None:
+            assert got is None
+            continue
+        moved += 1
+        assert tol.mat_close(want.Txy @ fp.X, gq.X) and tol.mat_close(want.Ttw @ fp.T, gq.T)
+    assert moved > 0 and same > 0
+
+
+def test_similarity_compares_each_member_at_its_own_scale():
+    # x_3 = 1e-3 e_2, and y_3 misses it by 1.5e-9 e_1: within the global
+    # margin set by the unit members, beyond member 3's own
+    X = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1e-3]])
+    fp = FramePair(X, X, "real")
+    gq = FramePair(X + np.array([[0.0, 0.0, 1.5e-9], [0.0, 0.0, 0.0]]), X, "real")
+    assert fk.similarity_detect(fp, gq) is None
+    assert oracles.similarity_detect_by_inverse(fp, gq) is not None
