@@ -27,6 +27,7 @@ from .frames import (
     COMPLEX,
     REAL,
     FramePair,
+    _frame_eigh,
     _thetas,
     _tight_block,
     _weighted_onb,
@@ -87,13 +88,11 @@ def extend_tight_minimal(fp: FramePair) -> FramePair:
 
     Needs a self-dual pair (x_j = tau_j); eigenvalues already at the top
     within tolerance are skipped, so a tight input is returned unchanged.
+    One eigh of S gives both the frame verdict and the eigenpairs.
     """
     if not fp.tol.mat_close(fp.X, fp.T):
         raise NotSelfPair("minimal extension needs x_j = tau_j")
-    S = frame_operator(fp)
-    if not frame_flags(S, fp.tol).is_frame:
-        raise NotAFrame("minimal extension starts from a frame")
-    w, V = np.linalg.eigh(0.5 * (S + S.conj().T))
+    w, V = _frame_eigh(frame_operator(fp), fp.tol, "minimal extension starts from a frame")
     top = float(w[-1])
     cols = []
     for lam_j, v in zip(w, V.T):
@@ -191,7 +190,10 @@ def formulas_report(fp: FramePair) -> FormulasReport:
     """Trace, dimension and variation identities evaluated on the pair.
 
     The raw sums are always computed; the tightness-conditional checks are
-    present only when the corresponding hypothesis holds.
+    present only when the corresponding hypothesis holds.  double_sum,
+    sum_jk <tau_j, x_k><tau_k, x_j>, is tr(X^* T X^* T) = tr(S^2) by the
+    cyclic trace, taken as sum_ab S_ab S_ba from the m x m S rather than
+    from the n x n Gram X^* T; no conjugate enters, so this holds over C.
     """
     S = frame_operator(fp)
     report = frame_flags(S, fp.tol)
@@ -199,8 +201,7 @@ def formulas_report(fp: FramePair) -> FormulasReport:
     sum_inner = complex(diag.sum())
     trace_S = complex(np.trace(S))
     trace_S2 = complex(np.trace(S @ S))
-    G = fp.X.conj().T @ fp.T  # [k, j] = <tau_j, x_k>
-    double_sum = complex(np.sum(G * G.T))
+    double_sum = complex(np.sum(S * S.T))
     tol = fp.tol
     variation_ok = None
     dim_ok = None

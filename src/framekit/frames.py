@@ -34,6 +34,7 @@ from .errors import (
 )
 from .numerics import (
     Tolerance,
+    _hermitian_eigh,
     entry_max,
     hermitian_part,
     herm_sqrt,
@@ -193,10 +194,29 @@ def _require_frame_flags(S: np.ndarray, tol: Tolerance) -> FrameReport:
     return report
 
 
+def _frame_eigh(S: np.ndarray, tol: Tolerance, message: str = "operation requires a frame"):
+    """Eigenpairs (w ascending, V) of S's Hermitian part, for an S that must be a frame's.
+
+    One eigh both gates and decomposes: frame_flags' rule on its own
+    eigenvalues (S Hermitian within tolerance and min lambda > abs_tol),
+    else NotAFrame(message).
+    """
+    eig = _hermitian_eigh(S, tol)
+    if eig is None or not (eig[0].size and eig[0][0] > tol.abs_tol):
+        raise NotAFrame(message)
+    return eig
+
+
 def canonical_dual(fp: FramePair) -> FramePair:
-    """(S^-1 x_j, S^-1 tau_j); its frame operator is S^-1."""
+    """(S^-1 x_j, S^-1 tau_j); its frame operator is S^-1.
+
+    The d = 1 case of ovf.canonical_dual_ovf: one S^-1 and two products
+    (_canonical_dual), returned as the conjugate transposes of the dual
+    analysis operators, so the bridged results agree bit for bit.
+    """
     S = _require_frame(fp)
-    return FramePair(np.linalg.solve(S, fp.X), np.linalg.solve(S, fp.T), fp.field, fp.tol)
+    theta_A, theta_Psi = _canonical_dual(*_thetas(fp), S)
+    return FramePair(theta_A.conj().T, theta_Psi.conj().T, fp.field, fp.tol)
 
 
 def _check_shapes(fp: FramePair, gq: FramePair):
@@ -279,16 +299,26 @@ class ClassifyResult:
 
 
 def classify(fp: FramePair) -> ClassifyResult:
-    """Riesz frame: P = I.  Orthonormal frame: Parseval and cross gram I."""
+    """Riesz frame: P = I.  Orthonormal frame: Parseval and cross gram I.
+
+    P = X^* S^-1 T and the cross gram T^* X are n x n of rank at most m.
+    For n > m that forces entry_max(M - I) >= 1/n on both, while a matrix
+    passing tol.is_identity deviates by at most
+    mu = abs_tol + rel_tol (1 + abs_tol) / (1 - rel_tol).  So when
+    rel_tol < 1 and 1/n > mu both verdicts are False without forming P;
+    otherwise P is formed and tested (_rank_excludes_identity).  The cross
+    gram is still returned.
+    """
     S = frame_operator(fp)
     return _classify(fp, S, _require_frame_flags(S, fp.tol))
 
 
 def _classify(fp: FramePair, S: np.ndarray, report: FrameReport) -> ClassifyResult:
     """classify for a frame whose S and flags the caller already holds."""
-    P = _idempotent(*_thetas(fp), S)
     gram = fp.T.conj().T @ fp.X
-    riesz = fp.tol.is_identity(P)
+    if _rank_excludes_identity(fp.n, fp.m, fp.tol):
+        return ClassifyResult(False, False, gram)
+    riesz = fp.tol.is_identity(_idempotent(*_thetas(fp), S))
     orthonormal = report.parseval and fp.tol.is_identity(gram)
     return ClassifyResult(riesz, orthonormal, gram)
 
@@ -354,15 +384,20 @@ LEFT_ON_T = "left_on_t"
 
 
 def parsevalize(fp: FramePair, mode: str = SPLIT) -> FramePair:
-    """Similar Parseval pair: (S^-1 X, T), (S^-1/2 X, S^-1/2 T) or (X, S^-1 T)."""
+    """Similar Parseval pair: (S^-1 X, T), (S^-1/2 X, S^-1/2 T) or (X, S^-1 T).
+
+    The split mode takes S^-1/2 = V diag(w^-1/2) V^* from the one eigh
+    that also decides whether S is a frame's (_frame_eigh).
+    """
+    if mode == SPLIT:
+        w, V = _frame_eigh(frame_operator(fp), fp.tol)
+        Rinv = (V / np.sqrt(w)) @ V.conj().T
+        return FramePair(Rinv @ fp.X, Rinv @ fp.T, fp.field, fp.tol)
     S = _require_frame(fp)
     if mode == LEFT_ON_X:
         return FramePair(np.linalg.solve(S, fp.X), fp.T, fp.field, fp.tol)
     if mode == LEFT_ON_T:
         return FramePair(fp.X, np.linalg.solve(S, fp.T), fp.field, fp.tol)
-    if mode == SPLIT:
-        Rinv = np.linalg.inv(herm_sqrt(S, fp.tol))
-        return FramePair(Rinv @ fp.X, Rinv @ fp.T, fp.field, fp.tol)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -416,6 +451,35 @@ def dilate(fp: FramePair) -> DilationResult:
 def _idempotent(theta_A: np.ndarray, theta_Psi: np.ndarray, S: np.ndarray) -> np.ndarray:
     """The frame idempotent theta_A S^-1 theta_Psi^* (N x N), for an invertible S."""
     return theta_A @ np.linalg.solve(S, theta_Psi.conj().T)
+
+
+def _rank_excludes_identity(N: int, m: int, tol: Tolerance) -> bool:
+    """Whether no N x N product of N x m and m x N factors passes tol.is_identity.
+
+    Such a product M (the frame idempotent, the cross gram) has rank at most
+    m.  For N > m, Eckart-Young gives ||M - I||_2 >= 1, hence
+    entry_max(M - I) >= 1/N.  A matrix that passes is_identity has
+    entry_max(M) <= (1 + abs_tol) / (1 - rel_tol) when rel_tol < 1, so its
+    deviation is at most mu = abs_tol + rel_tol (1 + abs_tol) / (1 - rel_tol).
+    When 1/N > mu the Riesz and orthonormal verdicts are False, decided in
+    exact arithmetic, without the N x N product; otherwise callers form it.
+    A computed product is a rank-m one plus rounding error, so it could
+    pass only through a rounding error of 2-norm at least 1 - N mu.
+    """
+    if N <= m or tol.rel_tol >= 1.0:
+        return False
+    mu = tol.abs_tol + tol.rel_tol * (1.0 + tol.abs_tol) / (1.0 - tol.rel_tol)
+    return 1.0 / N > mu
+
+
+def _canonical_dual(theta_A: np.ndarray, theta_Psi: np.ndarray, S: np.ndarray):
+    """The dual analysis operators (theta_A S^-1, theta_Psi S^-1), for an invertible S.
+
+    S^-1 is taken once, by a solve against the identity, so the two
+    products share it.
+    """
+    Sinv = np.linalg.solve(S, np.eye(S.shape[0], dtype=S.dtype))
+    return theta_A @ Sinv, theta_Psi @ Sinv
 
 
 def _members_close(M: np.ndarray, N: np.ndarray, codims, tol: Tolerance) -> bool:

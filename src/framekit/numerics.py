@@ -140,6 +140,18 @@ def spectral(M, tol: Tolerance = Tolerance()) -> SpectralReport:
     return SpectralReport(hermitian, vals, min_real, is_psd, is_pd)
 
 
+def _hermitian_eigh(M, tol: Tolerance):
+    """eigh (w ascending, V) of M's Hermitian part, or None when M fails
+    spectral's hermiticity test."""
+    M = _require_square(M)
+    if not _is_hermitian(M, tol):
+        return None
+    try:
+        return np.linalg.eigh(hermitian_part(M))
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(str(exc)) from exc
+
+
 def herm_sqrt(M, tol: Tolerance = Tolerance()) -> np.ndarray:
     """Hermitian psd square root via eigendecomposition.
 
@@ -148,15 +160,10 @@ def herm_sqrt(M, tol: Tolerance = Tolerance()) -> np.ndarray:
     below -abs_tol.  Eigenvalues in [-abs_tol, 0] are clipped to 0 so that
     round-off on an intended-psd input does not raise.
     """
-    M = _require_square(M)
-    if not _is_hermitian(M, tol):
+    eig = _hermitian_eigh(M, tol)
+    if eig is None or (eig[0].size and eig[0][0] < -tol.abs_tol):
         raise NotPsd("herm_sqrt needs a Hermitian positive semidefinite matrix")
-    try:
-        w, V = np.linalg.eigh(hermitian_part(M))
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(str(exc)) from exc
-    if w.size and w[0] < -tol.abs_tol:
-        raise NotPsd("herm_sqrt needs a Hermitian positive semidefinite matrix")
+    w, V = eig
     w = np.clip(w, 0.0, None)
     R = (V * np.sqrt(w)) @ V.conj().T
     R = hermitian_part(R)

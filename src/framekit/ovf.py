@@ -8,9 +8,9 @@ S = theta_Psi^* theta_A = sum_j Psi_j^* A_j, and the frame idempotent
 P = theta_A S^-1 theta_Psi^* acts on the coefficient space K^(sum d_j).
 
 A vector pair is the d = 1 case (ovf_bridge: theta_A = X^*, theta_Psi = T^*),
-so dilation, tight extension, the weighted-ONB check, similarity and the
-frame idempotent have one body each, shared with the vector layer in
-frames.py.
+so dilation, tight extension, the weighted-ONB check, similarity, the
+canonical dual and the frame idempotent have one body each, shared with
+the vector layer in frames.py.
 
 Codomain dimensions are usually uniform, but a pair may carry one
 odd-sized member (the tight-extension construction appends an m x m
@@ -34,9 +34,11 @@ from .frames import (
     FrameReport,
     _as_matrix,
     _block_identities_ok,
+    _canonical_dual,
     _dilation_rows,
     _idempotent,
     _members_close,
+    _rank_excludes_identity,
     _right_similarity,
     _thetas,
     _tight_block,
@@ -157,10 +159,19 @@ def _cross_identities_ok(op: OvfPair, left, right, tol: Tolerance) -> bool:
 
 
 def verify_ovf(op: OvfPair) -> OvfReport:
-    """Frame verdict on S plus the Riesz / orthonormal OVF refinements."""
+    """Frame verdict on S plus the Riesz / orthonormal OVF refinements.
+
+    riesz_ovf asks whether the N x N idempotent P (N = sum d_j) is the
+    identity.  P has rank at most m, so for N > m it is False without
+    forming P whenever the tolerance cannot accept a matrix of rank below
+    its size (frames._rank_excludes_identity); orthonormal_ovf needs
+    riesz_ovf.
+    """
     ops = ovf_operators(op)
     base = frame_flags(ops.S, op.tol)
-    riesz = bool(base.is_frame and op.tol.is_identity(_idempotent(ops.thetaA, ops.thetaPsi, ops.S)))
+    riesz = bool(base.is_frame
+                 and not _rank_excludes_identity(ops.thetaA.shape[0], op.m, op.tol)
+                 and op.tol.is_identity(_idempotent(ops.thetaA, ops.thetaPsi, ops.S)))
     orthonormal = bool(
         riesz and base.parseval and _cross_identities_ok(op, op.theta_A, op.theta_Psi, op.tol)
     )
@@ -175,9 +186,9 @@ def _require_ovf_frame(op: OvfPair) -> OvfOperators:
 
 
 def canonical_dual_ovf(op: OvfPair) -> OvfPair:
-    """(A_j S^-1, Psi_j S^-1)."""
-    Sinv = np.linalg.inv(_require_ovf_frame(op).S)
-    return OvfPair._stacked(op.theta_A @ Sinv, op.theta_Psi @ Sinv, op.codims, op.field, op.tol)
+    """(A_j S^-1, Psi_j S^-1), from one S^-1 shared with frames.canonical_dual."""
+    theta_A, theta_Psi = _canonical_dual(op.theta_A, op.theta_Psi, _require_ovf_frame(op).S)
+    return OvfPair._stacked(theta_A, theta_Psi, op.codims, op.field, op.tol)
 
 
 @dataclass(frozen=True)
@@ -312,30 +323,50 @@ def right_similarity_detect(op1: OvfPair, op2: OvfPair) -> Optional[RightSimilar
     return None if found is None else RightSimilarityTransforms(*found)
 
 
+def _pair_rows(codims1, codims2) -> np.ndarray:
+    """Row order taking a product layout to member-major stacked rows.
+
+    The layout has one row per (r1, r2), r1 a row of a pair with member
+    sizes codims1 and r2 one of codims2, r1-major.  The order lists the
+    rows of member pair (j, l) together, j-major, each block keeping its
+    (r1, r2) order.
+    """
+    n2 = len(codims2)
+    key = np.repeat(np.arange(len(codims1)) * n2, codims1)[:, None] + np.repeat(np.arange(n2), codims2)
+    return np.argsort(key.ravel(), kind="stable")
+
+
 def compose_ovf(outer: OvfPair, inner: OvfPair) -> OvfPair:
-    """Members B_l A_j indexed (l, j) with l outer-major."""
+    """Members B_l A_j indexed (l, j) with l outer-major.
+
+    One product per family: row r of the outer operator times every A_j
+    at once, then the rows regrouped by member pair.
+    """
     if inner.d is None or outer.m != inner.d:
         raise ShapeMismatch("inner codomain must equal outer domain")
-    A = []
-    Psi = []
-    for Bl, Fl in zip(outer.A, outer.Psi):
-        for Aj, Pj in zip(inner.A, inner.Psi):
-            A.append(Bl @ Aj)
-            Psi.append(Fl @ Pj)
+    rows = _pair_rows(outer.codims, (1,) * inner.n)
+
+    def stacked(theta_outer, theta_inner):  # (r, j) rows of theta_outer[r] A_j, regrouped
+        per_member = theta_inner.reshape(inner.n, inner.d, inner.m).transpose(1, 0, 2)
+        return (theta_outer @ per_member.reshape(inner.d, -1)).reshape(-1, inner.m)[rows]
+
     field = outer.field if outer.field == inner.field else COMPLEX
-    return OvfPair(tuple(A), tuple(Psi), field, inner.tol)
+    codims = tuple(d for d in outer.codims for _ in range(inner.n))
+    return OvfPair._stacked(stacked(outer.theta_A, inner.theta_A),
+                            stacked(outer.theta_Psi, inner.theta_Psi), codims, field, inner.tol)
 
 
 def tensor_ovf(op1: OvfPair, op2: OvfPair) -> OvfPair:
-    """Members A_j (x) B_l indexed (j, l) row-major; S = S1 (x) S2."""
-    A = []
-    Psi = []
-    for Aj, Pj in zip(op1.A, op1.Psi):
-        for Bl, Fl in zip(op2.A, op2.Psi):
-            A.append(np.kron(Aj, Bl))
-            Psi.append(np.kron(Pj, Fl))
+    """Members A_j (x) B_l indexed (j, l) row-major; S = S1 (x) S2.
+
+    One kron of the stacked operators, with its rows regrouped by member
+    pair; every entry is the same single product as in kron(A_j, B_l).
+    """
+    rows = _pair_rows(op1.codims, op2.codims)
     field = op1.field if op1.field == op2.field else COMPLEX
-    return OvfPair(tuple(A), tuple(Psi), field, op1.tol)
+    codims = tuple(d1 * d2 for d1 in op1.codims for d2 in op2.codims)
+    return OvfPair._stacked(np.kron(op1.theta_A, op2.theta_A)[rows],
+                            np.kron(op1.theta_Psi, op2.theta_Psi)[rows], codims, field, op1.tol)
 
 
 def extend_tight_ovf(op: OvfPair, lam: float) -> OvfPair:

@@ -16,10 +16,12 @@ from framekit.errors import (
     HypothesisFails,
     IdempotentNotProjection,
     LambdaTooSmall,
+    NotAFrame,
     NotARepresentation,
     NotBessel,
     NotParseval,
     NotPsd,
+    NotSelfPair,
     NotWeightedOnb,
     RangesDiffer,
     ShapeMismatch,
@@ -34,6 +36,7 @@ from framekit.frames import (
     SimilarityTransforms,
     _check_shapes,
     _require_frame,
+    frame_flags,
     frame_operator,
     range_basis,
     verify,
@@ -47,6 +50,7 @@ from framekit.numerics import (
     smallest_singular_value,
     spectral,
 )
+from framekit.ovf import OvfPair
 
 
 def char_poly_coeffs(M):
@@ -456,3 +460,88 @@ def similarity_detect_by_inverse(fp, gq):
     if not (tol.mat_close(Txy @ fp.X, gq.X) and tol.mat_close(Ttw @ fp.T, gq.T)):
         return None
     return SimilarityTransforms(Txy, Ttw)
+
+
+# --- coefficient-space forms the m x m quantities replaced ---------------------------
+#
+# For N > m the library decides the Riesz and orthonormal verdicts by the
+# rank of the N x N products, takes the double sum as tr(S^2) and takes one
+# S^-1 for both canonical duals.  These build the N x N matrices and solve
+# once per family, as the library did before.
+
+
+def classify_by_idempotent(fp):
+    """(riesz_frame, orthonormal_frame, cross_gram) from P = X^* S^-1 T and T^* X."""
+    S = frame_operator(fp)
+    report = frame_flags(S, fp.tol)
+    if not report.is_frame:
+        raise NotAFrame("operation requires a frame")
+    P = fp.X.conj().T @ np.linalg.solve(S, fp.T)
+    gram = fp.T.conj().T @ fp.X
+    return fp.tol.is_identity(P), report.parseval and fp.tol.is_identity(gram), gram
+
+
+def verify_ovf_by_idempotent(op):
+    """(riesz_ovf, orthonormal_ovf) with riesz_ovf from the N x N idempotent."""
+    S = op.theta_Psi.conj().T @ op.theta_A
+    report = frame_flags(S, op.tol)
+    riesz = bool(report.is_frame
+                 and op.tol.is_identity(op.theta_A @ np.linalg.solve(S, op.theta_Psi.conj().T)))
+    d = set(op.codims)
+    orthonormal = bool(riesz and report.parseval and len(d) == 1
+                       and cross_identities_by_pairs(op.A, op.Psi, op.tol))
+    return riesz, orthonormal
+
+
+def double_sum_by_gram(fp):
+    """sum_jk <tau_j, x_k><tau_k, x_j> from the n x n Gram G = X^* T."""
+    G = fp.X.conj().T @ fp.T
+    return complex(np.sum(G * G.T))
+
+
+def canonical_dual_by_solves(fp):
+    """(S^-1 X, S^-1 T), one solve per family."""
+    S = _require_frame(fp)
+    return FramePair(np.linalg.solve(S, fp.X), np.linalg.solve(S, fp.T), fp.field, fp.tol)
+
+
+def parsevalize_split_by_inverse_root(fp):
+    """(R^-1 X, R^-1 T) for R = herm_sqrt(S), gated by frame_flags."""
+    S = _require_frame(fp)
+    Rinv = np.linalg.inv(herm_sqrt(S, fp.tol))
+    return FramePair(Rinv @ fp.X, Rinv @ fp.T, fp.field, fp.tol)
+
+
+def extend_tight_minimal_by_flags(fp):
+    """extend_tight_minimal gated by frame_flags, then an eigh of the same S."""
+    if not fp.tol.mat_close(fp.X, fp.T):
+        raise NotSelfPair("minimal extension needs x_j = tau_j")
+    S = frame_operator(fp)
+    if not frame_flags(S, fp.tol).is_frame:
+        raise NotAFrame("minimal extension starts from a frame")
+    w, V = np.linalg.eigh(0.5 * (S + S.conj().T))
+    top = float(w[-1])
+    cols = [np.sqrt(top - float(lam)) * v for lam, v in zip(w, V.T)
+            if top - float(lam) > fp.tol.margin(top)]
+    if not cols:
+        return fp
+    extra = np.column_stack(cols)
+    return FramePair(np.hstack([fp.X, extra]), np.hstack([fp.T, extra]), fp.field, fp.tol)
+
+
+def tensor_ovf_by_members(op1, op2):
+    """Members A_j (x) B_l indexed (j, l) row-major, one kron per member pair."""
+    A = [np.kron(Aj, Bl) for Aj in op1.A for Bl in op2.A]
+    Psi = [np.kron(Pj, Fl) for Pj in op1.Psi for Fl in op2.Psi]
+    field = op1.field if op1.field == op2.field else COMPLEX
+    return OvfPair(tuple(A), tuple(Psi), field, op1.tol)
+
+
+def compose_ovf_by_members(outer, inner):
+    """Members B_l A_j indexed (l, j) outer-major, one product per member pair."""
+    if inner.d is None or outer.m != inner.d:
+        raise ShapeMismatch("inner codomain must equal outer domain")
+    A = [Bl @ Aj for Bl in outer.A for Aj in inner.A]
+    Psi = [Fl @ Pj for Fl in outer.Psi for Pj in inner.Psi]
+    field = outer.field if outer.field == inner.field else COMPLEX
+    return OvfPair(tuple(A), tuple(Psi), field, inner.tol)

@@ -142,3 +142,18 @@ def test_similarity_through_the_bridge(rng, field):
     assert outcome(lambda: fk.similarity_detect(fp, random_frame(rng, 2, 4, field))) == "ShapeMismatch"
     assert outcome(lambda: fk.right_similarity_detect(
         fk.ovf_bridge(fp), fk.ovf_bridge(random_frame(rng, 2, 4, field)))) == "ShapeMismatch"
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_canonical_dual_through_the_bridge(rng, field):
+    for k in range(30):
+        m = int(rng.integers(1, 5))
+        fp = random_frame(rng, m, m + int(rng.integers(0, 4)), field)
+        if k % 5 == 4:  # planted non-frame: one direction missing
+            fp = FramePair(fp.X[:, :1] @ random_matrix(rng, 1, fp.n, field), fp.T, field)
+        got = outcome(lambda: fk.canonical_dual(fp))
+        via = outcome(lambda: fk.ovf_bridge_inverse(fk.canonical_dual_ovf(fk.ovf_bridge(fp))))
+        if isinstance(got, str):
+            assert got == via == "NotAFrame"
+        else:
+            assert same_members(got, via)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import framekit as fk
-from framekit import FramePair, GroupTable, OvfPair, Representation, Tolerance
+from framekit import FramePair, GroupTable, OvfPair, Representation, Tolerance, frames
 from framekit.analysis import _falsifying_samples
 from framekit.errors import FramekitError
 from framekit.frames import FrameReport, frame_flags
@@ -651,3 +651,195 @@ def test_similarity_compares_each_member_at_its_own_scale():
     gq = FramePair(X + np.array([[0.0, 0.0, 1.5e-9], [0.0, 0.0, 0.0]]), X, "real")
     assert fk.similarity_detect(fp, gq) is None
     assert oracles.similarity_detect_by_inverse(fp, gq) is not None
+
+
+# --- m x m quantities in place of N x N coefficient-space products ------------------
+
+TOLERANCES = [Tolerance(), Tolerance(1e-6, 1e-4), Tolerance(0.0, 0.0),
+              Tolerance(0.3, 0.3)]  # the last is too loose for the rank rule, so P is formed
+
+
+def classify_cases(rng, field):
+    """Pairs with N = m, N = m + 1 (also with one member scaled by 1e-6), N >> m,
+    orthonormal bases and Parseval frames, under each of TOLERANCES."""
+    cases = []
+    for k in range(40):
+        m = int(rng.integers(1, 6))
+        n = [m, m + 1, m + 1, 8 * m + int(rng.integers(0, 20))][k % 4]
+        fp = random_frame(rng, m, n, field) if k % 3 else random_parseval(rng, m, n, field,
+                                                                          self_dual=k % 2 == 0)
+        if k % 4 == 2:  # self-dual, so that S stays Hermitian
+            X = random_matrix(rng, m, n, field)
+            X[:, int(rng.integers(0, n))] *= 1e-6
+            fp = FramePair(X, X, field)
+        cases += [fp.with_tol(tol) for tol in TOLERANCES]
+    # N = 2 > m = 1: the rank-one projection passes is_identity at abs_tol 0.6, so the
+    # rule must not apply there (1/N = 0.5 is not above the margin)
+    half = np.array([[1.0, 1.0]]) / np.sqrt(2.0)
+    cases.append(FramePair(half, half, field, Tolerance(0.6, 0.0)))
+    return cases
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_classify_verdicts_match_the_idempotent(rng, field):
+    cases = classify_cases(rng, field)
+    for fp in cases:
+        got = outcome(lambda: fk.classify(fp))
+        want = outcome(lambda: oracles.classify_by_idempotent(fp))
+        if isinstance(want[0], str):  # not a frame under a loose abs_tol
+            assert got == want
+            continue
+        assert (got.riesz_frame, got.orthonormal_frame) == want[:2]
+        assert np.array_equal(got.cross_gram, want[2])
+    skipped = [frames._rank_excludes_identity(fp.n, fp.m, fp.tol) for fp in cases]
+    assert any(skipped) and not all(skipped)
+    assert fk.classify(cases[-1]).riesz_frame  # the loose case forms P, which passes
+
+
+def heterogeneous_ovf(rng, m, field):
+    """A tight frame with members of codims 1, 2 and m (the tight-extension block)."""
+    thetaA = random_matrix(rng, 3, m, field)
+    op = OvfPair((thetaA[:1], thetaA[1:]), (thetaA[:1], thetaA[1:]), field)
+    return fk.extend_tight_ovf(op, np.linalg.eigvalsh(thetaA.conj().T @ thetaA)[-1] + 1.0)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_verify_ovf_verdicts_match_the_idempotent(rng, field):
+    cases = []
+    for k in range(30):
+        m = int(rng.integers(1, 5))
+        if k % 3 == 0:  # N = m: an invertible square theta_A split into members
+            thetaA = random_matrix(rng, m, m, field) + 3.0 * np.eye(m)
+            blocks = np.split(thetaA, [1] if m > 1 else [])
+            op = OvfPair(tuple(blocks), tuple(blocks), field)
+        elif k % 3 == 1:
+            d = int(rng.integers(1, 4))
+            op = random_parseval_ovf(rng, m, d, m + int(rng.integers(0, 6)), field)
+        else:
+            op = heterogeneous_ovf(rng, m, field)
+        for tol in TOLERANCES:
+            cases.append(OvfPair._stacked(op.theta_A, op.theta_Psi, op.codims, field, tol))
+    half = np.array([[1.0, 1.0]]) / np.sqrt(2.0)  # N = 2 > m = 1, as in classify_cases
+    cases += [fk.ovf_bridge(FramePair(half, half, field, Tolerance(0.6, 0.0))), fk.onb_blocks(3, 2)]
+    for op in cases:
+        got = fk.verify_ovf(op)
+        assert (got.riesz_ovf, got.orthonormal_ovf) == oracles.verify_ovf_by_idempotent(op)
+    assert fk.verify_ovf(cases[-2]).riesz_ovf and fk.verify_ovf(cases[-1]).orthonormal_ovf
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_double_sum_matches_the_gram_form(rng, field):
+    for k in range(40):
+        m = int(rng.integers(1, 6))
+        fp = random_frame(rng, m, m + int(rng.integers(0, 30)), field)
+        if k % 5 == 4:  # not a frame: the sums are still reported
+            fp = FramePair(random_matrix(rng, m, fp.n, field), fp.T, field)
+        got = fk.formulas_report(fp).double_sum
+        want = oracles.double_sum_by_gram(fp)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_canonical_dual_matches_the_two_solves(rng, field):
+    for k in range(30):
+        m = int(rng.integers(1, 6))
+        fp = random_frame(rng, m, m + int(rng.integers(0, 6)), field)
+        got, want = fk.canonical_dual(fp), oracles.canonical_dual_by_solves(fp)
+        for G, W in ((got.X, want.X), (got.T, want.T)):
+            assert np.abs(G - W).max() <= 1e-12 * np.abs(W).max()
+
+
+def planted_at_abs_tol(rng, m, field, tol):
+    """Hermitian S whose smallest eigenvalue is abs_tol to within a few ulps of ||S||."""
+    Q, _ = np.linalg.qr(random_matrix(rng, m, m, field))
+    lam = rng.uniform(0.5, 2.5, m)
+    lam[0] = tol.abs_tol + rng.uniform(-4.0, 4.0) * 1e-16
+    S = (Q * lam) @ Q.conj().T
+    return 0.5 * (S + S.conj().T)
+
+
+def test_one_eigh_gate_moves_only_where_the_two_drivers_straddle_abs_tol(rng):
+    """parsevalize's split mode and extend_tight_minimal decide "not a frame"
+    from eigh's eigenvalues, frame_flags from eigvalsh's.  The two LAPACK
+    drivers may differ in the last bits, so a verdict moves exactly where
+    their lambda_min fall on opposite sides of abs_tol, within round-off."""
+    tol = Tolerance()
+    moved = 0
+    for k in range(600):
+        field = "complex" if k % 2 else "real"
+        m = int(rng.integers(2, 6))
+        S = planted_at_abs_tol(rng, m, field, tol)
+        w, V = np.linalg.eigh(S)
+        X = (V * np.sqrt(np.abs(w))) @ V.conj().T  # self-dual pair whose S is X X^*
+        for fp, new, old in (
+                (FramePair(np.eye(m), S, field), fk.parsevalize, oracles.parsevalize_split_by_inverse_root),
+                (FramePair(X, X, field), fk.extend_tight_minimal, oracles.extend_tight_minimal_by_flags)):
+            got, want = outcome(lambda: new(fp)), outcome(lambda: old(fp))
+            H = 0.5 * (fk.frame_operator(fp) + fk.frame_operator(fp).conj().T)
+            by_eigh, by_eigvalsh = np.linalg.eigh(H)[0][0], np.linalg.eigvalsh(H)[0]
+            straddle = (by_eigh > tol.abs_tol) != (by_eigvalsh > tol.abs_tol)
+            assert isinstance(got, tuple) == (by_eigh <= tol.abs_tol)
+            assert (isinstance(got, tuple) != isinstance(want, tuple)) == straddle
+            if straddle:
+                moved += 1
+                assert abs(by_eigh - by_eigvalsh) <= 64 * np.finfo(float).eps * np.abs(H).max() * m
+            elif isinstance(got, tuple):
+                assert got == want
+    assert moved > 0
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_one_eigh_results_match_the_two_decomposition_forms(rng, field):
+    for k in range(30):
+        m = int(rng.integers(1, 6))
+        fp = random_frame(rng, m, m + int(rng.integers(0, 6)), field)
+        got, want = fk.parsevalize(fp), oracles.parsevalize_split_by_inverse_root(fp)
+        for G, W in ((got.X, want.X), (got.T, want.T)):
+            assert np.abs(G - W).max() <= 1e-12 * np.abs(W).max()
+        sd = FramePair(fp.X, fp.X, field)
+        got, want = fk.extend_tight_minimal(sd), oracles.extend_tight_minimal_by_flags(sd)
+        assert np.array_equal(got.X, want.X) and np.array_equal(got.T, want.T)
+    planted = FramePair(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), field)  # S singular
+    assert outcome(lambda: fk.parsevalize(planted))[0] == "NotAFrame"
+    assert outcome(lambda: fk.extend_tight_minimal(planted))[0] == "NotAFrame"
+
+
+def ovf_family(rng, field, codims, m):
+    A = tuple(random_matrix(rng, d, m, field) for d in codims)
+    Psi = tuple(random_matrix(rng, d, m, field) for d in codims)
+    return OvfPair(A, Psi, field)
+
+
+def test_tensor_ovf_matches_the_member_loop_bit_for_bit(rng):
+    for k in range(60):
+        f1, f2 = ("real", "complex")[k % 2], ("real", "complex")[(k // 2) % 2]
+        codims1 = tuple(int(d) for d in rng.integers(1, 4, int(rng.integers(1, 5))))
+        codims2 = tuple(int(d) for d in rng.integers(1, 4, int(rng.integers(1, 5))))
+        op1 = ovf_family(rng, f1, codims1, int(rng.integers(1, 4)))
+        op2 = ovf_family(rng, f2, codims2, int(rng.integers(1, 4)))
+        got, want = fk.tensor_ovf(op1, op2), oracles.tensor_ovf_by_members(op1, op2)
+        assert (got.codims, got.field) == (want.codims, want.field)
+        assert np.array_equal(got.theta_A, want.theta_A)
+        assert np.array_equal(got.theta_Psi, want.theta_Psi)
+    n1, d1, n2, d2 = 3, 2, 4, 3
+    op1 = ovf_family(rng, "real", (d1,) * n1, 2)
+    op2 = ovf_family(rng, "real", (d2,) * n2, 2)
+    perm = oracles.tensor_shuffle_permutation(n1, d1, n2, d2)
+    assert np.array_equal(fk.tensor_ovf(op1, op2).theta_A, np.kron(op1.theta_A, op2.theta_A)[perm])
+
+
+def test_compose_ovf_matches_the_member_loop(rng):
+    # one product per family sums the inner dimension in BLAS's order, so
+    # entries agree to round-off rather than bit for bit
+    for k in range(60):
+        fi, fo = ("real", "complex")[k % 2], ("real", "complex")[(k // 2) % 2]
+        d, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        inner = ovf_family(rng, fi, (d,) * int(rng.integers(1, 5)), m)
+        outer = ovf_family(rng, fo, tuple(int(c) for c in rng.integers(1, 4, int(rng.integers(1, 5)))), d)
+        got, want = fk.compose_ovf(outer, inner), oracles.compose_ovf_by_members(outer, inner)
+        assert (got.codims, got.field) == (want.codims, want.field)
+        for G, W in ((got.theta_A, want.theta_A), (got.theta_Psi, want.theta_Psi)):
+            assert np.abs(G - W).max() <= 1e-14 * np.abs(W).max()
+    hetero = ovf_family(rng, "real", (1, 2), 2)
+    assert outcome(lambda: fk.compose_ovf(hetero, hetero)) == outcome(
+        lambda: oracles.compose_ovf_by_members(hetero, hetero))
