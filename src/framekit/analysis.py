@@ -17,7 +17,6 @@ import numpy as np
 from .errors import (
     BadParams,
     HypothesisFails,
-    NotAFrame,
     NotParseval,
     NotReal,
     NotSelfPair,
@@ -28,6 +27,8 @@ from .frames import (
     REAL,
     FramePair,
     _frame_eigh,
+    _require_frame,
+    _require_frame_flags,
     _thetas,
     _tight_block,
     _weighted_onb,
@@ -56,9 +57,7 @@ def iterate_reconstruct(fp: FramePair, h, steps: int) -> IterationTrace:
     The error after k steps is bounded by ((b-a)/(b+a))^k ||h||.
     """
     S = frame_operator(fp)
-    report = frame_flags(S, fp.tol)
-    if not report.is_frame:
-        raise NotAFrame("reconstruction iterates on a frame")
+    report = _require_frame_flags(S, fp.tol, "reconstruction iterates on a frame")
     h = np.asarray(h, dtype=complex if fp.field == COMPLEX else float).ravel()
     if h.shape != (fp.m,):
         raise ShapeMismatch("vector must live in the frame's space")
@@ -268,13 +267,7 @@ class PerturbCertificate:
     actual_upper: float
 
 
-def _require_frame_report(fp: FramePair):
-    """S and its flags, for a pair that must be a frame."""
-    S = frame_operator(fp)
-    report = frame_flags(S, fp.tol)
-    if not report.is_frame:
-        raise NotAFrame("perturbation certificates start from a frame")
-    return S, report
+_CERTIFICATES_NEED_A_FRAME = "perturbation certificates start from a frame"
 
 
 def _as_columns(fp: FramePair, Y) -> np.ndarray:
@@ -297,7 +290,7 @@ def _actual_bounds(fp: FramePair, Y):
 
 def perturb_quadratic(fp: FramePair, Y) -> PerturbCertificate:
     """Certificate from sum ||x_j - y_j|| ||S^-1 tau_j|| < 1."""
-    S, _ = _require_frame_report(fp)
+    S = _require_frame(fp, _CERTIFICATES_NEED_A_FRAME)
     Y = _as_columns(fp, Y)
     Sinv = np.linalg.inv(S)
     diffs = np.linalg.norm(fp.X - Y, axis=0)
@@ -312,7 +305,7 @@ def perturb_quadratic(fp: FramePair, Y) -> PerturbCertificate:
 
 def perturb_normsum(fp: FramePair, Y) -> PerturbCertificate:
     """Certificate from r = sum ||x_j - y_j||^2 < 1 / ||theta_tau S^-1||^2."""
-    S, _ = _require_frame_report(fp)
+    S = _require_frame(fp, _CERTIFICATES_NEED_A_FRAME)
     Y = _as_columns(fp, Y)
     Sinv = np.linalg.inv(S)
     r = float(np.sum(np.linalg.norm(fp.X - Y, axis=0) ** 2))
@@ -337,7 +330,8 @@ def perturb_sampled(fp: FramePair, Y, alpha: float, beta: float, gamma: float,
     together with nonnegativity of s_y(h).  hypothesis_ok means "not
     falsified by any sample" - it is not a proof.
     """
-    S, report = _require_frame_report(fp)
+    S = frame_operator(fp)
+    report = _require_frame_flags(S, fp.tol, _CERTIFICATES_NEED_A_FRAME)
     Y = _as_columns(fp, Y)
     if min(alpha, beta, gamma) < 0:
         raise BadParams("coefficients must be nonnegative")

@@ -12,7 +12,8 @@ space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dataclass_field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -181,16 +182,18 @@ def verify(fp: FramePair) -> FrameReport:
     return frame_flags(frame_operator(fp), fp.tol)
 
 
-def _require_frame(fp: FramePair) -> np.ndarray:
+def _require_frame(fp: FramePair, message: str = "operation requires a frame") -> np.ndarray:
     S = frame_operator(fp)
-    _require_frame_flags(S, fp.tol)
+    _require_frame_flags(S, fp.tol, message)
     return S
 
 
-def _require_frame_flags(S: np.ndarray, tol: Tolerance) -> FrameReport:
+def _require_frame_flags(S: np.ndarray, tol: Tolerance,
+                         message: str = "operation requires a frame") -> FrameReport:
+    """frame_flags(S, tol) for an S that must be a frame's, else NotAFrame(message)."""
     report = frame_flags(S, tol)
     if not report.is_frame:
-        raise NotAFrame("operation requires a frame")
+        raise NotAFrame(message)
     return report
 
 
@@ -229,17 +232,13 @@ def _check_shapes(fp: FramePair, gq: FramePair):
 def is_dual(fp: FramePair, gq: FramePair) -> bool:
     """True iff Omega X^* = I and Y T^* = I, gq = (Y, Omega)."""
     _check_shapes(fp, gq)
-    tol = fp.tol
-    return tol.is_identity(gq.T @ fp.X.conj().T) and tol.is_identity(gq.X @ fp.T.conj().T)
+    return _duality(*_thetas(fp), *_thetas(gq), fp.tol)[0]
 
 
 def is_orthogonal(fp: FramePair, gq: FramePair) -> bool:
     """True iff Omega X^* = 0 and Y T^* = 0 (bilinear condition only)."""
     _check_shapes(fp, gq)
-    tol = fp.tol
-    scale1 = entry_max(gq.T) * entry_max(fp.X) * fp.n
-    scale2 = entry_max(gq.X) * entry_max(fp.T) * fp.n
-    return tol.is_zero(gq.T @ fp.X.conj().T, scale1) and tol.is_zero(gq.X @ fp.T.conj().T, scale2)
+    return _duality(*_thetas(fp), *_thetas(gq), fp.tol)[1]
 
 
 def make_dual_from_params(fp: FramePair, U, V) -> FramePair:
@@ -248,7 +247,8 @@ def make_dual_from_params(fp: FramePair, U, V) -> FramePair:
     y_j = S^-1 x_j + V e_j - V theta_tau S^-1 x_j and the mirrored omega_j;
     admissible exactly when S^-1 + U V^* - U theta_x S^-1 theta_tau^* V^*
     is Hermitian positive definite (this matrix is the frame operator of
-    the produced pair).
+    the produced pair).  Products are grouped through m x m factors
+    (V T^*, U X^*), so the cost is O(m^2 n), never O(m n^2).
     """
     S = _require_frame(fp)
     U = np.asarray(U)
@@ -258,10 +258,10 @@ def make_dual_from_params(fp: FramePair, U, V) -> FramePair:
     Sinv = np.linalg.inv(S)
     SiX = Sinv @ fp.X
     SiT = Sinv @ fp.T
-    Y = SiX + V - V @ (fp.T.conj().T @ SiX)
-    Om = SiT + U - U @ (fp.X.conj().T @ SiT)
-    cross = fp.X.conj().T @ Sinv @ fp.T  # theta_x S^-1 theta_tau^*
-    W = Sinv + U @ V.conj().T - U @ cross @ V.conj().T
+    UXSiT = (U @ fp.X.conj().T) @ SiT
+    Y = SiX + V - (V @ fp.T.conj().T) @ SiX
+    Om = SiT + U - UXSiT
+    W = Sinv + U @ V.conj().T - UXSiT @ V.conj().T
     rep = spectral(W, fp.tol)
     if not (rep.is_hermitian and rep.is_pd):
         raise ParamNotAdmissible("parameters fail the positivity/invertibility condition")
@@ -295,19 +295,19 @@ def frame_idempotent(fp: FramePair) -> np.ndarray:
 class ClassifyResult:
     riesz_frame: bool
     orthonormal_frame: bool
-    cross_gram: np.ndarray  # entry [k, j] = <x_j, tau_k>
+    _pair: FramePair = dataclass_field(repr=False, compare=False)
+
+    @cached_property
+    def cross_gram(self) -> np.ndarray:
+        """Entry [k, j] = <x_j, tau_k>; computed on first access, since no verdict reads it."""
+        return self._pair.T.conj().T @ self._pair.X
 
 
 def classify(fp: FramePair) -> ClassifyResult:
-    """Riesz frame: P = I.  Orthonormal frame: Parseval and cross gram I.
+    """Riesz frame: P = I.  Orthonormal frame: Riesz, Parseval and <x_j, tau_k> = delta_jk.
 
-    P = X^* S^-1 T and the cross gram T^* X are n x n of rank at most m.
-    For n > m that forces entry_max(M - I) >= 1/n on both, while a matrix
-    passing tol.is_identity deviates by at most
-    mu = abs_tol + rel_tol (1 + abs_tol) / (1 - rel_tol).  So when
-    rel_tol < 1 and 1/n > mu both verdicts are False without forming P;
-    otherwise P is formed and tested (_rank_excludes_identity).  The cross
-    gram is still returned.
+    The d = 1 case of ovf.verify_ovf's refinements (_refinements): for
+    n > m neither holds, decided without forming P.
     """
     S = frame_operator(fp)
     return _classify(fp, S, _require_frame_flags(S, fp.tol))
@@ -315,12 +315,7 @@ def classify(fp: FramePair) -> ClassifyResult:
 
 def _classify(fp: FramePair, S: np.ndarray, report: FrameReport) -> ClassifyResult:
     """classify for a frame whose S and flags the caller already holds."""
-    gram = fp.T.conj().T @ fp.X
-    if _rank_excludes_identity(fp.n, fp.m, fp.tol):
-        return ClassifyResult(False, False, gram)
-    riesz = fp.tol.is_identity(_idempotent(*_thetas(fp), S))
-    orthonormal = report.parseval and fp.tol.is_identity(gram)
-    return ClassifyResult(riesz, orthonormal, gram)
+    return ClassifyResult(*_refinements(*_thetas(fp), S, report, (1,) * fp.n, fp.tol), fp)
 
 
 def direct_sum(fp: FramePair, gq: FramePair) -> FramePair:
@@ -328,17 +323,18 @@ def direct_sum(fp: FramePair, gq: FramePair) -> FramePair:
     if fp.n != gq.n:
         raise CountMismatch(f"counts differ: {fp.n} vs {gq.n}")
     field = fp.field if fp.field == gq.field else COMPLEX
-    X = np.vstack([np.asarray(fp.X, dtype=complex if field == COMPLEX else float),
-                   np.asarray(gq.X, dtype=complex if field == COMPLEX else float)])
-    T = np.vstack([np.asarray(fp.T, dtype=complex if field == COMPLEX else float),
-                   np.asarray(gq.T, dtype=complex if field == COMPLEX else float)])
-    return FramePair(X, T, field, fp.tol)
+    return FramePair(np.vstack([fp.X, gq.X]), np.vstack([fp.T, gq.T]), field, fp.tol)
 
 
 def tensor_product(fp: FramePair, gq: FramePair) -> FramePair:
-    """Columns x_j (x) y_l, index (j, l) row-major; S = S1 (x) S2."""
+    """Columns x_j (x) y_l, index (j, l) row-major; S = S1 (x) S2.
+
+    The d = 1 case of ovf.tensor_ovf (_tensor); kron commutes exactly with
+    the conjugate transpose, so the columns are those of kron(X, Y).
+    """
     field = fp.field if fp.field == gq.field else COMPLEX
-    return FramePair(np.kron(fp.X, gq.X), np.kron(fp.T, gq.T), field, fp.tol)
+    theta_A, theta_Psi, _ = _tensor(*_thetas(fp), (1,) * fp.n, *_thetas(gq), (1,) * gq.n)
+    return FramePair(theta_A.conj().T, theta_Psi.conj().T, field, fp.tol)
 
 
 def interpolate_parseval(fp: FramePair, gq: FramePair, A, B, C, D) -> FramePair:
@@ -456,13 +452,14 @@ def _idempotent(theta_A: np.ndarray, theta_Psi: np.ndarray, S: np.ndarray) -> np
 def _rank_excludes_identity(N: int, m: int, tol: Tolerance) -> bool:
     """Whether no N x N product of N x m and m x N factors passes tol.is_identity.
 
-    Such a product M (the frame idempotent, the cross gram) has rank at most
+    Such a product M (the frame idempotent) has rank at most
     m.  For N > m, Eckart-Young gives ||M - I||_2 >= 1, hence
     entry_max(M - I) >= 1/N.  A matrix that passes is_identity has
     entry_max(M) <= (1 + abs_tol) / (1 - rel_tol) when rel_tol < 1, so its
     deviation is at most mu = abs_tol + rel_tol (1 + abs_tol) / (1 - rel_tol).
-    When 1/N > mu the Riesz and orthonormal verdicts are False, decided in
-    exact arithmetic, without the N x N product; otherwise callers form it.
+    When 1/N > mu the Riesz verdict, and with it the orthonormal one, is
+    False, decided in exact arithmetic, without the N x N product;
+    otherwise callers form it.
     A computed product is a rank-m one plus rounding error, so it could
     pass only through a rounding error of 2-norm at least 1 - N mu.
     """
@@ -470,6 +467,65 @@ def _rank_excludes_identity(N: int, m: int, tol: Tolerance) -> bool:
         return False
     mu = tol.abs_tol + tol.rel_tol * (1.0 + tol.abs_tol) / (1.0 - tol.rel_tol)
     return 1.0 / N > mu
+
+
+def _refinements(theta_A: np.ndarray, theta_Psi: np.ndarray, S: np.ndarray,
+                 report: FrameReport, codims, tol: Tolerance):
+    """(riesz, orthonormal) for a pair whose S and frame_flags report the caller holds.
+
+    riesz: a frame whose idempotent P passes tol.is_identity; for N > m the
+    rank rule decides it without forming P (_rank_excludes_identity).
+    orthonormal: riesz, Parseval, and the block identities
+    A_j Psi_k^* = delta_jk I, each block at its own scale.
+    """
+    riesz = bool(report.is_frame
+                 and not _rank_excludes_identity(theta_A.shape[0], S.shape[0], tol)
+                 and tol.is_identity(_idempotent(theta_A, theta_Psi, S)))
+    orthonormal = bool(riesz and report.parseval
+                       and _block_identities_ok(theta_A, theta_Psi, codims, tol))
+    return riesz, orthonormal
+
+
+def _duality(theta_A1: np.ndarray, theta_Psi1: np.ndarray, theta_A2: np.ndarray,
+             theta_Psi2: np.ndarray, tol: Tolerance):
+    """(dual, orthogonal): theta_Psi2^* theta_A1 and theta_A2^* theta_Psi1 against I and 0.
+
+    Each sum adds N products of one entry of each factor, so
+    N entry_max(left) entry_max(right) bounds its entries and scales its
+    zero test; the verdict is then invariant under positive scaling of
+    either pair.
+    """
+    N = theta_A1.shape[0]
+    sums = [(left.conj().T @ right, N * entry_max(left) * entry_max(right))
+            for left, right in ((theta_Psi2, theta_A1), (theta_A2, theta_Psi1))]
+    dual = all(tol.is_identity(M) for M, _ in sums)
+    orthogonal = all(tol.is_zero(M, scale) for M, scale in sums)
+    return dual, orthogonal
+
+
+def _pair_rows(codims1, codims2) -> np.ndarray:
+    """Row order taking a product layout to member-major stacked rows.
+
+    The layout has one row per (r1, r2), r1 a row of a pair with member
+    sizes codims1 and r2 one of codims2, r1-major.  The order lists the
+    rows of member pair (j, l) together, j-major, each block keeping its
+    (r1, r2) order.
+    """
+    n2 = len(codims2)
+    key = np.repeat(np.arange(len(codims1)) * n2, codims1)[:, None] + np.repeat(np.arange(n2), codims2)
+    return np.argsort(key.ravel(), kind="stable")
+
+
+def _tensor(theta_A1: np.ndarray, theta_Psi1: np.ndarray, codims1,
+            theta_A2: np.ndarray, theta_Psi2: np.ndarray, codims2):
+    """(theta_A, theta_Psi, codims) of the members A_j (x) B_l, (j, l) row-major.
+
+    One kron of the stacked operators, with its rows regrouped by member
+    pair; every entry is the same single product as in kron(A_j, B_l).
+    """
+    rows = _pair_rows(codims1, codims2)
+    codims = tuple(d1 * d2 for d1 in codims1 for d2 in codims2)
+    return np.kron(theta_A1, theta_A2)[rows], np.kron(theta_Psi1, theta_Psi2)[rows], codims
 
 
 def _canonical_dual(theta_A: np.ndarray, theta_Psi: np.ndarray, S: np.ndarray):

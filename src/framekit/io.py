@@ -25,19 +25,13 @@ from .ovf import OvfPair
 from .pframes import PFramePair
 
 
-def _scalar_out(z, field: str):
-    if field == COMPLEX:
-        z = complex(z)
-        return [z.real, z.imag]
-    return float(np.real(z))
-
-
-def _vector_out(v, field: str):
-    return [_scalar_out(z, field) for z in np.asarray(v).ravel()]
-
-
 def _matrix_out(M, field: str):
-    return [_vector_out(row, field) for row in np.asarray(M)]
+    """Nested lists of Python floats; a complex scalar becomes [re, im]."""
+    M = np.asarray(M)
+    if field == COMPLEX:
+        M = M.astype(complex, copy=False)
+        return np.stack([M.real, M.imag], axis=-1).tolist()
+    return np.asarray(M.real, dtype=float).tolist()
 
 
 def _scalar_in(obj, field: str):

@@ -8,7 +8,8 @@ S = theta_Psi^* theta_A = sum_j Psi_j^* A_j, and the frame idempotent
 P = theta_A S^-1 theta_Psi^* acts on the coefficient space K^(sum d_j).
 
 A vector pair is the d = 1 case (ovf_bridge: theta_A = X^*, theta_Psi = T^*),
-so dilation, tight extension, the weighted-ONB check, similarity, the
+so the Riesz / orthonormal refinements, duality, the tensor product,
+dilation, tight extension, the weighted-ONB check, similarity, the
 canonical dual and the frame idempotent have one body each, shared with
 the vector layer in frames.py.
 
@@ -26,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CodomainNotOneDim, NotAFrame, NotOnb, ShapeMismatch
+from .errors import CodomainNotOneDim, NotOnb, ShapeMismatch
 from .frames import (
     COMPLEX,
     REAL,
@@ -36,17 +37,21 @@ from .frames import (
     _block_identities_ok,
     _canonical_dual,
     _dilation_rows,
+    _duality,
     _idempotent,
     _members_close,
-    _rank_excludes_identity,
+    _pair_rows,
+    _refinements,
+    _require_frame_flags,
     _right_similarity,
+    _tensor,
     _thetas,
     _tight_block,
     _weighted_onb,
     frame_flags,
     infer_field,
 )
-from .numerics import Tolerance, entry_max, smallest_singular_value, spectral
+from .numerics import Tolerance, smallest_singular_value, spectral
 
 
 @dataclass(frozen=True, init=False)
@@ -162,26 +167,19 @@ def verify_ovf(op: OvfPair) -> OvfReport:
     """Frame verdict on S plus the Riesz / orthonormal OVF refinements.
 
     riesz_ovf asks whether the N x N idempotent P (N = sum d_j) is the
-    identity.  P has rank at most m, so for N > m it is False without
-    forming P whenever the tolerance cannot accept a matrix of rank below
-    its size (frames._rank_excludes_identity); orthonormal_ovf needs
-    riesz_ovf.
+    identity, orthonormal_ovf adds Parseval and the block identities; one
+    body (frames._refinements) shared with frames.classify.  For N > m
+    neither holds, decided without forming P.
     """
     ops = ovf_operators(op)
     base = frame_flags(ops.S, op.tol)
-    riesz = bool(base.is_frame
-                 and not _rank_excludes_identity(ops.thetaA.shape[0], op.m, op.tol)
-                 and op.tol.is_identity(_idempotent(ops.thetaA, ops.thetaPsi, ops.S)))
-    orthonormal = bool(
-        riesz and base.parseval and _cross_identities_ok(op, op.theta_A, op.theta_Psi, op.tol)
-    )
+    riesz, orthonormal = _refinements(op.theta_A, op.theta_Psi, ops.S, base, op.codims, op.tol)
     return OvfReport(**vars(base), riesz_ovf=riesz, orthonormal_ovf=orthonormal)
 
 
 def _require_ovf_frame(op: OvfPair) -> OvfOperators:
     ops = ovf_operators(op)
-    if not frame_flags(ops.S, op.tol).is_frame:
-        raise NotAFrame("operation requires an operator-valued frame")
+    _require_frame_flags(ops.S, op.tol, "operation requires an operator-valued frame")
     return ops
 
 
@@ -198,16 +196,14 @@ class DualityRelation:
 
 
 def duality_relation(op1: OvfPair, op2: OvfPair) -> DualityRelation:
-    """Mixed sums sum Phi_j^* A_j and sum B_j^* Psi_j against I and 0."""
+    """Mixed sums sum Phi_j^* A_j and sum B_j^* Psi_j against I and 0.
+
+    One body with frames.is_dual and frames.is_orthogonal (_duality).
+    """
     if op1.m != op2.m or op1.codims != op2.codims:
         raise ShapeMismatch("pairs must share member shapes")
-    sum1 = op2.theta_Psi.conj().T @ op1.theta_A
-    sum2 = op2.theta_A.conj().T @ op1.theta_Psi
-    tol = op1.tol
-    scale = max(entry_max(sum1), entry_max(sum2), 1.0)
-    dual = tol.is_identity(sum1) and tol.is_identity(sum2)
-    orthogonal = tol.is_zero(sum1, scale) and tol.is_zero(sum2, scale)
-    return DualityRelation(dual, orthogonal)
+    return DualityRelation(*_duality(op1.theta_A, op1.theta_Psi, op2.theta_A, op2.theta_Psi,
+                                     op1.tol))
 
 
 def onb_blocks(n: int, d: int, tol: Tolerance = Tolerance()) -> OvfPair:
@@ -323,19 +319,6 @@ def right_similarity_detect(op1: OvfPair, op2: OvfPair) -> Optional[RightSimilar
     return None if found is None else RightSimilarityTransforms(*found)
 
 
-def _pair_rows(codims1, codims2) -> np.ndarray:
-    """Row order taking a product layout to member-major stacked rows.
-
-    The layout has one row per (r1, r2), r1 a row of a pair with member
-    sizes codims1 and r2 one of codims2, r1-major.  The order lists the
-    rows of member pair (j, l) together, j-major, each block keeping its
-    (r1, r2) order.
-    """
-    n2 = len(codims2)
-    key = np.repeat(np.arange(len(codims1)) * n2, codims1)[:, None] + np.repeat(np.arange(n2), codims2)
-    return np.argsort(key.ravel(), kind="stable")
-
-
 def compose_ovf(outer: OvfPair, inner: OvfPair) -> OvfPair:
     """Members B_l A_j indexed (l, j) with l outer-major.
 
@@ -359,14 +342,12 @@ def compose_ovf(outer: OvfPair, inner: OvfPair) -> OvfPair:
 def tensor_ovf(op1: OvfPair, op2: OvfPair) -> OvfPair:
     """Members A_j (x) B_l indexed (j, l) row-major; S = S1 (x) S2.
 
-    One kron of the stacked operators, with its rows regrouped by member
-    pair; every entry is the same single product as in kron(A_j, B_l).
+    One body with frames.tensor_product (_tensor).
     """
-    rows = _pair_rows(op1.codims, op2.codims)
     field = op1.field if op1.field == op2.field else COMPLEX
-    codims = tuple(d1 * d2 for d1 in op1.codims for d2 in op2.codims)
-    return OvfPair._stacked(np.kron(op1.theta_A, op2.theta_A)[rows],
-                            np.kron(op1.theta_Psi, op2.theta_Psi)[rows], codims, field, op1.tol)
+    theta_A, theta_Psi, codims = _tensor(op1.theta_A, op1.theta_Psi, op1.codims,
+                                         op2.theta_A, op2.theta_Psi, op2.codims)
+    return OvfPair._stacked(theta_A, theta_Psi, codims, field, op1.tol)
 
 
 def extend_tight_ovf(op: OvfPair, lam: float) -> OvfPair:

@@ -166,13 +166,13 @@ def riesz_p_bounds(vectors, p: float, trials: int = 200, seed: int = 0,
     n = M.shape[1]
     if M.shape[1] > M.shape[0] or smallest_singular_value(M) <= tol.abs_tol:
         raise RankDeficient("columns do not admit a left inverse (a = 0)")
-    up = pnorm_estimate(M, p, trials, seed, tol)
-    b = PNormInterval(up.lower**p, up.upper**p)
     if p == 2:
         s = np.linalg.svd(M, compute_uv=False)
         a = PNormInterval(float(s[-1]) ** 2, float(s[-1]) ** 2)
         b = PNormInterval(float(s[0]) ** 2, float(s[0]) ** 2)
         return RieszPBounds(a, b)
+    up = pnorm_estimate(M, p, trials, seed, tol)
+    b = PNormInterval(up.lower**p, up.upper**p)
     L = np.linalg.pinv(M)
     linv = pnorm_estimate(L, p, trials, seed + 1, tol)
     certified = 1.0 / linv.upper**p

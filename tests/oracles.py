@@ -23,6 +23,7 @@ from framekit.errors import (
     NotPsd,
     NotSelfPair,
     NotWeightedOnb,
+    ParamNotAdmissible,
     RangesDiffer,
     ShapeMismatch,
     WeightTooLarge,
@@ -38,6 +39,7 @@ from framekit.frames import (
     _require_frame,
     frame_flags,
     frame_operator,
+    infer_field,
     range_basis,
     verify,
 )
@@ -545,3 +547,48 @@ def compose_ovf_by_members(outer, inner):
     Psi = [Fl @ Pj for Fl in outer.Psi for Pj in inner.Psi]
     field = outer.field if outer.field == inner.field else COMPLEX
     return OvfPair(tuple(A), tuple(Psi), field, inner.tol)
+
+
+# --- forms the shared bodies and the m x m groupings replaced -------------------------
+
+
+def duality_relation_by_sum_scale(op1, op2):
+    """(dual, orthogonal), the zero tests scaled by max(entry_max(sum1), entry_max(sum2), 1)."""
+    sum1 = op2.theta_Psi.conj().T @ op1.theta_A
+    sum2 = op2.theta_A.conj().T @ op1.theta_Psi
+    tol = op1.tol
+    scale = max(entry_max(sum1), entry_max(sum2), 1.0)
+    dual = tol.is_identity(sum1) and tol.is_identity(sum2)
+    return dual, tol.is_zero(sum1, scale) and tol.is_zero(sum2, scale)
+
+
+def make_dual_from_params_by_cross(fp, U, V):
+    """make_dual_from_params through the n x n products T^* S^-1 X and X^* S^-1 T."""
+    S = _require_frame(fp)
+    U = np.asarray(U)
+    V = np.asarray(V)
+    if U.shape != (fp.m, fp.n) or V.shape != (fp.m, fp.n):
+        raise ShapeMismatch("U and V must be m x n")
+    Sinv = np.linalg.inv(S)
+    SiX = Sinv @ fp.X
+    SiT = Sinv @ fp.T
+    Y = SiX + V - V @ (fp.T.conj().T @ SiX)
+    Om = SiT + U - U @ (fp.X.conj().T @ SiT)
+    cross = fp.X.conj().T @ Sinv @ fp.T
+    W = Sinv + U @ V.conj().T - U @ cross @ V.conj().T
+    rep = spectral(W, fp.tol)
+    if not (rep.is_hermitian and rep.is_pd):
+        raise ParamNotAdmissible("parameters fail the positivity/invertibility condition")
+    field = infer_field(Y, Om) if fp.field == REAL else fp.field
+    return FramePair(Y, Om, field, fp.tol)
+
+
+def matrix_out_by_scalars(M, field):
+    """The io writer's nested lists, built one scalar at a time."""
+    def scalar(z):
+        if field == COMPLEX:
+            z = complex(z)
+            return [z.real, z.imag]
+        return float(np.real(z))
+
+    return [[scalar(z) for z in np.asarray(row).ravel()] for row in np.asarray(M)]

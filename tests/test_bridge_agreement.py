@@ -157,3 +157,78 @@ def test_canonical_dual_through_the_bridge(rng, field):
             assert got == via == "NotAFrame"
         else:
             assert same_members(got, via)
+
+
+def orthogonal_pair(rng, m, n, field, scale):
+    """Two frames whose members live on complementary rows of a unitary, scaled by scale.
+
+    Omega X^* and Y T^* vanish in exact arithmetic; the computed sums are
+    round-off of size scale^2 eps.
+    """
+    F = np.linalg.qr(random_matrix(rng, n, n, field))[0].conj().T
+    pairs = []
+    for rows in (F[:m], F[m:2 * m]):
+        U = random_matrix(rng, m, m, field) + 3.0 * np.eye(m)
+        pairs.append(FramePair(scale * U @ rows, scale * np.linalg.inv(U).conj().T @ rows, field))
+    return pairs
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_duality_through_the_bridge(rng, field):
+    scales = 10.0 ** np.arange(-3, 6)
+    for k in range(45):
+        m = int(rng.integers(1, 4))
+        n = 2 * m + int(rng.integers(0, 3))
+        kind = k % 5
+        if kind < 3:  # exactly orthogonal, at every scale from 1e-3 to 1e5
+            fp, gq = orthogonal_pair(rng, m, n, field, scales[k % len(scales)])
+        elif kind == 3:
+            fp = random_frame(rng, m, n, field)
+            gq = fk.canonical_dual(fp)
+        else:
+            fp, gq = random_frame(rng, m, n, field), random_frame(rng, m, n, field)
+        rel = fk.duality_relation(fk.ovf_bridge(fp), fk.ovf_bridge(gq))
+        assert (fk.is_dual(fp, gq), fk.is_orthogonal(fp, gq)) == (rel.dual, rel.orthogonal)
+        assert rel.orthogonal == (kind < 3) and rel.dual == (kind == 3)
+    fp = random_frame(rng, 2, 3, field)
+    other = random_frame(rng, 2, 4, field)
+    assert outcome(lambda: fk.is_dual(fp, other)) == outcome(lambda: fk.is_orthogonal(fp, other)) \
+        == outcome(lambda: fk.duality_relation(fk.ovf_bridge(fp), fk.ovf_bridge(other))) \
+        == "ShapeMismatch"
+
+
+def test_tensor_product_through_the_bridge(rng):
+    for k in range(40):
+        fields = (FIELDS[k % 2], FIELDS[(k // 2) % 2])
+        fp = random_frame(rng, int(rng.integers(1, 4)), 4, fields[0])
+        gq = random_frame(rng, int(rng.integers(1, 4)), int(rng.integers(3, 6)), fields[1])
+        got = fk.tensor_product(fp, gq)
+        via = fk.ovf_bridge_inverse(fk.tensor_ovf(fk.ovf_bridge(fp), fk.ovf_bridge(gq)))
+        assert got.field == via.field and same_members(got, via)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_classify_orthonormal_through_the_bridge(rng, field):
+    cases = []
+    for k in range(40):
+        m = int(rng.integers(1, 5))
+        U = random_matrix(rng, m, m, field) + 3.0 * np.eye(m)
+        Q = np.linalg.qr(U)[0]
+        kind = k % 5
+        if kind == 0:  # orthonormal basis
+            cases.append(FramePair(Q, Q, field))
+        elif kind == 1:  # biorthogonal Riesz basis: orthonormal as a dual pair
+            cases.append(FramePair(U, np.linalg.inv(U).conj().T, field))
+        elif kind == 2:  # Riesz basis, not Parseval
+            cases.append(FramePair(2.0 * Q, Q, field))
+        elif kind == 3:  # Parseval with n > m
+            cases.append(random_parseval(rng, m, m + 1 + int(rng.integers(0, 3)), field))
+        else:  # a self-dual basis near the Parseval and block-identity margins
+            Qe = Q + 1e-9 * rng.uniform(-1.0, 1.0) * random_matrix(rng, m, m, field)
+            cases.append(FramePair(Qe, Qe, field))
+    for fp in cases:
+        got = fk.classify(fp)
+        report = fk.verify_ovf(fk.ovf_bridge(fp))
+        assert (got.riesz_frame, got.orthonormal_frame) == (report.riesz_ovf, report.orthonormal_ovf)
+    assert fk.classify(cases[0]).orthonormal_frame and fk.classify(cases[1]).orthonormal_frame
+    assert not fk.classify(cases[2]).orthonormal_frame and not fk.classify(cases[3]).riesz_frame

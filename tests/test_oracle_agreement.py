@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import framekit as fk
+import framekit.io as fio
 from framekit import FramePair, GroupTable, OvfPair, Representation, Tolerance, frames
 from framekit.analysis import _falsifying_samples
 from framekit.errors import FramekitError
@@ -843,3 +844,103 @@ def test_compose_ovf_matches_the_member_loop(rng):
     hetero = ovf_family(rng, "real", (1, 2), 2)
     assert outcome(lambda: fk.compose_ovf(hetero, hetero)) == outcome(
         lambda: oracles.compose_ovf_by_members(hetero, hetero))
+
+
+# --- m x m groupings, the shared duality body and the io writer ------------------------
+
+def near_admissibility(rng, m, n, field, side):
+    """(fp, U, -U) for a self-dual frame, with lambda_min(W) a relative 1e-6 from abs_tol.
+
+    W = S^-1 - t U Q U^* for the projection Q = I - X^* S^-1 X, so t = 1 sits
+    at the boundary after U is rescaled by a bisection on lambda_min.
+    """
+    fp = random_frame(rng, m, n, field)
+    fp = FramePair(fp.X, fp.X, field)
+    S = fp.X @ fp.X.conj().T
+    Sinv = np.linalg.inv(S)
+    U = random_matrix(rng, m, n, field)
+    Q = np.eye(n) - fp.X.conj().T @ Sinv @ fp.X
+    M = U @ Q @ U.conj().T
+    M = 0.5 * (M + M.conj().T)
+    lo, hi = 0.0, 1.0
+    while np.linalg.eigvalsh(Sinv - hi * M)[0] > fp.tol.abs_tol:
+        hi *= 2.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if np.linalg.eigvalsh(Sinv - mid * M)[0] > fp.tol.abs_tol else (lo, mid)
+    U = np.sqrt(lo * (1.0 + side * 1e-6)) * U
+    return fp, U, -U
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_make_dual_from_params_matches_the_cross_form(rng, field):
+    cases = []
+    for k in range(60):
+        m = int(rng.integers(1, 5))
+        n = m + int(rng.integers(0, 6))
+        if k % 3 == 2:
+            cases.append(near_admissibility(rng, m, n, field, 1.0 if k % 2 else -1.0))
+            continue
+        fp = random_frame(rng, m, n, field)
+        if k % 3 == 1:
+            fp = FramePair(fp.X, fp.X, field)  # self-dual: U = V keeps W Hermitian
+        U = 0.3 * random_matrix(rng, m, n, field)
+        cases.append((fp, U, U if k % 2 else 0.3 * random_matrix(rng, m, n, field)))
+    outcomes = []
+    for fp, U, V in cases:
+        got = outcome(lambda: fk.make_dual_from_params(fp, U, V))
+        want = outcome(lambda: oracles.make_dual_from_params_by_cross(fp, U, V))
+        outcomes.append(isinstance(want, tuple))
+        if isinstance(want, tuple):
+            assert got == want
+            continue
+        assert got.field == want.field
+        for G, W in ((got.X, want.X), (got.T, want.T)):
+            assert np.abs(G - W).max() <= 1e-12 * np.abs(W).max()
+    assert any(outcomes) and not all(outcomes)
+
+
+def test_duality_relation_moves_only_in_the_direction_of_its_scale(rng):
+    """Verdicts move to orthogonal only where N max max exceeds the old max(sum, 1).
+
+    And they move away from orthogonal only where it is below.
+    """
+    moved = 0
+    for k in range(200):
+        field = "complex" if k % 2 else "real"
+        m = int(rng.integers(1, 4))
+        n = 2 * m + int(rng.integers(0, 3))
+        F = np.linalg.qr(random_matrix(rng, n, n, field))[0].conj().T
+        s = 10.0 ** rng.uniform(-3, 5)
+        fp = FramePair(s * F[:m], s * F[:m], field)
+        gq = FramePair(s * F[m:2 * m], s * F[m:2 * m], field)
+        if k % 4 == 3:  # not orthogonal
+            gq = FramePair(gq.X + 1e-9 * s * random_matrix(rng, m, n, field), gq.T, field)
+        op1, op2 = fk.ovf_bridge(fp), fk.ovf_bridge(gq)
+        got = fk.duality_relation(op1, op2)
+        dual, orthogonal = oracles.duality_relation_by_sum_scale(op1, op2)
+        assert got.dual == dual
+        if got.orthogonal != orthogonal:
+            moved += 1
+            sums = (op2.theta_Psi.conj().T @ op1.theta_A, op2.theta_A.conj().T @ op1.theta_Psi)
+            old = max(max(entry_max(M) for M in sums), 1.0)
+            new = (n * entry_max(op2.theta_Psi) * entry_max(op1.theta_A),
+                   n * entry_max(op2.theta_A) * entry_max(op1.theta_Psi))
+            # a sum that now passes had the larger scale, one that now fails the smaller
+            assert max(new) > old if got.orthogonal else min(new) < old
+    assert moved
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_matrix_writer_matches_the_scalar_writer_byte_for_byte(rng, field):
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 1.0 / 3.0, 1e-17])
+    for k in range(300):
+        rows, cols = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        M = random_matrix(rng, rows, cols, field) * 10.0 ** rng.integers(-300, 300)
+        if k % 3 == 0:  # parts set one by one, so a -0.0 survives in either
+            M = np.zeros((rows, cols), dtype=M.dtype)
+            M.real = rng.choice(special, (rows, cols))
+            if field == "complex":
+                M.imag = rng.choice(special, (rows, cols))
+        got = fio.dumps({"M": fio._matrix_out(M, field)})
+        assert got == fio.dumps({"M": oracles.matrix_out_by_scalars(M, field)})
