@@ -20,6 +20,7 @@ from .errors import (
     NotParseval,
     NotReal,
     NotSelfPair,
+    NumericalOverflow,
     ShapeMismatch,
 )
 from .frames import (
@@ -124,11 +125,12 @@ def _first_misaligned(T: np.ndarray, Y: np.ndarray, tol: Tolerance) -> Optional[
     The verdict on each outer product is numerics.spectral's, taken for
     all members with one batched eigvalsh.
     """
-    outer = T.T[:, :, None] * Y.conj().T[:, None, :]  # [j] = tau_j y_j^*
-    finite = np.isfinite(outer).all(axis=(1, 2))
-    adjoint = outer.conj().transpose(0, 2, 1)
-    scale = np.abs(outer).max(axis=(1, 2))
-    hermitian = np.abs(outer - adjoint).max(axis=(1, 2)) <= tol.abs_tol + tol.rel_tol * scale
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        outer = T.T[:, :, None] * Y.conj().T[:, None, :]  # [j] = tau_j y_j^*
+        finite = np.isfinite(outer).all(axis=(1, 2))
+        adjoint = outer.conj().transpose(0, 2, 1)
+        scale = np.abs(outer).max(axis=(1, 2))
+        hermitian = np.abs(outer - adjoint).max(axis=(1, 2)) <= tol.abs_tol + tol.rel_tol * scale
     psd = np.zeros(len(outer), dtype=bool)
     checked = finite & hermitian
     if checked.any():
@@ -137,9 +139,14 @@ def _first_misaligned(T: np.ndarray, Y: np.ndarray, tol: Tolerance) -> Optional[
     bad = np.flatnonzero(~psd)
     if not bad.size:
         return None
-    if not finite[bad[0]]:
+    j = int(bad[0])
+    if not finite[j]:
+        largest = max(entry_max(T[:, j]), entry_max(Y[:, j]))
+        if np.isfinite(largest):
+            raise NumericalOverflow(
+                f"tau_j y_j^* of member {j} overflows: largest input magnitude {largest:.6g}")
         raise ValueError("matrix entries must be finite")
-    return int(bad[0])
+    return j
 
 
 def span_characterization(fp: FramePair) -> SpanCharacterization:

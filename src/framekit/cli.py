@@ -14,7 +14,9 @@ import sys
 
 import numpy as np
 
-from . import analysis, constructors, frames, io, ovf, pframes
+# Start-up is most of a job's cost: constructors, analysis, ovf and pframes
+# are imported inside the branch of the verb that uses them.
+from . import frames, io
 from .errors import FramekitError
 from .numerics import Tolerance
 
@@ -229,6 +231,8 @@ def _dispatch(args) -> list:
         ]
 
     if verb == "construct":
+        from . import constructors
+
         if args.what == "circular":
             result = constructors.circular_kl(args.k, args.l, tol)
             _write_pair(args, io.frame_pair_to_dict(result.fp))
@@ -264,6 +268,8 @@ def _dispatch(args) -> list:
 
 
 def _dispatch_analyze(args, tol: Tolerance) -> list:
+    from . import analysis
+
     what = args.what
     if what == "reconstruct":
         fp = _load_frame(args)
@@ -357,6 +363,8 @@ def _dispatch_analyze(args, tol: Tolerance) -> list:
 
 
 def _dispatch_ovf(args, tol: Tolerance) -> list:
+    from . import ovf
+
     what = args.what
     if what == "bridge":
         doc = io.load(args.file)
@@ -391,6 +399,8 @@ def _dispatch_ovf(args, tol: Tolerance) -> list:
 
 
 def _dispatch_pframe(args, tol: Tolerance) -> list:
+    from . import pframes
+
     what = args.what
     if what == "fourlaws":
         x = _parse_vector(args.x, complex_ok=False)

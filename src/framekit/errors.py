@@ -39,6 +39,10 @@ class InconsistentInterval(FramekitError):
     pass
 
 
+class NumericalOverflow(FramekitError):
+    """A product of finite inputs left the floating-point range."""
+
+
 # frame pairs
 class NotAFrame(FramekitError):
     pass

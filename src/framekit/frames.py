@@ -35,6 +35,7 @@ from .errors import (
 )
 from .numerics import (
     Tolerance,
+    _finite_product,
     _hermitian_eigh,
     entry_max,
     hermitian_part,
@@ -129,8 +130,8 @@ class FrameReport:
 
 
 def frame_operator(fp: FramePair) -> np.ndarray:
-    """S = T X^* = sum_j tau_j x_j^*  (m x m)."""
-    return fp.T @ fp.X.conj().T
+    """S = T X^* = sum_j tau_j x_j^*  (m x m); NumericalOverflow when it overflows."""
+    return _finite_product(fp.T, fp.X.conj().T, "frame operator")
 
 
 def frame_flags(S: np.ndarray, tol: Tolerance) -> FrameReport:

@@ -15,14 +15,18 @@ group table:   {"order", "identity", "mul"}
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .constructors import GroupTable
+from .errors import ShapeMismatch
 from .frames import COMPLEX, REAL, FramePair
 from .numerics import Tolerance
-from .ovf import OvfPair
-from .pframes import PFramePair
+
+if TYPE_CHECKING:  # the domain layers load only where their pairs are built
+    from .constructors import GroupTable
+    from .ovf import OvfPair
+    from .pframes import PFramePair
 
 
 def _matrix_out(M, field: str):
@@ -34,17 +38,22 @@ def _matrix_out(M, field: str):
     return np.asarray(M.real, dtype=float).tolist()
 
 
-def _scalar_in(obj, field: str):
-    if field == COMPLEX:
-        if not (isinstance(obj, list) and len(obj) == 2):
-            raise ValueError("complex scalars are [re, im] pairs")
-        return complex(float(obj[0]), float(obj[1]))
-    return float(obj)
-
-
 def _matrix_in(rows, field: str) -> np.ndarray:
-    data = [[_scalar_in(z, field) for z in row] for row in rows]
-    return np.asarray(data, dtype=complex if field == COMPLEX else float)
+    """One array from nested lists; a complex scalar [re, im] is read bit for bit.
+
+    Ragged rows and entries that are not numbers raise ValueError or
+    TypeError, an integer beyond the float range ValueError.  A null entry
+    reads as NaN, which the pair then rejects as non-finite.
+    """
+    try:
+        a = np.asarray(rows, dtype=float)
+    except OverflowError as exc:
+        raise ValueError(f"matrix entry out of float range: {exc}") from exc
+    if field == COMPLEX:
+        if a.ndim != 3 or a.shape[-1] != 2:
+            raise ValueError("complex scalars are [re, im] pairs")
+        return np.ascontiguousarray(a).view(complex)[..., 0]
+    return a
 
 
 def _check_field(field) -> str:
@@ -87,7 +96,7 @@ def ovf_pair_to_dict(op: OvfPair) -> dict:
 
 
 def ovf_pair_from_dict(doc: dict, tol: Tolerance = Tolerance()) -> OvfPair:
-    from .errors import ShapeMismatch
+    from .ovf import OvfPair
 
     field = _check_field(doc["field"])
     A = tuple(_matrix_in(Mj, field) for Mj in doc["A"])
@@ -120,13 +129,17 @@ def pframe_pair_to_dict(pf: PFramePair) -> dict:
 
 
 def pframe_pair_from_dict(doc: dict, tol: Tolerance = Tolerance()) -> PFramePair:
-    from .errors import ShapeMismatch
+    from .pframes import PFramePair
 
     field = _check_field(doc["field"])
     F = _matrix_in(doc["f"], field)
     T = _matrix_in(doc["tau"], field).T
     try:
-        pf = PFramePair(F, T, float(doc["p"]), field, tol)
+        p = float(doc["p"])
+    except OverflowError as exc:
+        raise ValueError(f"p out of float range: {exc}") from exc
+    try:
+        pf = PFramePair(F, T, p, field, tol)
     except ShapeMismatch as exc:
         raise ValueError(f"inconsistent member shapes: {exc}") from exc
     if pf.m != int(doc["dim"]) or pf.n != int(doc["count"]):
@@ -143,6 +156,8 @@ def group_table_to_dict(g: GroupTable) -> dict:
 
 
 def group_table_from_dict(doc: dict) -> GroupTable:
+    from .constructors import GroupTable
+
     return GroupTable(np.asarray(doc["mul"], dtype=int), int(doc["identity"]))
 
 

@@ -21,6 +21,7 @@ from .errors import (
     NonSquare,
     NotDiagonalizable,
     NotPsd,
+    NumericalOverflow,
     SpectrumOnCut,
 )
 
@@ -88,6 +89,20 @@ def smallest_singular_value(A) -> float:
     if A.size == 0:
         return 0.0
     return float(np.linalg.svd(A, compute_uv=False)[-1])
+
+
+def _finite_product(L: np.ndarray, R: np.ndarray, what: str) -> np.ndarray:
+    """L @ R for finite L and R, or NumericalOverflow when an entry overflows.
+
+    The product runs with numpy's overflow and invalid warnings off, so
+    stderr stays clean; the message names the largest input magnitude.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = L @ R
+    if not np.isfinite(P).all():
+        largest = max(entry_max(L), entry_max(R))
+        raise NumericalOverflow(f"{what} overflows: largest input magnitude {largest:.6g}")
+    return P
 
 
 def hermitian_part(M) -> np.ndarray:

@@ -51,7 +51,7 @@ from .frames import (
     frame_flags,
     infer_field,
 )
-from .numerics import Tolerance, smallest_singular_value, spectral
+from .numerics import Tolerance, _finite_product, smallest_singular_value, spectral
 
 
 @dataclass(frozen=True, init=False)
@@ -142,8 +142,12 @@ class OvfOperators:
 
 
 def ovf_operators(op: OvfPair) -> OvfOperators:
-    """S = theta_Psi^* theta_A and, when S is invertible, the idempotent P."""
-    return OvfOperators(op.theta_Psi.conj().T @ op.theta_A, op.theta_A, op.theta_Psi, op.tol)
+    """S = theta_Psi^* theta_A and, when S is invertible, the idempotent P.
+
+    NumericalOverflow when S overflows.
+    """
+    S = _finite_product(op.theta_Psi.conj().T, op.theta_A, "frame operator")
+    return OvfOperators(S, op.theta_A, op.theta_Psi, op.tol)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from .numerics import (
     PNormInterval,
     Tolerance,
     _cut_distance,
+    _finite_product,
     _gaussian_blocks,
     _gaussian_rows,
     _image_lp_norms,
@@ -77,8 +78,8 @@ class PFramePair:
 
 
 def p_frame_operator(pf: PFramePair) -> np.ndarray:
-    """S_hat = T F, the map x -> sum_j f_j(x) tau_j."""
-    return pf.T @ pf.F
+    """S_hat = T F, the map x -> sum_j f_j(x) tau_j; NumericalOverflow when it overflows."""
+    return _finite_product(pf.T, pf.F, "p-frame operator")
 
 
 @dataclass(frozen=True)

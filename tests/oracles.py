@@ -592,3 +592,16 @@ def matrix_out_by_scalars(M, field):
         return float(np.real(z))
 
     return [[scalar(z) for z in np.asarray(row).ravel()] for row in np.asarray(M)]
+
+
+def matrix_in_by_scalars(rows, field):
+    """The io reader's array, decoded one scalar at a time."""
+    def scalar(obj):
+        if field == COMPLEX:
+            if not (isinstance(obj, list) and len(obj) == 2):
+                raise ValueError("complex scalars are [re, im] pairs")
+            return complex(float(obj[0]), float(obj[1]))
+        return float(obj)
+
+    data = [[scalar(z) for z in row] for row in rows]
+    return np.asarray(data, dtype=complex if field == COMPLEX else float)

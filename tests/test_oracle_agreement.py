@@ -7,6 +7,8 @@ Each library routine must reach the loop's verdict, witness and exception
 interval endpoints and matrices agree to 1e-13 relative.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -944,3 +946,21 @@ def test_matrix_writer_matches_the_scalar_writer_byte_for_byte(rng, field):
                 M.imag = rng.choice(special, (rows, cols))
         got = fio.dumps({"M": fio._matrix_out(M, field)})
         assert got == fio.dumps({"M": oracles.matrix_out_by_scalars(M, field)})
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_matrix_reader_matches_the_scalar_reader_bit_for_bit(rng, field):
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 1.0 / 3.0, 1e-17])
+    for k in range(300):
+        rows, cols = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        M = random_matrix(rng, rows, cols, field) * 10.0 ** rng.integers(-300, 300)
+        if k % 3 == 0:  # parts set one by one, so a -0.0 survives in either
+            M = np.zeros((rows, cols), dtype=M.dtype)
+            M.real = rng.choice(special, (rows, cols))
+            if field == "complex":
+                M.imag = rng.choice(special, (rows, cols))
+        doc = json.loads(fio.dumps({"M": fio._matrix_out(M, field)}))["M"]
+        got, want = fio._matrix_in(doc, field), oracles.matrix_in_by_scalars(doc, field)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # -0.0 and 0.0 differ here
+        assert got.tobytes() == np.asarray(M, dtype=want.dtype).tobytes()
