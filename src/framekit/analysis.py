@@ -33,11 +33,19 @@ from .frames import (
     _thetas,
     _tight_block,
     _weighted_onb,
-    frame_flags,
+    _frame_flags,
     frame_operator,
     verify,
 )
-from .numerics import Tolerance, _gaussian_blocks, entry_max, opnorm2
+from .numerics import (
+    Tolerance,
+    _gaussian_blocks,
+    _hermitian,
+    _psd,
+    entry_max,
+    hermitian_part,
+    opnorm2,
+)
 
 QUADRATIC = "quadratic"
 NORMSUM = "normsum"
@@ -122,20 +130,16 @@ def _rank(M: np.ndarray, tol: Tolerance) -> int:
 def _first_misaligned(T: np.ndarray, Y: np.ndarray, tol: Tolerance) -> Optional[int]:
     """First member j whose tau_j y_j^* is not Hermitian psd, or None.
 
-    The verdict on each outer product is numerics.spectral's, taken for
+    The Hermitian and psd rules of numerics decide each outer product, for
     all members with one batched eigvalsh.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         outer = T.T[:, :, None] * Y.conj().T[:, None, :]  # [j] = tau_j y_j^*
         finite = np.isfinite(outer).all(axis=(1, 2))
-        adjoint = outer.conj().transpose(0, 2, 1)
-        scale = np.abs(outer).max(axis=(1, 2))
-        hermitian = np.abs(outer - adjoint).max(axis=(1, 2)) <= tol.abs_tol + tol.rel_tol * scale
+        checked = finite & _hermitian(outer, tol)
     psd = np.zeros(len(outer), dtype=bool)
-    checked = finite & hermitian
     if checked.any():
-        lowest = np.linalg.eigvalsh(0.5 * (outer[checked] + adjoint[checked]))[:, 0]
-        psd[checked] = lowest >= -tol.abs_tol
+        psd[checked] = _psd(np.linalg.eigvalsh(hermitian_part(outer[checked])), tol)
     bad = np.flatnonzero(~psd)
     if not bad.size:
         return None
@@ -202,7 +206,7 @@ def formulas_report(fp: FramePair) -> FormulasReport:
     from the n x n Gram X^* T; no conjugate enters, so this holds over C.
     """
     S = frame_operator(fp)
-    report = frame_flags(S, fp.tol)
+    report = _frame_flags(S, fp.tol)
     diag = np.einsum("ij,ij->j", fp.T.conj(), fp.X)  # [j] = <x_j, tau_j>
     sum_inner = complex(diag.sum())
     trace_S = complex(np.trace(S))

@@ -199,7 +199,7 @@ def _dispatch(args) -> list:
     if verb == "verify":
         fp = _load_frame(args)
         S = frames.frame_operator(fp)
-        report = frames.frame_flags(S, fp.tol)
+        report = frames._frame_flags(S, fp.tol)
         pairs = [("kind", "frame_report"), ("dim", fp.m), ("count", fp.n)]
         pairs += _report_pairs(report)
         if report.is_frame:

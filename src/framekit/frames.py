@@ -36,12 +36,15 @@ from .errors import (
 from .numerics import (
     Tolerance,
     _finite_product,
-    _hermitian_eigh,
+    _hermitian,
+    _hermitian_eig,
+    _invertible,
+    _pd,
+    _psd,
+    _require_square,
     entry_max,
     hermitian_part,
     herm_sqrt,
-    smallest_singular_value,
-    spectral,
 )
 
 REAL = "real"
@@ -134,53 +137,43 @@ def frame_operator(fp: FramePair) -> np.ndarray:
     return _finite_product(fp.T, fp.X.conj().T, "frame operator")
 
 
-def frame_flags(S: np.ndarray, tol: Tolerance) -> FrameReport:
-    """Verdicts for a would-be frame operator; never raises.
+def frame_flags(S, tol: Tolerance) -> FrameReport:
+    """Verdicts for a would-be frame operator, as _frame_flags decides them.
 
-    One spectral decomposition decides everything.  For a Hermitian S
-    (within tolerance), invertible means min |lambda| > abs_tol over the
-    eigenvalues of its Hermitian part, so is_frame is exactly spectral's
-    is_pd.  Only a non-Hermitian S, which is never a frame, pays for an SVD
-    to report invertible as sigma_min(S) > abs_tol.
+    An S that is not square raises NonSquare, one that is not finite
+    ValueError; degenerate but valid input yields is_frame=False.
     """
-    rep = spectral(S, tol)
-    if rep.is_hermitian:
-        lam = rep.eigenvalues.real
-        invertible = bool(lam.size) and float(np.abs(lam).min()) > tol.abs_tol
-    else:
-        invertible = smallest_singular_value(S) > tol.abs_tol
-    is_bessel = rep.is_hermitian and rep.is_psd
-    is_frame = is_bessel and invertible
-    if is_frame:
-        a = float(rep.eigenvalues.real.min())
-        b = float(rep.eigenvalues.real.max())
-    else:
-        a = b = 0.0
+    return _frame_flags(_require_square(S), tol)
+
+
+def _frame_flags(S: np.ndarray, tol: Tolerance) -> FrameReport:
+    """frame_flags for a finite square S, such as the one frame_operator forms.
+
+    One decomposition decides everything.  A Hermitian S (within
+    tolerance) pays one eigvalsh of its Hermitian part: invertible reads
+    min |lambda| > abs_tol, and is_frame is the pd rule, lambda_min >
+    abs_tol.  A non-Hermitian S, which is never a frame, pays one SVD to
+    report invertible as sigma_min(S) > abs_tol.
+    """
+    w = _hermitian_eig(S, tol)
+    psd, is_frame = bool(_psd(w, tol)), bool(_pd(w, tol))
+    a, b = (float(w[0]), float(w[-1])) if is_frame else (0.0, 0.0)
     tight = is_frame and (b - a) <= tol.margin(b)
     parseval = tight and abs(b - 1.0) <= tol.margin(1.0, b)
-    return FrameReport(
-        self_adjoint=rep.is_hermitian,
-        psd=rep.is_psd,
-        invertible=invertible,
-        is_bessel=is_bessel,
-        is_frame=is_frame,
-        lower_a=a,
-        upper_b=b,
-        tight=tight,
-        parseval=parseval,
-    )
+    invertible = _invertible(S if w is None else w, tol)
+    return FrameReport(w is not None, psd, invertible, psd, is_frame, a, b, tight, parseval)
 
 
 def verify(fp: FramePair) -> FrameReport:
     """Full verdict on the pair; degenerate input yields is_frame=False.
 
-    Costs one S and one Hermitian eigendecomposition; see frame_flags for
+    Costs one S and one Hermitian eigendecomposition; see _frame_flags for
     the invertibility rule.  Weak-frame verification coincides with this
     predicate: at finite dimension the coordinatewise Bessel conditions
     hold automatically, so only the frame-operator conditions remain to be
     checked.
     """
-    return frame_flags(frame_operator(fp), fp.tol)
+    return _frame_flags(frame_operator(fp), fp.tol)
 
 
 def _require_frame(fp: FramePair, message: str = "operation requires a frame") -> np.ndarray:
@@ -191,8 +184,8 @@ def _require_frame(fp: FramePair, message: str = "operation requires a frame") -
 
 def _require_frame_flags(S: np.ndarray, tol: Tolerance,
                          message: str = "operation requires a frame") -> FrameReport:
-    """frame_flags(S, tol) for an S that must be a frame's, else NotAFrame(message)."""
-    report = frame_flags(S, tol)
+    """_frame_flags(S, tol) for an S that must be a frame's, else NotAFrame(message)."""
+    report = _frame_flags(S, tol)
     if not report.is_frame:
         raise NotAFrame(message)
     return report
@@ -201,12 +194,12 @@ def _require_frame_flags(S: np.ndarray, tol: Tolerance,
 def _frame_eigh(S: np.ndarray, tol: Tolerance, message: str = "operation requires a frame"):
     """Eigenpairs (w ascending, V) of S's Hermitian part, for an S that must be a frame's.
 
-    One eigh both gates and decomposes: frame_flags' rule on its own
-    eigenvalues (S Hermitian within tolerance and min lambda > abs_tol),
-    else NotAFrame(message).
+    One eigh both gates and decomposes: _frame_flags' rules on its own
+    eigenvalues (S Hermitian within tolerance and the pd rule), else
+    NotAFrame(message).
     """
-    eig = _hermitian_eigh(S, tol)
-    if eig is None or not (eig[0].size and eig[0][0] > tol.abs_tol):
+    eig = _hermitian_eig(S, tol, vectors=True)
+    if eig is None or not _pd(eig[0], tol):
         raise NotAFrame(message)
     return eig
 
@@ -262,9 +255,8 @@ def make_dual_from_params(fp: FramePair, U, V) -> FramePair:
     UXSiT = (U @ fp.X.conj().T) @ SiT
     Y = SiX + V - (V @ fp.T.conj().T) @ SiX
     Om = SiT + U - UXSiT
-    W = Sinv + U @ V.conj().T - UXSiT @ V.conj().T
-    rep = spectral(W, fp.tol)
-    if not (rep.is_hermitian and rep.is_pd):
+    W = _require_square(Sinv + U @ V.conj().T - UXSiT @ V.conj().T)
+    if not _pd(_hermitian_eig(W, fp.tol), fp.tol):
         raise ParamNotAdmissible("parameters fail the positivity/invertibility condition")
     field = infer_field(Y, Om) if fp.field == REAL else fp.field
     return FramePair(Y, Om, field, fp.tol)
@@ -577,14 +569,13 @@ def _dilation_rows(theta_A: np.ndarray, theta_Psi: np.ndarray, S: np.ndarray,
     The vector layer appends W below X and T, the operator layer W^* as new
     columns of theta_A and theta_Psi.
     """
-    if not frame_flags(S, tol).parseval:
+    if not _frame_flags(S, tol).parseval:
         raise NotParseval("dilation starts from a Parseval pair")
     Q = _shared_range_basis(theta_A, theta_Psi, tol)
     if Q is None:
         raise RangesDiffer("theta_A and theta_Psi must have equal ranges")
     P = theta_A @ theta_Psi.conj().T  # S = I for a Parseval pair
-    if entry_max(P - P.conj().T) > tol.margin(entry_max(P)) or \
-            entry_max(P @ P - P) > tol.margin(entry_max(P)):
+    if not _hermitian(P, tol) or entry_max(P @ P - P) > tol.margin(entry_max(P)):
         raise IdempotentNotProjection("frame idempotent is not an orthogonal projection")
     N = theta_A.shape[0]
     Pperp = np.eye(N, dtype=P.dtype) - hermitian_part(P)
@@ -599,10 +590,10 @@ def _tight_block(S: np.ndarray, lam: float, tol: Tolerance) -> np.ndarray:
     rows to theta_A and theta_Psi; herm_sqrt's B is exactly Hermitian, so
     these are the same pair.
     """
-    rep = spectral(S, tol)
-    if not (rep.is_hermitian and rep.is_psd):
+    w = _hermitian_eig(S, tol)
+    if not _psd(w, tol):
         raise NotBessel("tight extension starts from a Bessel pair")
-    top = float(rep.eigenvalues.real.max())
+    top = float(w[-1])
     if lam <= top + tol.abs_tol:
         raise LambdaTooSmall(f"lambda must exceed the top eigenvalue {top}")
     return herm_sqrt(lam * np.eye(S.shape[0]) - S, tol)
@@ -621,8 +612,8 @@ def _weighted_onb(theta_A: np.ndarray, theta_Psi: np.ndarray, codims, c, tol: To
         raise NotWeightedOnb("Psi_j must equal c_j A_j")
     eye = np.eye(theta_A.shape[1], dtype=theta_A.dtype)
     deficiency = eye - theta_Psi.conj().T @ (np.repeat(2.0 - weights, codims)[:, None] * theta_A)
-    rep = spectral(deficiency, tol)
-    return bool(rep.is_hermitian and rep.is_psd), deficiency
+    w = _hermitian_eig(_require_square(deficiency), tol)
+    return bool(_psd(w, tol)), deficiency
 
 
 def _right_similarity(theta_A: np.ndarray, theta_Psi: np.ndarray, S: np.ndarray,
@@ -630,7 +621,7 @@ def _right_similarity(theta_A: np.ndarray, theta_Psi: np.ndarray, S: np.ndarray,
     """Invertible (R, R') with B_j = A_j R and Phi_j = Psi_j R', or None; S is (A, Psi)'s."""
     R = np.linalg.solve(S, theta_Psi.conj().T @ theta_B)
     R2 = np.linalg.solve(S, theta_A.conj().T @ theta_Phi)
-    if smallest_singular_value(R) <= tol.abs_tol or smallest_singular_value(R2) <= tol.abs_tol:
+    if not (_invertible(R, tol) and _invertible(R2, tol)):
         return None
     if not (_members_close(theta_A @ R, theta_B, codims, tol)
             and _members_close(theta_Psi @ R2, theta_Phi, codims, tol)):

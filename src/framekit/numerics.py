@@ -106,8 +106,9 @@ def _finite_product(L: np.ndarray, R: np.ndarray, what: str) -> np.ndarray:
 
 
 def hermitian_part(M) -> np.ndarray:
+    """(M + M^*) / 2, for a matrix or each matrix of a stack (..., k, k)."""
     M = np.asarray(M)
-    return 0.5 * (M + M.conj().T)
+    return 0.5 * (M + np.swapaxes(M, -1, -2).conj())
 
 
 def _require_square(M) -> np.ndarray:
@@ -119,6 +120,75 @@ def _require_square(M) -> np.ndarray:
     return M
 
 
+# --- the spectral rules ---------------------------------------------------------
+#
+# Every verdict on a frame operator, an operator-valued or a p-frame
+# operator is one of these five rules, applied to the decomposition it
+# reads.  They take matrices the caller already holds as finite and square.
+
+
+def _hermitian(M, tol: Tolerance):
+    """Whether M, or each matrix of a stack (..., k, k), is Hermitian within tol.
+
+    The deviation max |M - M^*| is compared with tol's margin at the
+    scale max |M|.
+    """
+    dev = np.abs(M - np.swapaxes(M, -1, -2).conj()).max(axis=(-2, -1), initial=0.0)
+    return dev <= tol.abs_tol + tol.rel_tol * np.abs(M).max(axis=(-2, -1), initial=0.0)
+
+
+def _psd(w, tol: Tolerance):
+    """The psd rule on ascending eigenvalues w (..., k): lambda_min >= -abs_tol.
+
+    w is None for a matrix that failed the Hermitian rule, which fails this one.
+    """
+    return w is not None and (w.shape[-1] == 0 or w[..., 0] >= -tol.abs_tol)
+
+
+def _pd(w, tol: Tolerance):
+    """The frame (pd) rule on ascending eigenvalues w (..., k): lambda_min > abs_tol.
+
+    w is None for a matrix that failed the Hermitian rule, which fails this one.
+    """
+    return w is not None and w.shape[-1] > 0 and w[..., 0] > tol.abs_tol
+
+
+def _invertible(M, tol: Tolerance) -> bool:
+    """The invertibility rule: sigma_min(M) > abs_tol, from one SVD of M.
+
+    A 1-D M holds the eigenvalues of a Hermitian matrix instead, whose
+    singular values are their absolute values, and no SVD runs.
+    """
+    s = np.abs(M) if M.ndim == 1 else np.linalg.svd(M, compute_uv=False)
+    return bool(s.size) and float(s.min()) > tol.abs_tol
+
+
+def _clear_of_cut(w, tol: Tolerance) -> bool:
+    """The cut rule: every eigenvalue lies farther than abs_tol from (-inf, 0].
+
+    w holds the eigenvalues, or is a square matrix whose eigenvalues are taken.
+    """
+    w = np.linalg.eigvals(w) if w.ndim == 2 else w
+    dist = np.where(w.real <= 0.0, np.abs(w.imag), np.abs(w))
+    return bool(np.all(dist > tol.abs_tol))
+
+
+def _decompose(fn, M):
+    """fn(M) for a numpy.linalg decomposition fn, raising EigenFailure when LAPACK fails."""
+    try:
+        return fn(M)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(str(exc)) from exc
+
+
+def _hermitian_eig(M, tol: Tolerance, vectors: bool = False):
+    """Ascending eigenvalues w of M's Hermitian part, or its eigh (w, V) with
+    vectors; None when M fails the Hermitian rule."""
+    if not _hermitian(M, tol):
+        return None
+    return _decompose(np.linalg.eigh if vectors else np.linalg.eigvalsh, hermitian_part(M))
+
+
 @dataclass(frozen=True)
 class SpectralReport:
     is_hermitian: bool
@@ -128,89 +198,54 @@ class SpectralReport:
     is_pd: bool
 
 
-def _is_hermitian(M: np.ndarray, tol: Tolerance) -> bool:
-    return entry_max(M - M.conj().T) <= tol.margin(entry_max(M))
-
-
 def spectral(M, tol: Tolerance = Tolerance()) -> SpectralReport:
     """Eigenvalue verdicts: hermiticity, positivity, definiteness.
 
-    Hermitian inputs go through eigh so the returned eigenvalues are real
-    up to dtype; general inputs use eig.  psd/pd require hermiticity first.
+    Hermitian inputs go through eigvalsh so the returned eigenvalues are
+    real up to dtype; general inputs use eigvals.  psd/pd require
+    hermiticity first.
     """
     M = _require_square(M)
-    hermitian = _is_hermitian(M, tol)
-    try:
-        if hermitian:
-            vals = np.linalg.eigvalsh(hermitian_part(M)).astype(complex)
-        else:
-            vals = np.linalg.eigvals(M)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(str(exc)) from exc
-    order = np.argsort(vals.real, kind="stable")
-    vals = vals[order]
+    vals = _hermitian_eig(M, tol)
+    hermitian = vals is not None
+    vals = vals.astype(complex) if hermitian else _decompose(np.linalg.eigvals, M)
+    vals = vals[np.argsort(vals.real, kind="stable")]
     min_real = float(vals.real.min()) if vals.size else 0.0
-    is_psd = hermitian and min_real >= -tol.abs_tol
-    is_pd = hermitian and min_real > tol.abs_tol
-    return SpectralReport(hermitian, vals, min_real, is_psd, is_pd)
-
-
-def _hermitian_eigh(M, tol: Tolerance):
-    """eigh (w ascending, V) of M's Hermitian part, or None when M fails
-    spectral's hermiticity test."""
-    M = _require_square(M)
-    if not _is_hermitian(M, tol):
-        return None
-    try:
-        return np.linalg.eigh(hermitian_part(M))
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(str(exc)) from exc
+    real = vals.real if hermitian else None
+    return SpectralReport(hermitian, vals, min_real, bool(_psd(real, tol)), bool(_pd(real, tol)))
 
 
 def herm_sqrt(M, tol: Tolerance = Tolerance()) -> np.ndarray:
     """Hermitian psd square root via eigendecomposition.
 
     One eigh of the Hermitian part both gates and builds the root: the
-    input must pass spectral's hermiticity test and have no eigenvalue
-    below -abs_tol.  Eigenvalues in [-abs_tol, 0] are clipped to 0 so that
-    round-off on an intended-psd input does not raise.
+    input must pass the Hermitian and psd rules.  Eigenvalues in
+    [-abs_tol, 0] are clipped to 0 so that round-off on an intended-psd
+    input does not raise.
     """
-    eig = _hermitian_eigh(M, tol)
-    if eig is None or (eig[0].size and eig[0][0] < -tol.abs_tol):
+    eig = _hermitian_eig(_require_square(M), tol, vectors=True)
+    if eig is None or not _psd(eig[0], tol):
         raise NotPsd("herm_sqrt needs a Hermitian positive semidefinite matrix")
     w, V = eig
-    w = np.clip(w, 0.0, None)
-    R = (V * np.sqrt(w)) @ V.conj().T
-    R = hermitian_part(R)
-    if np.isrealobj(M):
-        R = R.real
-    return R
-
-
-def _cut_distance(lam: complex) -> float:
-    """Distance of a point from the closed ray (-inf, 0]."""
-    if lam.real <= 0.0:
-        return abs(lam.imag)
-    return abs(lam)
+    R = hermitian_part((V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T)
+    return R.real if np.isrealobj(M) else R
 
 
 def principal_power(M, alpha: float, tol: Tolerance = Tolerance()) -> np.ndarray:
     """V diag(lambda^alpha) V^-1 with the principal branch on each eigenvalue.
 
-    Requires a diagonalizable matrix whose spectrum stays clear of the
-    closed negative real axis; diagonalizability is gated by the condition
-    number of the eigenvector matrix.
+    Requires a spectrum clear of the closed negative real axis (the cut
+    rule, tested first, so an input failing both raises SpectrumOnCut) and
+    a diagonalizable matrix, gated by the condition number of the
+    eigenvector matrix.
     """
     M = _require_square(M)
-    try:
-        w, V = np.linalg.eig(M)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(str(exc)) from exc
+    w, V = _decompose(np.linalg.eig, M)
+    if not _clear_of_cut(w, tol):
+        raise SpectrumOnCut("an eigenvalue lies within tolerance of (-inf, 0]")
     svals = np.linalg.svd(V, compute_uv=False)
     if svals[-1] <= 0 or svals[0] / svals[-1] > 1.0 / max(tol.abs_tol, 1e-300):
         raise NotDiagonalizable("eigenvector matrix is too ill-conditioned")
-    if any(_cut_distance(complex(lam)) <= tol.abs_tol for lam in w):
-        raise SpectrumOnCut("an eigenvalue lies within tolerance of (-inf, 0]")
     powered = np.asarray(w, dtype=complex) ** alpha
     R = V @ np.diag(powered) @ np.linalg.inv(V)
     if np.isrealobj(M) and entry_max(R.imag) <= tol.margin(entry_max(R)):
@@ -224,14 +259,35 @@ class PNormInterval:
     upper: float
 
 
+# _lp_norms sums unscaled only within [_LP_SUM_MIN, _FLOAT_MAX]; below, the
+# round-off of subnormal terms may reach an ulp of the sum.
+_FLOAT_MAX = np.finfo(float).max
+_LP_SUM_MIN = np.finfo(float).tiny * 2.0**53
+
+
 def _lp_norms(V, p: float) -> np.ndarray:
-    """lp norm of each row of V (of V itself when V is a vector)."""
+    """lp norm of each row of V (of V itself when V is a vector).
+
+    When a sum of p-th powers could overflow, or is small enough to carry
+    subnormal round-off, each row is divided by 2^e, the power of two just
+    above its largest entry, before the powers, and its norm multiplied
+    back by 2^e.  Both scalings are exact, so a norm within the float
+    range never overflows; otherwise the rows are summed unscaled.
+    """
     V = np.asarray(V)
-    A = np.abs(V.astype(complex if np.iscomplexobj(V) else float, order="C", copy=False))
+    V = V.astype(complex if np.iscomplexobj(V) else float, order="C", copy=False)
+    A = np.abs(V)
     if p == np.inf:
         return A.max(axis=-1, initial=0.0)
-    A **= p
-    return A.sum(axis=-1) ** (1.0 / p)
+    if A.max(initial=0.0) < (_FLOAT_MAX / max(A.shape[-1], 1)) ** (1.0 / p):
+        A **= p
+        sums = A.sum(axis=-1)
+        if sums.min(initial=np.inf) >= _LP_SUM_MIN:
+            return sums ** (1.0 / p)
+    A = np.abs(V)
+    e = np.frexp(A.max(axis=-1, keepdims=True, initial=0.0))[1]
+    with np.errstate(over="ignore"):  # a norm beyond the float range is inf
+        return np.ldexp((np.ldexp(A, -e) ** p).sum(axis=-1) ** (1.0 / p), e[..., 0])
 
 
 def _lp_norm(v, p: float) -> float:

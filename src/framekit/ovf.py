@@ -48,10 +48,18 @@ from .frames import (
     _thetas,
     _tight_block,
     _weighted_onb,
-    frame_flags,
+    _frame_flags,
     infer_field,
 )
-from .numerics import Tolerance, _finite_product, smallest_singular_value, spectral
+from .numerics import (
+    Tolerance,
+    _finite_product,
+    _hermitian_eig,
+    _invertible,
+    _pd,
+    _psd,
+    _require_square,
+)
 
 
 @dataclass(frozen=True, init=False)
@@ -130,13 +138,13 @@ class OvfOperators:
         """The idempotent theta_A S^-1 theta_Psi^* when sigma_min(S) > abs_tol, else None.
 
         Computed on first access, so a caller that needs only S pays for
-        neither the SVD nor the solve.  When frame_flags calls S a frame,
+        neither the SVD nor the solve.  When _frame_flags calls S a frame,
         the Hermitian part H of S has lambda_min(H) > abs_tol, and
         sigma_min(S) >= lambda_min(H) because the rest of S is
         skew-Hermitian; so this gate holds and a caller holding those flags
         may skip the SVD and call frames._idempotent directly.
         """
-        if smallest_singular_value(self.S) > self.tol.abs_tol:
+        if _invertible(self.S, self.tol):
             return _idempotent(self.thetaA, self.thetaPsi, self.S)
         return None
 
@@ -176,7 +184,7 @@ def verify_ovf(op: OvfPair) -> OvfReport:
     neither holds, decided without forming P.
     """
     ops = ovf_operators(op)
-    base = frame_flags(ops.S, op.tol)
+    base = _frame_flags(ops.S, op.tol)
     riesz, orthonormal = _refinements(op.theta_A, op.theta_Psi, ops.S, base, op.codims, op.tol)
     return OvfReport(**vars(base), riesz_ovf=riesz, orthonormal_ovf=orthonormal)
 
@@ -256,14 +264,11 @@ def factorize_against_onb(op: OvfPair, F: OvfPair) -> FactorizationResult:
     tol = op.tol
 
     VhU = V.conj().T @ U
-    rep = spectral(VhU, tol)
-    bessel = rep.is_hermitian and rep.is_psd
-    frame = rep.is_hermitian and rep.is_pd
-    u_inv = smallest_singular_value(U) > tol.abs_tol
-    v_inv = smallest_singular_value(V) > tol.abs_tol
+    w = _hermitian_eig(_require_square(VhU), tol)
+    bessel, frame = _psd(w, tol), _pd(w, tol)
     riesz_ovf = bool(frame and tol.is_identity(U @ np.linalg.solve(VhU, V.conj().T)))
     orthonormal_ovf = bool(tol.is_identity(VhU) and tol.is_identity(U @ V.conj().T))
-    riesz_basis = bool(frame and u_inv and v_inv)
+    riesz_basis = bool(frame and _invertible(U, tol) and _invertible(V, tol))
 
     unitary = tol.is_identity(U @ U.conj().T) and tol.is_identity(U.conj().T @ U)
     A_rows = op.theta_A.reshape(op.n, -1)  # row j holds member j's entries
@@ -284,10 +289,7 @@ def factorize_against_onb(op: OvfPair, F: OvfPair) -> FactorizationResult:
         "orthonormal_ovf": orthonormal_ovf,
         "onb_pair": bool(onb_pair),
     }
-    label = "none"
-    for name in _LABEL_ORDER[1:]:
-        if flags[name]:
-            label = name
+    label = max((name for name in flags if flags[name]), key=_LABEL_ORDER.index, default="none")
     return FactorizationResult(U, V, label, flags)
 
 

@@ -20,26 +20,29 @@ from .errors import (
     BaseNotOrthonormal,
     NotParseval,
     NotPFrame,
+    NumericalOverflow,
     RankDeficient,
     ShapeMismatch,
+    SpectrumOnCut,
     ZeroDirection,
 )
 from .frames import _as_matrix, infer_field
 from .numerics import (
     PNormInterval,
     Tolerance,
-    _cut_distance,
+    _clear_of_cut,
     _finite_product,
     _gaussian_blocks,
     _gaussian_rows,
     _image_lp_norms,
+    _invertible,
     _lp_norm,
     _lp_norms,
     _normalized_image_lp_norms,
     _sign_patterns,
+    entry_max,
     pnorm_estimate,
     principal_power,
-    smallest_singular_value,
 )
 
 
@@ -91,28 +94,28 @@ class PReport:
     upper_b: Optional[PNormInterval]
 
 
-def _resolvent_clear(S: np.ndarray, tol: Tolerance) -> bool:
-    vals = np.linalg.eigvals(S)
-    return all(_cut_distance(complex(v)) > tol.abs_tol for v in vals)
-
-
 def p_verify(pf: PFramePair, samples: int = 200, seed: int = 0) -> PReport:
-    """Resolvent gate plus certified bound intervals through S_hat^(1/p)."""
+    """Resolvent gate plus certified bound intervals through S_hat^(1/p).
+
+    One eig decides both: the gate is principal_power's cut rule on the
+    eigenvalues it then powers, so S_hat on the cut reports resolvent_ok
+    false.
+    """
     S = p_frame_operator(pf)
     tol = pf.tol
     alpha = complex(np.trace(S)) / pf.m
     tight = bool(tol.mat_close(S, alpha * np.eye(pf.m)))
     parseval = bool(tol.is_identity(S))
-    ok = _resolvent_clear(S, tol)
-    lower = upper = None
-    if ok:
+    try:
         R = principal_power(S, 1.0 / pf.p, tol)
-        Rinv = np.linalg.inv(R)
-        up = pnorm_estimate(R, pf.p, samples, seed, tol)
-        down = pnorm_estimate(Rinv, pf.p, samples, seed + 1, tol)
-        upper = PNormInterval(up.lower**pf.p, up.upper**pf.p)
-        lower = PNormInterval(1.0 / down.upper**pf.p, 1.0 / down.lower**pf.p)
-    return PReport(ok, tight, parseval, lower, upper)
+    except SpectrumOnCut:
+        return PReport(False, tight, parseval, None, None)
+    Rinv = np.linalg.inv(R)
+    up = pnorm_estimate(R, pf.p, samples, seed, tol)
+    down = pnorm_estimate(Rinv, pf.p, samples, seed + 1, tol)
+    upper = PNormInterval(up.lower**pf.p, up.upper**pf.p)
+    lower = PNormInterval(1.0 / down.upper**pf.p, 1.0 / down.lower**pf.p)
+    return PReport(True, tight, parseval, lower, upper)
 
 
 @dataclass(frozen=True)
@@ -165,7 +168,7 @@ def riesz_p_bounds(vectors, p: float, trials: int = 200, seed: int = 0,
     """
     M = np.asarray(vectors)
     n = M.shape[1]
-    if M.shape[1] > M.shape[0] or smallest_singular_value(M) <= tol.abs_tol:
+    if M.shape[1] > M.shape[0] or not _invertible(M, tol):
         raise RankDeficient("columns do not admit a left inverse (a = 0)")
     if p == 2:
         s = np.linalg.svd(M, compute_uv=False)
@@ -215,7 +218,7 @@ def paley_wiener_check(base, Y, p: float, trials: int = 200, seed: int = 0,
     if concluded:
         D = np.linalg.solve(B.conj().T, (B - Y).conj().T).conj().T  # (B - Y) B^-1
         eye = np.eye(B.shape[0], dtype=D.dtype)
-        riesz = bool(smallest_singular_value(eye - D) > tol.abs_tol)
+        riesz = _invertible(eye - D, tol)
     return PaleyWienerResult(float(est.upper), concluded, riesz)
 
 
@@ -229,7 +232,7 @@ def p_canonical_dual(pf: PFramePair) -> PDualResult:
     """(f_j S^-1, S^-1 tau_j); duality means T~ F = T F~ = I."""
     S = p_frame_operator(pf)
     tol = pf.tol
-    if not _resolvent_clear(S, tol) or smallest_singular_value(S) <= tol.abs_tol:
+    if not (_clear_of_cut(S, tol) and _invertible(S, tol)):
         raise NotPFrame("canonical dual needs an invertible p-frame operator")
     Sinv = np.linalg.inv(S)
     dual = PFramePair(pf.F @ Sinv, Sinv @ pf.T, pf.p, pf.field, tol)
@@ -248,18 +251,23 @@ class FourLawsResult:
 
 
 def four_laws_check(x, y, tol: Tolerance = Tolerance()) -> FourLawsResult:
-    """The l4 counterparts of Cauchy-Schwarz and the parallelogram law."""
+    """The l4 counterparts of Cauchy-Schwarz and the parallelogram law.
+
+    NumericalOverflow when a fourth power of a norm leaves the float range.
+    """
     x = np.asarray(x).ravel()
     y = np.asarray(y).ravel()
     if x.shape != y.shape:
         raise ShapeMismatch("vectors must share length")
-    np4 = lambda v: _lp_norm(v, 4.0)
-    nx, ny = np4(x), np4(y)
-    plus, minus = np4(x + y), np4(x - y)
-    ineq_lhs = (plus**4 - minus**4) / 8.0
-    ineq_rhs = (nx**2 + ny**2) * nx * ny
-    pl_lhs = plus**4 + minus**4
-    pl_rhs = 2.0 * (nx**4 + ny**4) + 12.0 * nx**2 * ny**2
+    with np.errstate(over="ignore", invalid="ignore"):
+        nx, ny, plus, minus = (_lp_norms(v, 4.0) for v in (x, y, x + y, x - y))
+        ineq_lhs = (plus**4 - minus**4) / 8.0
+        ineq_rhs = (nx**2 + ny**2) * nx * ny
+        pl_lhs = plus**4 + minus**4
+        pl_rhs = 2.0 * (nx**4 + ny**4) + 12.0 * nx**2 * ny**2
+    if not np.isfinite([ineq_lhs, ineq_rhs, pl_lhs, pl_rhs]).all():
+        largest = max(entry_max(x), entry_max(y))
+        raise NumericalOverflow(f"l4 fourth powers overflow: largest input magnitude {largest:.6g}")
     margin = tol.margin(abs(ineq_lhs), abs(ineq_rhs), pl_lhs, pl_rhs)
     return FourLawsResult(
         bool(ineq_lhs <= ineq_rhs + margin),

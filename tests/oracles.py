@@ -605,3 +605,31 @@ def matrix_in_by_scalars(rows, field):
 
     data = [[scalar(z) for z in row] for row in rows]
     return np.asarray(data, dtype=complex if field == COMPLEX else float)
+
+
+# --- the spectral gates written out per element -------------------------------------
+#
+# numerics now holds each spectral rule once, vectorised.  These are the
+# per-element forms the verdicts used before, kept as their oracles.
+
+
+def cut_distance(lam):
+    """Distance of a point from the closed ray (-inf, 0]."""
+    lam = complex(lam)
+    if lam.real <= 0.0:
+        return abs(lam.imag)
+    return abs(lam)
+
+
+def resolvent_clear_by_eigvals(S, tol):
+    """p_verify's resolvent gate from its own eigvals: every eigenvalue farther than abs_tol from the cut."""
+    return all(cut_distance(v) > tol.abs_tol for v in np.linalg.eigvals(S))
+
+
+def first_misaligned_by_spectral(T, Y, tol):
+    """First member j whose tau_j y_j^* fails spectral's Hermitian psd verdict, or None."""
+    for j in range(T.shape[1]):
+        rep = spectral(np.outer(T[:, j], Y[:, j].conj()), tol)
+        if not (rep.is_hermitian and rep.is_psd):
+            return j
+    return None
