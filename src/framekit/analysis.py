@@ -127,30 +127,43 @@ def _rank(M: np.ndarray, tol: Tolerance) -> int:
     return int(np.sum(s > cutoff))
 
 
+# The outer products _first_misaligned decides at once take at most this many
+# bytes (one member at the least), so its temporaries stay a small multiple
+# of it however large m and n are.
+_OUTER_BLOCK_BYTES = 1 << 20
+
+
 def _first_misaligned(T: np.ndarray, Y: np.ndarray, tol: Tolerance) -> Optional[int]:
     """First member j whose tau_j y_j^* is not Hermitian psd, or None.
 
-    The Hermitian and psd rules of numerics decide each outer product, for
-    all members with one batched eigvalsh.
+    The Hermitian and psd rules of numerics decide each outer product on
+    its own.  Members go in order, in blocks of at most _OUTER_BLOCK_BYTES
+    of outer products with one batched eigvalsh each, and the first block
+    that holds a misaligned member ends the search.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        outer = T.T[:, :, None] * Y.conj().T[:, None, :]  # [j] = tau_j y_j^*
-        finite = np.isfinite(outer).all(axis=(1, 2))
-        checked = finite & _hermitian(outer, tol)
-    psd = np.zeros(len(outer), dtype=bool)
-    if checked.any():
-        psd[checked] = _psd(np.linalg.eigvalsh(hermitian_part(outer[checked])), tol)
-    bad = np.flatnonzero(~psd)
-    if not bad.size:
-        return None
-    j = int(bad[0])
-    if not finite[j]:
-        largest = max(entry_max(T[:, j]), entry_max(Y[:, j]))
-        if np.isfinite(largest):
-            raise NumericalOverflow(
-                f"tau_j y_j^* of member {j} overflows: largest input magnitude {largest:.6g}")
-        raise ValueError("matrix entries must be finite")
-    return j
+    m, n = T.shape
+    step = max(1, _OUTER_BLOCK_BYTES // max(m * m * np.result_type(T, Y).itemsize, 1))
+    for start in range(0, n, step):
+        Tb, Yb = T[:, start:start + step], Y[:, start:start + step]
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+            outer = Tb.T[:, :, None] * Yb.conj().T[:, None, :]  # [i] = tau_j y_j^*, j = start + i
+            finite = np.isfinite(outer).all(axis=(1, 2))
+            checked = finite & _hermitian(outer, tol)
+        psd = np.zeros(len(outer), dtype=bool)
+        if checked.any():
+            psd[checked] = _psd(np.linalg.eigvalsh(hermitian_part(outer[checked])), tol)
+        bad = np.flatnonzero(~psd)
+        if not bad.size:
+            continue
+        j = start + int(bad[0])
+        if not finite[bad[0]]:
+            largest = max(entry_max(T[:, j]), entry_max(Y[:, j]))
+            if np.isfinite(largest):
+                raise NumericalOverflow(
+                    f"tau_j y_j^* of member {j} overflows: largest input magnitude {largest:.6g}")
+            raise ValueError("matrix entries must be finite")
+        return j
+    return None
 
 
 def span_characterization(fp: FramePair) -> SpanCharacterization:

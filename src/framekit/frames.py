@@ -405,10 +405,15 @@ def range_basis(A: np.ndarray, tol: Tolerance) -> np.ndarray:
 
 
 def _shared_range_basis(A: np.ndarray, B: np.ndarray, tol: Tolerance) -> Optional[np.ndarray]:
-    """range_basis(A) when A and B have the same column space, else None."""
-    # mutual projection residuals below tol * norm
+    """range_basis(A) when A and B have the same column space, else None.
+
+    The test is on the mutual projection residuals, each below tol's margin
+    at its matrix's scale.  When B equals A entry for entry (every self-dual
+    pair), A's basis serves as B's: the same input gives the same SVD, so
+    skipping the second one changes no verdict.
+    """
     QA = range_basis(A, tol)
-    QB = range_basis(B, tol)
+    QB = QA if np.array_equal(A, B) else range_basis(B, tol)
     if QA.shape[1] != QB.shape[1]:
         return None
     resB = entry_max(B - QA @ (QA.conj().T @ B))
@@ -566,6 +571,11 @@ def _dilation_rows(theta_A: np.ndarray, theta_Psi: np.ndarray, S: np.ndarray,
                    tol: Tolerance) -> np.ndarray:
     """Rows W = Qperp^* P_perp ((N - r) x N) that dilate a Parseval pair to an orthonormal one.
 
+    Q (N x r) is the orthonormal basis of ran(theta_A) that the range test
+    returns, and Qperp its orthogonal complement: the trailing N - r
+    columns of a complete QR of Q.  Any orthonormal basis of that
+    complement gives an orthonormal dilation, and this one costs an
+    O(N^2 r) factorisation, not the O(N^3) SVD of the projector I - Q Q^*.
     The vector layer appends W below X and T, the operator layer W^* as new
     columns of theta_A and theta_Psi.
     """
@@ -579,7 +589,7 @@ def _dilation_rows(theta_A: np.ndarray, theta_Psi: np.ndarray, S: np.ndarray,
         raise IdempotentNotProjection("frame idempotent is not an orthogonal projection")
     N = theta_A.shape[0]
     Pperp = np.eye(N, dtype=P.dtype) - hermitian_part(P)
-    Qperp = range_basis(np.eye(N, dtype=P.dtype) - Q @ Q.conj().T, tol)
+    Qperp = np.linalg.qr(Q, mode="complete")[0][:, Q.shape[1]:]
     return Qperp.conj().T @ Pperp
 
 

@@ -499,8 +499,41 @@ def test_dilate_reuses_the_range_basis_bit_for_bit(rng, field):
         if isinstance(want, tuple):
             assert got == want
         else:
+            # the first m rows are the input, bit for bit; the appended rows W
+            # may span the complement in another orthonormal basis, so they
+            # are compared through W W^* = I and the projector W^* W
             assert got.embed_dim == want.embed_dim
-            assert np.array_equal(got.big.X, want.big.X) and np.array_equal(got.big.T, want.big.T)
+            assert np.array_equal(got.big.X[:m], want.big.X[:m])
+            assert np.array_equal(got.big.T[:m], want.big.T[:m])
+            W, W_want = got.big.X[m:], want.big.X[m:]
+            assert np.array_equal(got.big.T[m:], W) and W.shape == W_want.shape
+            assert fp.tol.mat_close(W @ W.conj().T, np.eye(W.shape[0]))
+            assert fp.tol.mat_close(W.conj().T @ W, W_want.conj().T @ W_want)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_dilate_matches_the_oracle_up_to_m_16_and_n_64(rng, field):
+    """The oracle's outcome at sizes the seeded pin above does not reach, and
+    a big pair that is orthonormal within 1e-12: S = T X^* = I and the Gram
+    X^* T = I (biorthogonal members)."""
+    cases = [random_parseval(rng, m, n, field, self_dual=k % 2 == 0)
+             for k, (m, n) in enumerate([(16, 64), (16, 64), (16, 16), (15, 16), (1, 64), (9, 41),
+                                         (12, 40), (5, 64)])]
+    cases.append(random_frame(rng, 2, 4, field))  # not Parseval
+    cases.append(FramePair(np.array([[1.0, 0.0]]), np.array([[1.0, 1.0]]), field))  # Parseval, ranges differ
+    for fp in cases:
+        got = outcome(lambda: fk.dilate(fp))
+        want = outcome(lambda: oracles.dilate_by_range_bases(fp))
+        if isinstance(want, tuple):  # the oracle words RangesDiffer for the vector layer
+            assert isinstance(got, tuple) and got[0] == want[0]
+            continue
+        X, T = got.big.X, got.big.T
+        assert got.embed_dim == want.embed_dim == X.shape[0]
+        assert np.array_equal(X[:fp.m], fp.X) and np.array_equal(T[:fp.m], fp.T)
+        assert entry_max(T @ X.conj().T - np.eye(got.embed_dim)) <= 1e-12
+        assert entry_max(X.conj().T @ T - np.eye(fp.n)) <= 1e-12
+    assert outcome(lambda: fk.dilate(cases[-2]))[0] == "NotParseval"
+    assert outcome(lambda: fk.dilate(cases[-1]))[0] == "RangesDiffer"
 
 
 def test_is_identity_matches_subtracting_the_identity(rng):

@@ -3,6 +3,7 @@ its rules read, counted at numpy.linalg, and each vectorised gate agrees
 with the per-element form it replaced (tests/oracles.py)."""
 
 import collections
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,34 +14,43 @@ from framekit.analysis import _first_misaligned
 from framekit.errors import NotPFrame, ParamNotAdmissible, SpectrumOnCut
 
 import oracles
-from conftest import random_frame, random_matrix
+from conftest import random_frame, random_matrix, random_parseval, random_parseval_ovf
 
 _LINALG = ("cholesky", "cond", "det", "eig", "eigh", "eigvals", "eigvalsh", "inv", "lstsq",
            "matrix_rank", "norm", "pinv", "qr", "solve", "svd")
 
 
 @pytest.fixture
-def linalg_calls(monkeypatch):
-    """count(fn) runs fn with every numpy.linalg routine counted; returns the counts."""
-    counts = collections.Counter()
+def linalg_shapes(monkeypatch):
+    """shapes(fn) runs fn with every numpy.linalg routine spied on; returns
+    (routine, shape of its first argument) for each call, in call order."""
+    calls = []
 
-    def counted(name, fn):
+    def spied(name, fn):
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            calls.append((name, np.shape(args[0]) if args else None))
             return fn(*args, **kwargs)
         return wrapper
 
     for name in _LINALG:
-        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        monkeypatch.setattr(np.linalg, name, spied(name, getattr(np.linalg, name)))
 
-    def count(fn, raises=None):
-        counts.clear()
+    def shapes(fn, raises=None):
+        calls.clear()
         if raises is None:
             fn()
         else:
             with pytest.raises(raises):
                 fn()
-        return dict(counts)
+        return list(calls)
+    return shapes
+
+
+@pytest.fixture
+def linalg_calls(linalg_shapes):
+    """count(fn) runs fn with every numpy.linalg routine counted; returns the counts."""
+    def count(fn, raises=None):
+        return dict(collections.Counter(name for name, _ in linalg_shapes(fn, raises)))
     return count
 
 
@@ -95,6 +105,23 @@ def test_make_dual_with_a_non_hermitian_w_runs_no_eigvals(rng, linalg_calls):
     assert "eigvals" not in calls
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_dilate_takes_the_complement_from_the_range_basis(rng, linalg_shapes, field):
+    """The Parseval gate, one SVD for both ranges of a self-dual pair, and a
+    QR of the thin 64 x 16 range basis; no SVD of a 64 x 64 projector."""
+    fp = random_parseval(rng, 16, 64, field, self_dual=True)
+    calls = linalg_shapes(lambda: fk.dilate(fp))
+    assert collections.Counter(name for name, _ in calls) == {"eigvalsh": 1, "svd": 1, "qr": 1}
+    assert ("svd", (64, 16)) in calls and ("qr", (64, 16)) in calls
+    assert ("svd", (64, 64)) not in calls
+
+
+def test_dilate_ovf_runs_no_n_by_n_svd(rng, linalg_shapes):
+    op = random_parseval_ovf(rng, 16, 2, 32)
+    calls = linalg_shapes(lambda: fk.dilate_ovf(op))
+    assert calls == [("eigvalsh", (16, 16)), ("svd", (64, 16)), ("qr", (64, 16))]
+
+
 # --- the vectorised gates against their per-element forms ---------------------------
 
 
@@ -129,6 +156,36 @@ def test_first_misaligned_matches_the_per_member_spectral_loop(rng):
             seen[(bool(rep.is_hermitian), bool(rep.is_psd))] += 1
     # both margins are crossed in both directions
     assert min(seen[(True, True)], seen[(True, False)], seen[(False, False)]) > 50
+
+
+@pytest.mark.parametrize("block_bytes", [1, 100])  # one member per block; up to three per block
+def test_first_misaligned_in_blocks_matches_the_per_member_spectral_loop(rng, monkeypatch, block_bytes):
+    monkeypatch.setattr("framekit.analysis._OUTER_BLOCK_BYTES", block_bytes)
+    tol = Tolerance()
+    for k in range(300):
+        field = "complex" if k % 2 else "real"
+        m, n = int(rng.integers(1, 5)), int(rng.integers(1, 10))
+        T, Y = straddling_members(rng, m, n, field, tol)
+        assert _first_misaligned(T, Y, tol) == oracles.first_misaligned_by_spectral(T, Y, tol)
+
+
+def test_first_misaligned_holds_one_block_of_outer_products_at_a_time(rng):
+    """All n outer products at once, the batched form this replaced, take
+    n m^2 doubles (28 MB here); the blocks keep the peak under a quarter of it."""
+    m, n = 96, 384
+    Y = random_matrix(rng, m, n)
+    T = Y * rng.uniform(0.5, 2.0, n)
+    T_bad = T.copy()
+    T_bad[:, 0] *= -1.0  # tau_0 y_0^* is negative semidefinite
+    for T_in, want in ((T_bad, 0), (T, None)):
+        tracemalloc.start()
+        try:
+            got = _first_misaligned(T_in, Y, Tolerance())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < n * m * m * 8 / 4
 
 
 def near_cut(rng, m, field, tol):
