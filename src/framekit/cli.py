@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
 # Start-up is most of a job's cost: constructors, analysis, ovf and pframes
-# are imported inside the branch of the verb that uses them.
+# are imported inside the handler of the verb that uses them.
 from . import frames, io
 from .errors import FramekitError
 from .numerics import Tolerance
@@ -39,7 +40,18 @@ def _fmt(value) -> str:
         return "[" + ", ".join(_fmt(v) for v in value.ravel()) + "]"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_fmt(v) for v in value) + "]"
+    if is_dataclass(value):
+        return _fmt([v for _, v in _fields(value)])
     return str(value)
+
+
+def _fields(result, *skip) -> list:
+    """(name, value) of each field of a result dataclass, in declaration order.
+
+    Private fields (a leading underscore) and the names in skip are left out.
+    """
+    return [(f.name, getattr(result, f.name)) for f in fields(result)
+            if not f.name.startswith("_") and f.name not in skip]
 
 
 def _render(pairs) -> str:
@@ -57,434 +69,341 @@ def _parse_vector(text: str, complex_ok: bool = True) -> np.ndarray:
     return arr
 
 
-def _report_pairs(report: frames.FrameReport):
-    return [
-        ("self_adjoint", report.self_adjoint),
-        ("psd", report.psd),
-        ("invertible", report.invertible),
-        ("is_bessel", report.is_bessel),
-        ("is_frame", report.is_frame),
-        ("lower_a", report.lower_a),
-        ("upper_b", report.upper_b),
-        ("tight", report.tight),
-        ("parseval", report.parseval),
-    ]
+def _tol(args) -> Tolerance:
+    return Tolerance(args.abs_tol, args.rel_tol)
 
+
+def _load(args, decode=io.frame_pair_from_dict, path=None):
+    return decode(io.load(path or args.file), _tol(args))
+
+
+# --- one handler per verb ---------------------------------------------------------
+#
+# A handler returns (report pairs, document or None); run decides where each goes.
+# Between the literal kind, shape and basis lines, a report's keys are its
+# result type's fields in declaration order.
 
 _VERIFY_BASIS = ("optimal bounds are the extreme eigenvalues of the frame operator; "
                  "tight means equal optimal bounds, parseval a unit tight bound")
 
+
+def _verify(args):
+    fp = _load(args)
+    S = frames.frame_operator(fp)
+    report = frames._frame_flags(S, fp.tol)
+    pairs = [("kind", "frame_report"), ("dim", fp.m), ("count", fp.n), *_fields(report)]
+    if report.is_frame:
+        pairs += _fields(frames._classify(fp, S, report))
+    return pairs + [("basis", _VERIFY_BASIS)], None
+
+
+def _dual(args):
+    dual = frames.canonical_dual(_load(args))
+    return ([("kind", "canonical_dual"), *_fields(frames.verify(dual)),
+             ("basis", "members are mapped by the inverse frame operator; "
+                       "optimal bounds invert to (1/b, 1/a)")],
+            io.frame_pair_to_dict(dual))
+
+
+def _classify(args):
+    return [("kind", "classification"), *_fields(frames.classify(_load(args))),
+            ("basis", "riesz: unit frame idempotent; orthonormal: parseval with "
+                      "unit cross gram")], None
+
+
+def _circular(args):
+    from . import constructors
+
+    result = constructors.circular_kl(args.k, args.l, _tol(args))
+    return ([("kind", "circular_construction"), ("count", result.fp.n), *_fields(result, "fp"),
+             ("basis", "tightness is the vanishing of the compound-angle sums; "
+                       "the constant is half the weighted cosine sum")],
+            io.frame_pair_to_dict(result.fp))
+
+
+def _group(args):
+    from . import constructors
+
+    tol = _tol(args)
+    table = io.group_table_from_dict(io.load(args.table))
+    rep = constructors.left_regular(table, tol)
+    x = _parse_vector(args.x)
+    tau = _parse_vector(args.tau)
+    result = constructors.group_frame(rep, x, tau, tol)
+    return ([("kind", "group_frame"), ("order", table.order), *_fields(result.report),
+             *_fields(result, "fp", "report"),
+             ("basis", "(order/dim) <x, tau> lies between the optimal bounds "
+                       "of a generated frame")],
+            io.frame_pair_to_dict(result.fp))
+
+
+def _reconstruct(args):
+    from . import analysis
+
+    fp = _load(args)
+    trace = analysis.iterate_reconstruct(fp, _parse_vector(args.target), args.steps)
+    steps = enumerate(zip(trace.errors, trace.bound_curve))
+    return [("kind", "reconstruction"), ("steps", args.steps),
+            *((f"step_{k}", pair) for k, pair in steps),
+            ("basis", "error after k steps is at most ((b-a)/(b+a))^k ||h||")], None
+
+
+def _extend(args):
+    from . import analysis
+
+    fp = _load(args)
+    if args.minimal == (args.lam is not None):
+        raise ValueError("choose exactly one of --lambda and --minimal")
+    out = (analysis.extend_tight_minimal(fp) if args.minimal
+           else analysis.extend_tight_append(fp, args.lam))
+    return ([("kind", "tight_extension"), ("count", out.n), *_fields(frames.verify(out)),
+             ("basis", "appending (lambda I - S)^(1/2) columns (or the deficient "
+                       "eigenvectors) levels the spectrum")],
+            io.frame_pair_to_dict(out))
+
+
+def _span(args):
+    from . import analysis
+
+    return [("kind", "span_characterization"),
+            *_fields(analysis.span_characterization(_load(args))),
+            ("basis", "a hypothesis-satisfying pair is a frame exactly when every "
+                      "mixed selection spans the space")], None
+
+
+def _formulas(args):
+    from . import analysis
+
+    return [("kind", "formulas"), *_fields(analysis.formulas_report(_load(args))),
+            ("basis", "trace identities, the variation formula for tight pairs and "
+                      "the dimension formula for parseval pairs")], None
+
+
+def _perturb(args):
+    from . import analysis
+
+    fp = _load(args)
+    other = _load(args, path=args.perturbed)
+    if other.m != fp.m or other.n != fp.n:
+        raise ValueError("perturbed family must match the frame's shape")
+    Y = other.X
+    if args.kind == "quadratic":
+        cert = analysis.perturb_quadratic(fp, Y)
+    elif args.kind == "normsum":
+        cert = analysis.perturb_normsum(fp, Y)
+    else:
+        sampled_kind = (analysis.SAMPLED_LINEAR if args.kind == "sampled-linear"
+                        else analysis.SAMPLED_BESSEL)
+        cert = analysis.perturb_sampled(fp, Y, args.alpha, args.beta, args.gamma,
+                                        args.samples, args.seed, sampled_kind)
+    return [("kind", f"perturbation_{cert.kind}"), *_fields(cert, "kind"),
+            ("basis", "quadratic/normsum windows are guaranteed under their "
+                      "hypotheses; sampled kinds only report non-falsification")], None
+
+
+def _convert(args):
+    from . import analysis
+
+    fp = _load(args)
+    out = analysis.real_to_complex(fp) if args.to_complex else analysis.complex_to_real(fp)
+    return ([("kind", "field_conversion"), ("field", out.field), ("count", out.n),
+             *_fields(frames.verify(out)),
+             ("basis", "bounds survive the change of scalars; the real form "
+                       "doubles the member count")],
+            io.frame_pair_to_dict(out))
+
+
+def _ovf_verify(args):
+    from . import ovf
+
+    op = _load(args, io.ovf_pair_from_dict)
+    return [("kind", "ovf_report"), ("m", op.m), ("n", op.n), *_fields(ovf.verify_ovf(op)),
+            ("basis", _VERIFY_BASIS + "; riesz: unit frame idempotent")], None
+
+
+def _ovf_dual(args):
+    from . import ovf
+
+    dual = ovf.canonical_dual_ovf(_load(args, io.ovf_pair_from_dict))
+    report = ovf.verify_ovf(dual)
+    return ([("kind", "ovf_canonical_dual"), *_fields(report, "riesz_ovf", "orthonormal_ovf"),
+             ("basis", "members are right-multiplied by the inverse frame "
+                       "operator; optimal bounds invert")],
+            io.ovf_pair_to_dict(dual))
+
+
+def _ovf_bridge(args):
+    from . import ovf
+
+    doc = io.load(args.file)
+    if io.detect_kind(doc) == "frame":
+        out = ovf.ovf_bridge(io.frame_pair_from_dict(doc, _tol(args)))
+        return ([("kind", "bridge"), ("direction", "frame_to_ovf"), ("n", out.n)],
+                io.ovf_pair_to_dict(out))
+    fp = ovf.ovf_bridge_inverse(io.ovf_pair_from_dict(doc, _tol(args)))
+    return ([("kind", "bridge"), ("direction", "ovf_to_frame"), ("count", fp.n)],
+            io.frame_pair_to_dict(fp))
+
+
+def _pframe_verify(args):
+    from . import pframes
+
+    pf = _load(args, io.pframe_pair_from_dict)
+    report = pframes.p_verify(pf, args.samples, args.seed)
+    return [("kind", "pframe_report"), ("p", pf.p), ("dim", pf.m), ("count", pf.n),
+            *_fields(report),
+            ("basis", "bounds are measured through the principal 1/p power of the "
+                      "p-frame operator and certified as intervals")], None
+
+
+def _pframe_dual(args):
+    from . import pframes
+
+    result = pframes.p_canonical_dual(_load(args, io.pframe_pair_from_dict))
+    return ([("kind", "pframe_canonical_dual"), *_fields(result, "dual"),
+             ("basis", "functionals and vectors are carried by the inverse p-frame "
+                       "operator")],
+            io.pframe_pair_to_dict(result.dual))
+
+
+def _paley_wiener(args):
+    from . import pframes
+
+    base = _load(args, io.pframe_pair_from_dict, args.base)
+    pert = _load(args, io.pframe_pair_from_dict, args.perturbed)
+    result = pframes.paley_wiener_check(base.T, pert.T, base.p, args.samples, args.seed,
+                                        _tol(args))
+    return [("kind", "paley_wiener"), *_fields(result),
+            ("basis", "a perturbation of a p-orthonormal basis with coefficient "
+                      "operator norm below one is a Riesz p-basis")], None
+
+
+def _fourlaws(args):
+    from . import pframes
+
+    x = _parse_vector(args.x, complex_ok=False)
+    y = _parse_vector(args.y, complex_ok=False)
+    return [("kind", "four_laws"), *_fields(pframes.four_laws_check(x, y, _tol(args))),
+            ("basis", "the l4 analogues of the Cauchy-Schwarz inequality and the "
+                      "parallelogram law")], None
+
+
+# --- the verb table ---------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are exit code 1, not 2
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _common(sub: argparse.ArgumentParser):
+def _file(sub: argparse.ArgumentParser, help=None) -> argparse.ArgumentParser:
+    sub.add_argument("file", help=help)
+    return sub
+
+
+def _common(sub: argparse.ArgumentParser, handler):
+    """Add the options every verb takes, after its own, and register its handler."""
     sub.add_argument("--abs-tol", type=float, default=1e-9)
     sub.add_argument("--rel-tol", type=float, default=1e-9)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--samples", type=int, default=1000)
     sub.add_argument("-o", "--output", default=None)
+    sub.set_defaults(handler=handler)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="framekit", description=__doc__)
     top = parser.add_subparsers(dest="verb", required=True)
-
-    for name in ("verify", "dual", "classify"):
-        sub = top.add_parser(name)
-        sub.add_argument("file")
-        _common(sub)
+    _common(_file(top.add_parser("verify")), _verify)
+    _common(_file(top.add_parser("dual")), _dual)
+    _common(_file(top.add_parser("classify")), _classify)
 
     construct = top.add_parser("construct").add_subparsers(dest="what", required=True)
     circ = construct.add_parser("circular")
     circ.add_argument("--k", type=int, required=True)
     circ.add_argument("--l", type=int, required=True)
-    _common(circ)
+    _common(circ, _circular)
     grp = construct.add_parser("group")
     grp.add_argument("--table", required=True, help="group table file")
     grp.add_argument("--x", required=True, help="comma separated generator")
     grp.add_argument("--tau", required=True, help="comma separated generator")
-    _common(grp)
+    _common(grp, _group)
 
     analyze = top.add_parser("analyze").add_subparsers(dest="what", required=True)
-    rec = analyze.add_parser("reconstruct")
-    rec.add_argument("file")
+    rec = _file(analyze.add_parser("reconstruct"))
     rec.add_argument("--target", required=True, help="comma separated vector")
     rec.add_argument("--steps", type=int, default=20)
-    _common(rec)
-    ext = analyze.add_parser("extend")
-    ext.add_argument("file")
+    _common(rec, _reconstruct)
+    ext = _file(analyze.add_parser("extend"))
     ext.add_argument("--lambda", dest="lam", type=float, default=None)
     ext.add_argument("--minimal", action="store_true")
-    _common(ext)
-    for name in ("span", "formulas"):
-        sub = analyze.add_parser(name)
-        sub.add_argument("file")
-        _common(sub)
-    pert = analyze.add_parser("perturb")
-    pert.add_argument("file")
-    pert.add_argument("--perturbed", required=True, help="frame pair file; its x family is the perturbation")
+    _common(ext, _extend)
+    _common(_file(analyze.add_parser("span")), _span)
+    _common(_file(analyze.add_parser("formulas")), _formulas)
+    pert = _file(analyze.add_parser("perturb"))
+    pert.add_argument("--perturbed", required=True,
+                      help="frame pair file; its x family is the perturbation")
     pert.add_argument("--kind", default="quadratic",
                       choices=["quadratic", "normsum", "sampled-linear", "sampled-bessel"])
     pert.add_argument("--alpha", type=float, default=0.0)
     pert.add_argument("--beta", type=float, default=0.0)
     pert.add_argument("--gamma", type=float, default=0.0)
-    _common(pert)
-    conv = analyze.add_parser("convert")
-    conv.add_argument("file")
+    _common(pert, _perturb)
+    conv = _file(analyze.add_parser("convert"))
     direction = conv.add_mutually_exclusive_group(required=True)
     direction.add_argument("--to-complex", action="store_true")
     direction.add_argument("--to-real", action="store_true")
-    _common(conv)
+    _common(conv, _convert)
 
     ovf_cmd = top.add_parser("ovf").add_subparsers(dest="what", required=True)
-    for name in ("verify", "dual"):
-        sub = ovf_cmd.add_parser(name)
-        sub.add_argument("file")
-        _common(sub)
-    bridge = ovf_cmd.add_parser("bridge")
-    bridge.add_argument("file", help="frame pair file (forward) or ovf file with d = 1 (inverse)")
-    _common(bridge)
+    _common(_file(ovf_cmd.add_parser("verify")), _ovf_verify)
+    _common(_file(ovf_cmd.add_parser("dual")), _ovf_dual)
+    _common(_file(ovf_cmd.add_parser("bridge"),
+                  "frame pair file (forward) or ovf file with d = 1 (inverse)"), _ovf_bridge)
 
     pframe = top.add_parser("pframe").add_subparsers(dest="what", required=True)
-    for name in ("verify", "dual"):
-        sub = pframe.add_parser(name)
-        sub.add_argument("file")
-        _common(sub)
+    _common(_file(pframe.add_parser("verify")), _pframe_verify)
+    _common(_file(pframe.add_parser("dual")), _pframe_dual)
     pw = pframe.add_parser("paley-wiener")
     pw.add_argument("base", help="p-frame file; its tau columns are the basis")
     pw.add_argument("perturbed", help="p-frame file; its tau columns are the perturbation")
-    _common(pw)
+    _common(pw, _paley_wiener)
     fl = pframe.add_parser("fourlaws")
     fl.add_argument("--x", required=True)
     fl.add_argument("--y", required=True)
-    _common(fl)
+    _common(fl, _fourlaws)
 
     return parser
 
 
-def _emit(args, pairs) -> str:
-    text = _render(pairs)
-    if args.output and not getattr(args, "_output_used", False):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return text
-
-
-def _write_pair(args, doc) -> bool:
-    """Write a constructed object to -o; the report then goes to stdout."""
-    if args.output:
-        io.save(args.output, doc)
-        args._output_used = True
-        return True
-    return False
-
-
-def _tol(args) -> Tolerance:
-    return Tolerance(args.abs_tol, args.rel_tol)
-
-
-def _load_frame(args, path=None) -> frames.FramePair:
-    return io.frame_pair_from_dict(io.load(path or args.file), _tol(args))
-
-
-def _dispatch(args) -> list:
-    tol = _tol(args)
-    verb = args.verb
-
-    if verb == "verify":
-        fp = _load_frame(args)
-        S = frames.frame_operator(fp)
-        report = frames._frame_flags(S, fp.tol)
-        pairs = [("kind", "frame_report"), ("dim", fp.m), ("count", fp.n)]
-        pairs += _report_pairs(report)
-        if report.is_frame:
-            cls = frames._classify(fp, S, report)
-            pairs += [("riesz_frame", cls.riesz_frame),
-                      ("orthonormal_frame", cls.orthonormal_frame)]
-        pairs.append(("basis", _VERIFY_BASIS))
-        return pairs
-
-    if verb == "dual":
-        fp = _load_frame(args)
-        dual = frames.canonical_dual(fp)
-        _write_pair(args, io.frame_pair_to_dict(dual))
-        report = frames.verify(dual)
-        pairs = [("kind", "canonical_dual")] + _report_pairs(report)
-        pairs.append(("basis", "members are mapped by the inverse frame operator; "
-                               "optimal bounds invert to (1/b, 1/a)"))
-        return pairs
-
-    if verb == "classify":
-        fp = _load_frame(args)
-        cls = frames.classify(fp)
-        return [
-            ("kind", "classification"),
-            ("riesz_frame", cls.riesz_frame),
-            ("orthonormal_frame", cls.orthonormal_frame),
-            ("basis", "riesz: unit frame idempotent; orthonormal: parseval with "
-                      "unit cross gram"),
-        ]
-
-    if verb == "construct":
-        from . import constructors
-
-        if args.what == "circular":
-            result = constructors.circular_kl(args.k, args.l, tol)
-            _write_pair(args, io.frame_pair_to_dict(result.fp))
-            return [
-                ("kind", "circular_construction"),
-                ("count", result.fp.n),
-                ("tight", result.tight),
-                ("constant", result.constant),
-                ("residual", result.residual),
-                ("basis", "tightness is the vanishing of the compound-angle sums; "
-                          "the constant is half the weighted cosine sum"),
-            ]
-        table = io.group_table_from_dict(io.load(args.table))
-        rep = constructors.left_regular(table, tol)
-        x = _parse_vector(args.x)
-        tau = _parse_vector(args.tau)
-        result = constructors.group_frame(rep, x, tau, tol)
-        _write_pair(args, io.frame_pair_to_dict(result.fp))
-        pairs = [("kind", "group_frame"), ("order", table.order)]
-        pairs += _report_pairs(result.report)
-        pairs.append(("generator_bound_ok", result.generator_bound_ok))
-        pairs.append(("basis", "(order/dim) <x, tau> lies between the optimal bounds "
-                               "of a generated frame"))
-        return pairs
-
-    if verb == "analyze":
-        return _dispatch_analyze(args, tol)
-    if verb == "ovf":
-        return _dispatch_ovf(args, tol)
-    if verb == "pframe":
-        return _dispatch_pframe(args, tol)
-    raise ValueError(f"unknown verb {verb!r}")
-
-
-def _dispatch_analyze(args, tol: Tolerance) -> list:
-    from . import analysis
-
-    what = args.what
-    if what == "reconstruct":
-        fp = _load_frame(args)
-        h = _parse_vector(args.target)
-        trace = analysis.iterate_reconstruct(fp, h, args.steps)
-        pairs = [("kind", "reconstruction"), ("steps", args.steps)]
-        for k, (err, bnd) in enumerate(zip(trace.errors, trace.bound_curve)):
-            pairs.append((f"step_{k}", [err, bnd]))
-        pairs.append(("basis", "error after k steps is at most ((b-a)/(b+a))^k ||h||"))
-        return pairs
-
-    if what == "extend":
-        fp = _load_frame(args)
-        if args.minimal == (args.lam is not None):
-            raise ValueError("choose exactly one of --lambda and --minimal")
-        out = (analysis.extend_tight_minimal(fp) if args.minimal
-               else analysis.extend_tight_append(fp, args.lam))
-        _write_pair(args, io.frame_pair_to_dict(out))
-        report = frames.verify(out)
-        return ([("kind", "tight_extension"), ("count", out.n)]
-                + _report_pairs(report)
-                + [("basis", "appending (lambda I - S)^(1/2) columns (or the deficient "
-                             "eigenvectors) levels the spectrum")])
-
-    if what == "span":
-        fp = _load_frame(args)
-        result = analysis.span_characterization(fp)
-        return [
-            ("kind", "span_characterization"),
-            ("is_frame", result.is_frame),
-            ("witness", None if result.witness is None else list(result.witness)),
-            ("basis", "a hypothesis-satisfying pair is a frame exactly when every "
-                      "mixed selection spans the space"),
-        ]
-
-    if what == "formulas":
-        fp = _load_frame(args)
-        rep = analysis.formulas_report(fp)
-        return [
-            ("kind", "formulas"),
-            ("trace_S", rep.trace_S),
-            ("sum_inner", rep.sum_inner),
-            ("trace_S2", rep.trace_S2),
-            ("double_sum", rep.double_sum),
-            ("variation_ok", rep.variation_ok),
-            ("dim_formula_ok", rep.dim_formula_ok),
-            ("equal_diag_b", rep.equal_diag_b),
-            ("equal_diag_ok", rep.equal_diag_ok),
-            ("basis", "trace identities, the variation formula for tight pairs and "
-                      "the dimension formula for parseval pairs"),
-        ]
-
-    if what == "perturb":
-        fp = _load_frame(args)
-        other = io.frame_pair_from_dict(io.load(args.perturbed), tol)
-        if other.m != fp.m or other.n != fp.n:
-            raise ValueError("perturbed family must match the frame's shape")
-        Y = other.X
-        kind = args.kind
-        if kind == "quadratic":
-            cert = analysis.perturb_quadratic(fp, Y)
-        elif kind == "normsum":
-            cert = analysis.perturb_normsum(fp, Y)
-        else:
-            sampled_kind = (analysis.SAMPLED_LINEAR if kind == "sampled-linear"
-                            else analysis.SAMPLED_BESSEL)
-            cert = analysis.perturb_sampled(fp, Y, args.alpha, args.beta, args.gamma,
-                                            args.samples, args.seed, sampled_kind)
-        return [
-            ("kind", f"perturbation_{cert.kind}"),
-            ("hypothesis_ok", cert.hypothesis_ok),
-            ("predicted_lower", cert.predicted_lower),
-            ("predicted_upper", cert.predicted_upper),
-            ("actual_lower", cert.actual_lower),
-            ("actual_upper", cert.actual_upper),
-            ("basis", "quadratic/normsum windows are guaranteed under their "
-                      "hypotheses; sampled kinds only report non-falsification"),
-        ]
-
-    if what == "convert":
-        fp = _load_frame(args)
-        out = analysis.real_to_complex(fp) if args.to_complex else analysis.complex_to_real(fp)
-        _write_pair(args, io.frame_pair_to_dict(out))
-        report = frames.verify(out)
-        return ([("kind", "field_conversion"), ("field", out.field), ("count", out.n)]
-                + _report_pairs(report)
-                + [("basis", "bounds survive the change of scalars; the real form "
-                             "doubles the member count")])
-
-    raise ValueError(f"unknown analyze subcommand {what!r}")
-
-
-def _dispatch_ovf(args, tol: Tolerance) -> list:
-    from . import ovf
-
-    what = args.what
-    if what == "bridge":
-        doc = io.load(args.file)
-        kind = io.detect_kind(doc)
-        if kind == "frame":
-            fp = io.frame_pair_from_dict(doc, tol)
-            out = ovf.ovf_bridge(fp)
-            _write_pair(args, io.ovf_pair_to_dict(out))
-            return [("kind", "bridge"), ("direction", "frame_to_ovf"), ("n", out.n)]
-        op = io.ovf_pair_from_dict(doc, tol)
-        fp = ovf.ovf_bridge_inverse(op)
-        _write_pair(args, io.frame_pair_to_dict(fp))
-        return [("kind", "bridge"), ("direction", "ovf_to_frame"), ("count", fp.n)]
-
-    op = io.ovf_pair_from_dict(io.load(args.file), tol)
-    if what == "verify":
-        report = ovf.verify_ovf(op)
-        pairs = [("kind", "ovf_report"), ("m", op.m), ("n", op.n)]
-        pairs += _report_pairs(report)
-        pairs += [("riesz_ovf", report.riesz_ovf),
-                  ("orthonormal_ovf", report.orthonormal_ovf),
-                  ("basis", _VERIFY_BASIS + "; riesz: unit frame idempotent")]
-        return pairs
-    if what == "dual":
-        dual = ovf.canonical_dual_ovf(op)
-        _write_pair(args, io.ovf_pair_to_dict(dual))
-        report = ovf.verify_ovf(dual)
-        return ([("kind", "ovf_canonical_dual")] + _report_pairs(report)
-                + [("basis", "members are right-multiplied by the inverse frame "
-                             "operator; optimal bounds invert")])
-    raise ValueError(f"unknown ovf subcommand {what!r}")
-
-
-def _dispatch_pframe(args, tol: Tolerance) -> list:
-    from . import pframes
-
-    what = args.what
-    if what == "fourlaws":
-        x = _parse_vector(args.x, complex_ok=False)
-        y = _parse_vector(args.y, complex_ok=False)
-        result = pframes.four_laws_check(x, y, tol)
-        return [
-            ("kind", "four_laws"),
-            ("ineq4_ok", result.ineq4_ok),
-            ("pl4_ok", result.pl4_ok),
-            ("ineq4_lhs", result.ineq4_lhs),
-            ("ineq4_rhs", result.ineq4_rhs),
-            ("pl4_lhs", result.pl4_lhs),
-            ("pl4_rhs", result.pl4_rhs),
-            ("basis", "the l4 analogues of the Cauchy-Schwarz inequality and the "
-                      "parallelogram law"),
-        ]
-
-    if what == "paley-wiener":
-        base = io.pframe_pair_from_dict(io.load(args.base), tol)
-        pert = io.pframe_pair_from_dict(io.load(args.perturbed), tol)
-        result = pframes.paley_wiener_check(base.T, pert.T, base.p,
-                                            args.samples, args.seed, tol)
-        return [
-            ("kind", "paley_wiener"),
-            ("lambda_upper", result.lambda_upper),
-            ("concluded", result.concluded),
-            ("riesz", result.riesz),
-            ("basis", "a perturbation of a p-orthonormal basis with coefficient "
-                      "operator norm below one is a Riesz p-basis"),
-        ]
-
-    pf = io.pframe_pair_from_dict(io.load(args.file), tol)
-    if what == "verify":
-        report = pframes.p_verify(pf, args.samples, args.seed)
-        def interval(iv):
-            return None if iv is None else [iv.lower, iv.upper]
-        return [
-            ("kind", "pframe_report"),
-            ("p", pf.p),
-            ("dim", pf.m),
-            ("count", pf.n),
-            ("resolvent_ok", report.resolvent_ok),
-            ("tight", report.tight),
-            ("parseval", report.parseval),
-            ("lower_a", interval(report.lower_a)),
-            ("upper_b", interval(report.upper_b)),
-            ("basis", "bounds are measured through the principal 1/p power of the "
-                      "p-frame operator and certified as intervals"),
-        ]
-    if what == "dual":
-        result = pframes.p_canonical_dual(pf)
-        _write_pair(args, io.pframe_pair_to_dict(result.dual))
-        return [
-            ("kind", "pframe_canonical_dual"),
-            ("is_dual", result.is_dual),
-            ("basis", "functionals and vectors are carried by the inverse p-frame "
-                      "operator"),
-        ]
-    raise ValueError(f"unknown pframe subcommand {what!r}")
+def _failure(kind: str, exc: Exception, code: int) -> int:
+    sys.stdout.write(_render([("kind", kind), ("error", type(exc).__name__),
+                              ("message", str(exc))]))
+    return code
 
 
 def run(argv) -> int:
+    """Run one verb.  A verb that builds a document writes it to -o and its
+    report to stdout; any other verb writes its report to -o when one is
+    given, else to stdout.  A failing verb writes only its error, to stdout."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        pairs = _dispatch(args)
+        pairs, doc = args.handler(args)
+        text = _render(pairs)
+        if args.output and doc is not None:
+            io.save(args.output, doc)
+        elif args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            text = ""
     except (FramekitError, np.linalg.LinAlgError) as exc:
-        sys.stdout.write(_render([
-            ("kind", "domain_error"),
-            ("error", type(exc).__name__),
-            ("message", str(exc)),
-        ]))
-        return 2
+        return _failure("domain_error", exc, 2)
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        sys.stdout.write(_render([
-            ("kind", "parse_error"),
-            ("error", type(exc).__name__),
-            ("message", str(exc)),
-        ]))
-        return 1
-    _emit(args, pairs)
+        return _failure("parse_error", exc, 1)
+    sys.stdout.write(text)
     return 0
 
 

@@ -430,7 +430,8 @@ def dilate(fp: FramePair) -> DilationResult:
     orthogonal complement of ran(theta_x) appended below the originals),
     so projecting onto the first m coordinates recovers the input.
     """
-    rows = _dilation_rows(*_thetas(fp), frame_operator(fp), fp.tol)
+    rows = _dilation_rows(*_thetas(fp), frame_operator(fp), fp.tol,
+                          "theta_x and theta_tau must have equal ranges")
     big = FramePair(np.vstack([fp.X, rows]), np.vstack([fp.T, rows]), fp.field, fp.tol)
     return DilationResult(big, fp.m + rows.shape[0])
 
@@ -567,8 +568,8 @@ def _block_identities_ok(L: np.ndarray, R: np.ndarray, codims, tol: Tolerance) -
     return bool(np.all(deviation <= tol.abs_tol + tol.rel_tol * np.maximum(scale, 1.0)))
 
 
-def _dilation_rows(theta_A: np.ndarray, theta_Psi: np.ndarray, S: np.ndarray,
-                   tol: Tolerance) -> np.ndarray:
+def _dilation_rows(theta_A: np.ndarray, theta_Psi: np.ndarray, S: np.ndarray, tol: Tolerance,
+                   message: str = "theta_A and theta_Psi must have equal ranges") -> np.ndarray:
     """Rows W = Qperp^* P_perp ((N - r) x N) that dilate a Parseval pair to an orthonormal one.
 
     Q (N x r) is the orthonormal basis of ran(theta_A) that the range test
@@ -577,13 +578,14 @@ def _dilation_rows(theta_A: np.ndarray, theta_Psi: np.ndarray, S: np.ndarray,
     complement gives an orthonormal dilation, and this one costs an
     O(N^2 r) factorisation, not the O(N^3) SVD of the projector I - Q Q^*.
     The vector layer appends W below X and T, the operator layer W^* as new
-    columns of theta_A and theta_Psi.
+    columns of theta_A and theta_Psi.  Unequal ranges raise
+    RangesDiffer(message), which names the operators as the caller's layer does.
     """
     if not _frame_flags(S, tol).parseval:
         raise NotParseval("dilation starts from a Parseval pair")
     Q = _shared_range_basis(theta_A, theta_Psi, tol)
     if Q is None:
-        raise RangesDiffer("theta_A and theta_Psi must have equal ranges")
+        raise RangesDiffer(message)
     P = theta_A @ theta_Psi.conj().T  # S = I for a Parseval pair
     if not _hermitian(P, tol) or entry_max(P @ P - P) > tol.margin(entry_max(P)):
         raise IdempotentNotProjection("frame idempotent is not an orthogonal projection")

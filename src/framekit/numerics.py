@@ -84,13 +84,6 @@ def opnorm2(A) -> float:
     return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
-def smallest_singular_value(A) -> float:
-    A = np.asarray(A)
-    if A.size == 0:
-        return 0.0
-    return float(np.linalg.svd(A, compute_uv=False)[-1])
-
-
 def _finite_product(L: np.ndarray, R: np.ndarray, what: str) -> np.ndarray:
     """L @ R for finite L and R, or NumericalOverflow when an entry overflows.
 

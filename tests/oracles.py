@@ -49,10 +49,16 @@ from framekit.numerics import (
     herm_sqrt,
     hermitian_part,
     opnorm2,
-    smallest_singular_value,
     spectral,
 )
 from framekit.ovf import OvfPair
+
+
+def smallest_singular_value(A) -> float:
+    A = np.asarray(A)
+    if A.size == 0:
+        return 0.0
+    return float(np.linalg.svd(A, compute_uv=False)[-1])
 
 
 def char_poly_coeffs(M):
