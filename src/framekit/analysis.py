@@ -63,11 +63,13 @@ class IterationTrace:
 def iterate_reconstruct(fp: FramePair, h, steps: int) -> IterationTrace:
     """h_k = h_{k-1} + (2/(a+b)) S (h - h_{k-1}) starting from h_0 = 0.
 
-    The error after k steps is bounded by ((b-a)/(b+a))^k ||h||.
+    The error after k steps is bounded by ((b-a)/(b+a))^k ||h||.  A complex
+    h iterates in complex arithmetic, whatever the pair's field.
     """
     S = frame_operator(fp)
     report = _require_frame_flags(S, fp.tol, "reconstruction iterates on a frame")
-    h = np.asarray(h, dtype=complex if fp.field == COMPLEX else float).ravel()
+    h = np.asarray(h)
+    h = h.astype(complex if fp.field == COMPLEX or np.iscomplexobj(h) else float).ravel()
     if h.shape != (fp.m,):
         raise ShapeMismatch("vector must live in the frame's space")
     a, b = report.lower_a, report.upper_b
@@ -223,7 +225,7 @@ def formulas_report(fp: FramePair) -> FormulasReport:
     diag = np.einsum("ij,ij->j", fp.T.conj(), fp.X)  # [j] = <x_j, tau_j>
     sum_inner = complex(diag.sum())
     trace_S = complex(np.trace(S))
-    trace_S2 = complex(np.trace(S @ S))
+    trace_S2 = complex(np.einsum("ab,ba->", S, S))
     double_sum = complex(np.sum(S * S.T))
     tol = fp.tol
     variation_ok = None

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields, is_dataclass
+from functools import partial
 
 import numpy as np
 
@@ -79,7 +80,8 @@ def _load(args, decode=io.frame_pair_from_dict, path=None):
 
 # --- one handler per verb ---------------------------------------------------------
 #
-# A handler returns (report pairs, document or None); run decides where each goes.
+# A handler returns (report pairs, None or a deferred encoder that returns the
+# document); run decides where each goes, and encodes only for -o.
 # Between the literal kind, shape and basis lines, a report's keys are its
 # result type's fields in declaration order.
 
@@ -102,7 +104,7 @@ def _dual(args):
     return ([("kind", "canonical_dual"), *_fields(frames.verify(dual)),
              ("basis", "members are mapped by the inverse frame operator; "
                        "optimal bounds invert to (1/b, 1/a)")],
-            io.frame_pair_to_dict(dual))
+            partial(io.frame_pair_to_dict, dual))
 
 
 def _classify(args):
@@ -118,7 +120,7 @@ def _circular(args):
     return ([("kind", "circular_construction"), ("count", result.fp.n), *_fields(result, "fp"),
              ("basis", "tightness is the vanishing of the compound-angle sums; "
                        "the constant is half the weighted cosine sum")],
-            io.frame_pair_to_dict(result.fp))
+            partial(io.frame_pair_to_dict, result.fp))
 
 
 def _group(args):
@@ -134,7 +136,7 @@ def _group(args):
              *_fields(result, "fp", "report"),
              ("basis", "(order/dim) <x, tau> lies between the optimal bounds "
                        "of a generated frame")],
-            io.frame_pair_to_dict(result.fp))
+            partial(io.frame_pair_to_dict, result.fp))
 
 
 def _reconstruct(args):
@@ -159,7 +161,7 @@ def _extend(args):
     return ([("kind", "tight_extension"), ("count", out.n), *_fields(frames.verify(out)),
              ("basis", "appending (lambda I - S)^(1/2) columns (or the deficient "
                        "eigenvectors) levels the spectrum")],
-            io.frame_pair_to_dict(out))
+            partial(io.frame_pair_to_dict, out))
 
 
 def _span(args):
@@ -210,7 +212,7 @@ def _convert(args):
              *_fields(frames.verify(out)),
              ("basis", "bounds survive the change of scalars; the real form "
                        "doubles the member count")],
-            io.frame_pair_to_dict(out))
+            partial(io.frame_pair_to_dict, out))
 
 
 def _ovf_verify(args):
@@ -229,7 +231,7 @@ def _ovf_dual(args):
     return ([("kind", "ovf_canonical_dual"), *_fields(report, "riesz_ovf", "orthonormal_ovf"),
              ("basis", "members are right-multiplied by the inverse frame "
                        "operator; optimal bounds invert")],
-            io.ovf_pair_to_dict(dual))
+            partial(io.ovf_pair_to_dict, dual))
 
 
 def _ovf_bridge(args):
@@ -239,10 +241,10 @@ def _ovf_bridge(args):
     if io.detect_kind(doc) == "frame":
         out = ovf.ovf_bridge(io.frame_pair_from_dict(doc, _tol(args)))
         return ([("kind", "bridge"), ("direction", "frame_to_ovf"), ("n", out.n)],
-                io.ovf_pair_to_dict(out))
+                partial(io.ovf_pair_to_dict, out))
     fp = ovf.ovf_bridge_inverse(io.ovf_pair_from_dict(doc, _tol(args)))
     return ([("kind", "bridge"), ("direction", "ovf_to_frame"), ("count", fp.n)],
-            io.frame_pair_to_dict(fp))
+            partial(io.frame_pair_to_dict, fp))
 
 
 def _pframe_verify(args):
@@ -263,7 +265,7 @@ def _pframe_dual(args):
     return ([("kind", "pframe_canonical_dual"), *_fields(result, "dual"),
              ("basis", "functionals and vectors are carried by the inverse p-frame "
                        "operator")],
-            io.pframe_pair_to_dict(result.dual))
+            partial(io.pframe_pair_to_dict, result.dual))
 
 
 def _paley_wiener(args):
@@ -391,10 +393,10 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        pairs, doc = args.handler(args)
+        pairs, encode = args.handler(args)
         text = _render(pairs)
-        if args.output and doc is not None:
-            io.save(args.output, doc)
+        if args.output and encode is not None:
+            io.save(args.output, encode())
         elif args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)

@@ -43,7 +43,6 @@ from .numerics import (
     _psd,
     _require_square,
     entry_max,
-    hermitian_part,
     herm_sqrt,
 )
 
@@ -568,15 +567,41 @@ def _block_identities_ok(L: np.ndarray, R: np.ndarray, codims, tol: Tolerance) -
     return bool(np.all(deviation <= tol.abs_tol + tol.rel_tol * np.maximum(scale, 1.0)))
 
 
+def _complement_rows(Q: np.ndarray) -> np.ndarray:
+    """Rows Qperp^* ((N - r) x N) of an orthonormal basis of ran(Q)'s complement.
+
+    Q = H_1 ... H_r R, H_k = I - tau_k v_k v_k^*, is Q's Householder QR
+    (np.linalg.qr's raw mode), and the complete factor is H_1 ... H_r =
+    I - V T V^* in compact WY form (Schreiber and Van Loan, SISC 10, 1989),
+    T upper triangular r x r by LAPACK larft's forward recurrence.  Its
+    columns r.. span the complement, so Qperp^* is rows r.. of
+    I - V T^* V^*: O(N^2 r) with no N x N factor formed first.  A zero tau_k
+    (a column already in place) makes H_k = I, whatever v_k holds.
+    """
+    N, r = Q.shape
+    h, tau = np.linalg.qr(Q, mode="raw")
+    V = np.tril(h.T, -1)  # h is the transpose of LAPACK's N x r array
+    np.fill_diagonal(V, 1.0)
+    G = V.conj().T @ V
+    T = np.zeros((r, r), dtype=V.dtype)
+    for k in range(r):
+        T[:k, k] = -tau[k] * (T[:k, :k] @ G[:k, k])
+        T[k, k] = tau[k]
+    W = -(V[r:] @ T.conj().T) @ V.conj().T
+    diag = np.arange(N - r)
+    W[diag, diag + r] += 1.0
+    return W
+
+
 def _dilation_rows(theta_A: np.ndarray, theta_Psi: np.ndarray, S: np.ndarray, tol: Tolerance,
                    message: str = "theta_A and theta_Psi must have equal ranges") -> np.ndarray:
-    """Rows W = Qperp^* P_perp ((N - r) x N) that dilate a Parseval pair to an orthonormal one.
+    """Rows W = Qperp^* ((N - r) x N) that dilate a Parseval pair to an orthonormal one.
 
     Q (N x r) is the orthonormal basis of ran(theta_A) that the range test
-    returns, and Qperp its orthogonal complement: the trailing N - r
-    columns of a complete QR of Q.  Any orthonormal basis of that
-    complement gives an orthonormal dilation, and this one costs an
-    O(N^2 r) factorisation, not the O(N^3) SVD of the projector I - Q Q^*.
+    returns, and Qperp an orthonormal basis of its complement
+    (_complement_rows).  No step costs more than O(N^2 m): P^2 - P =
+    theta_A (S - I) theta_Psi^* goes through the m x m core S the Parseval
+    gate decided, not through the N x N x N product P P.
     The vector layer appends W below X and T, the operator layer W^* as new
     columns of theta_A and theta_Psi.  Unequal ranges raise
     RangesDiffer(message), which names the operators as the caller's layer does.
@@ -587,12 +612,10 @@ def _dilation_rows(theta_A: np.ndarray, theta_Psi: np.ndarray, S: np.ndarray, to
     if Q is None:
         raise RangesDiffer(message)
     P = theta_A @ theta_Psi.conj().T  # S = I for a Parseval pair
-    if not _hermitian(P, tol) or entry_max(P @ P - P) > tol.margin(entry_max(P)):
+    excess = (theta_A @ (S - np.eye(S.shape[0], dtype=S.dtype))) @ theta_Psi.conj().T
+    if not _hermitian(P, tol) or entry_max(excess) > tol.margin(entry_max(P)):
         raise IdempotentNotProjection("frame idempotent is not an orthogonal projection")
-    N = theta_A.shape[0]
-    Pperp = np.eye(N, dtype=P.dtype) - hermitian_part(P)
-    Qperp = np.linalg.qr(Q, mode="complete")[0][:, Q.shape[1]:]
-    return Qperp.conj().T @ Pperp
+    return _complement_rows(Q)
 
 
 def _tight_block(S: np.ndarray, lam: float, tol: Tolerance) -> np.ndarray:

@@ -120,13 +120,28 @@ def _require_square(M) -> np.ndarray:
 # reads.  They take matrices the caller already holds as finite and square.
 
 
+_HERMITIAN_BLOCK = 64
+
+
 def _hermitian(M, tol: Tolerance):
     """Whether M, or each matrix of a stack (..., k, k), is Hermitian within tol.
 
     The deviation max |M - M^*| is compared with tol's margin at the
-    scale max |M|.
+    scale max |M|.  Above _HERMITIAN_BLOCK rows it is taken over the upper
+    triangle only, since |m_ab - conj(m_ba)| = |m_ba - conj(m_ab)|, one
+    panel of rows against the matching columns at a time: the same
+    maximum, without reading all of M^* at the column stride.  Smaller
+    matrices take it in one expression, which costs less per call.
     """
-    dev = np.abs(M - np.swapaxes(M, -1, -2).conj()).max(axis=(-2, -1), initial=0.0)
+    k = M.shape[-1]
+    if k <= _HERMITIAN_BLOCK:
+        dev = np.abs(M - np.swapaxes(M, -1, -2).conj()).max(axis=(-2, -1), initial=0.0)
+    else:
+        dev = 0.0
+        for i in range(0, k, _HERMITIAN_BLOCK):
+            rows = M[..., i:i + _HERMITIAN_BLOCK, i:]
+            cols = np.swapaxes(M[..., i:, i:i + _HERMITIAN_BLOCK], -1, -2).conj()
+            dev = np.maximum(dev, np.abs(rows - cols).max(axis=(-2, -1), initial=0.0))
     return dev <= tol.abs_tol + tol.rel_tol * np.abs(M).max(axis=(-2, -1), initial=0.0)
 
 
@@ -366,10 +381,11 @@ def pnorm_estimate(
 ) -> PNormInterval:
     """Certified interval for the lp -> lp operator norm of M.
 
-    lower: best witness among all standard basis vectors, all +-1 sign
-    patterns (when cols <= 12), the leading right singular vector, and
-    `samples` seeded random directions, each normalised in lp; each
-    family of witnesses goes through one stacked product.
+    lower: best witness among all standard basis vectors, the +-1 sign
+    patterns up to a global sign (when cols <= 12), the leading right
+    singular vector, and `samples` seeded random directions, each
+    normalised in lp; each family of witnesses goes through one stacked
+    product.
     upper: exact largest singular value at p = 2, else the interpolation
     bound ||M||_1^(1/p) * ||M||_inf^(1-1/p).
 
@@ -396,8 +412,9 @@ def pnorm_estimate(
 
     # a standard basis vector has unit lp norm and maps to its column exactly
     witnesses = [_lp_norms(M.T, p)]
-    if cols <= 12:
-        witnesses.append(_normalized_image_lp_norms(M, _sign_patterns(cols), p))
+    if cols <= 12:  # c and -c have equal image norms: keep the patterns ending in +1
+        half = _sign_patterns(cols)[(1 << cols) >> 1:]
+        witnesses.append(_normalized_image_lp_norms(M, half, p))
     try:
         _, _, Vh = np.linalg.svd(M)
         witnesses.append(_normalized_image_lp_norms(M, Vh[:1].conj(), p))

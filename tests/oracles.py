@@ -36,7 +36,9 @@ from framekit.frames import (
     FrameReport,
     SimilarityTransforms,
     _check_shapes,
+    _frame_flags,
     _require_frame,
+    _shared_range_basis,
     frame_flags,
     frame_operator,
     infer_field,
@@ -44,7 +46,11 @@ from framekit.frames import (
     verify,
 )
 from framekit.numerics import (
+    _gaussian_rows,
     _lp_norm,
+    _lp_norms,
+    _normalized_image_lp_norms,
+    _sign_patterns,
     entry_max,
     herm_sqrt,
     hermitian_part,
@@ -184,6 +190,30 @@ def pnorm_by_candidates(M, p, samples=200, seed=0):
             continue
         lower = max(lower, _lp_norm(M @ (np.asarray(c, dtype=M.dtype) / nc), p))
     return lower, upper
+
+
+def pnorm_estimate_by_all_signs(M, p, samples=200, seed=0):
+    """(lower, upper) of numerics.pnorm_estimate with all 2^cols sign patterns as
+    witnesses (cols <= 12), where the library keeps the half ending in +1."""
+    M = np.asarray(M)
+    cols = M.shape[1]
+    absM = np.abs(M)
+    norm1 = float(absM.sum(axis=0).max()) if M.size else 0.0
+    norminf = float(absM.sum(axis=1).max()) if M.size else 0.0
+    if p == 2:
+        upper = opnorm2(M)
+    elif norm1 == 0.0 or norminf == 0.0:
+        upper = 0.0
+    else:
+        upper = norm1 ** (1.0 / p) * norminf ** (1.0 - 1.0 / p)
+    witnesses = [_lp_norms(M.T, p)]
+    if cols <= 12:
+        witnesses.append(_normalized_image_lp_norms(M, _sign_patterns(cols), p))
+    witnesses.append(_normalized_image_lp_norms(M, np.linalg.svd(M)[2][:1].conj(), p))
+    draws = _gaussian_rows(np.random.default_rng(seed), samples, cols, np.iscomplexobj(M))
+    witnesses.append(_normalized_image_lp_norms(M, draws, p))
+    lower = max(float(w.max(initial=0.0)) for w in witnesses)
+    return min(lower, upper), upper
 
 
 def p_orthonormal_by_candidates(vectors, p, trials=200, seed=0, tol=None):
@@ -390,6 +420,30 @@ def dilate_by_range_bases(fp):
         bottom = bottom.real
     big = FramePair(np.vstack([fp.X, bottom]), np.vstack([fp.T, bottom]), fp.field, tol)
     return DilationResult(big, fp.m + (fp.n - r))
+
+
+def hermitian_by_full_transpose(M, tol):
+    """numerics._hermitian as one subtraction of the whole M^*, stacks included."""
+    dev = np.abs(M - np.swapaxes(M, -1, -2).conj()).max(axis=(-2, -1), initial=0.0)
+    return dev <= tol.abs_tol + tol.rel_tol * np.abs(M).max(axis=(-2, -1), initial=0.0)
+
+
+def dilation_rows_by_complete_qr(theta_A, theta_Psi, S, tol,
+                                 message="theta_A and theta_Psi must have equal ranges"):
+    """frames._dilation_rows as it was before the compact WY complement:
+    P P - P formed as an N x N x N product, Qperp from a complete QR, and
+    the rows Qperp^* P_perp."""
+    if not _frame_flags(S, tol).parseval:
+        raise NotParseval("dilation starts from a Parseval pair")
+    Q = _shared_range_basis(theta_A, theta_Psi, tol)
+    if Q is None:
+        raise RangesDiffer(message)
+    P = theta_A @ theta_Psi.conj().T
+    if not hermitian_by_full_transpose(P, tol) or entry_max(P @ P - P) > tol.margin(entry_max(P)):
+        raise IdempotentNotProjection("frame idempotent is not an orthogonal projection")
+    Pperp = np.eye(theta_A.shape[0], dtype=P.dtype) - hermitian_part(P)
+    Qperp = np.linalg.qr(Q, mode="complete")[0][:, Q.shape[1]:]
+    return Qperp.conj().T @ Pperp
 
 
 def tensor_shuffle_permutation(n1, d1, n2, d2):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,18 @@ def test_iterate_trace_invariant_random(rng):
         h = rng.standard_normal(m)
         trace = fk.iterate_reconstruct(fp, h, 20)
         assert np.all(trace.errors <= trace.bound_curve + 1e-9)
+
+
+@pytest.mark.parametrize("fp", [STD2, DIAG12], ids=["std2", "diag12"])
+def test_iterate_keeps_the_imaginary_part_of_a_complex_target_on_a_real_pair(fp):
+    h = [1.0 + 2.0j, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning: nothing is discarded
+        trace = fk.iterate_reconstruct(fp, h, 30)
+    assert trace.errors[0] == pytest.approx(np.sqrt(5.0), abs=1e-15)
+    assert trace.bound_curve[0] == pytest.approx(np.sqrt(5.0), abs=1e-15)
+    assert np.allclose(trace.iterates[-1], h, atol=1e-6)
+    assert np.all(trace.errors <= trace.bound_curve + 1e-12)
 
 
 def test_iterate_requires_frame():
@@ -217,6 +231,7 @@ def test_formulas_trace_identities_random(rng):
         S = fk.frame_operator(fp)
         assert report.sum_inner == pytest.approx(np.trace(S).conjugate(), abs=1e-9)
         assert report.double_sum == pytest.approx(np.trace(S @ S), abs=1e-8)
+        assert report.trace_S2 == pytest.approx(np.trace(S @ S), abs=1e-8)
 
 
 # --- trace formula -------------------------------------------------------------------

@@ -207,3 +207,28 @@ def test_an_unwritable_o_is_an_io_failure(inputs, tmp_path, monkeypatch, capsys,
     monkeypatch.chdir(inputs)
     code, text = run_case(capsys, case, "-o", str(tmp_path / "missing" / "out"))
     assert code == 1 and text.startswith("kind = parse_error\nerror = FileNotFoundError\n")
+
+
+_ENCODERS = ("frame_pair_to_dict", "ovf_pair_to_dict", "pframe_pair_to_dict")
+
+
+@pytest.mark.parametrize("case, kind", DOCUMENT_CASES + [(case, None) for case in REPORT_CASES])
+def test_a_document_is_encoded_only_for_o(inputs, tmp_path, monkeypatch, capsys, case, kind):
+    """Without -o no encoder runs; with -o a document verb runs its own once."""
+    calls = []
+
+    def spied(name):
+        encoder = getattr(fio, name)
+
+        def wrapper(obj):
+            calls.append(name)
+            return encoder(obj)
+        return wrapper
+
+    monkeypatch.chdir(inputs)
+    for name in _ENCODERS:
+        monkeypatch.setattr(fio, name, spied(name))
+    code, _ = run_case(capsys, case)
+    assert code == 0 and calls == []
+    code, _ = run_case(capsys, case, "-o", str(tmp_path / "out.json"))
+    assert code == 0 and calls == ([] if kind is None else [f"{kind}_pair_to_dict"])

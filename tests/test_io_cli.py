@@ -196,6 +196,16 @@ def test_cli_analyze_reconstruct(tmp_path, capsys):
     assert code == 0 and "step_1" in text
 
 
+def test_cli_analyze_reconstruct_complex_target_on_a_real_pair(tmp_path, capsys):
+    path = tmp_path / "std.frame"
+    fio.write_frame_pair(str(path), FramePair(np.eye(2), np.eye(2), "real"))
+    code, text = run_cli(capsys, "analyze", "reconstruct", str(path),
+                         "--target", "1+2i,0", "--steps", "1")
+    assert code == 0
+    assert "step_0 = [2.2360679775, 2.2360679775]\n" in text  # ||h|| = sqrt(5), not 1
+    assert "step_1 = [0, 0]\n" in text
+
+
 def test_cli_analyze_extend_and_span(tmp_path, capsys):
     path = tmp_path / "std.frame"
     fio.write_frame_pair(str(path), FramePair(np.eye(2), np.eye(2), "real"))

@@ -7,6 +7,7 @@ Each library routine must reach the loop's verdict, witness and exception
 interval endpoints and matrices agree to 1e-13 relative.
 """
 
+import collections
 import json
 
 import numpy as np
@@ -127,6 +128,18 @@ def test_pnorm_matches_candidate_loop(rng, p):
         lower, upper = oracles.pnorm_by_candidates(M, p, samples, seed=k)
         assert got.upper == upper
         assert got.lower == pytest.approx(min(lower, upper), rel=RTOL)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.0])
+def test_pnorm_half_sign_family_matches_the_full_family_bit_for_bit(rng, p):
+    """M(-c) = -(M c) entry for entry, so dropping the patterns that end in -1
+    leaves the witness maximum, and the interval, unchanged."""
+    for k in range(40):
+        rows, cols = int(rng.integers(1, 9)), int(rng.integers(1, 13))
+        M = random_matrix(rng, rows, cols, "complex" if k % 2 else "real")
+        samples = int(rng.choice([0, 5]))
+        got = fk.pnorm_estimate(M, p, samples, seed=k)
+        assert (got.lower, got.upper) == oracles.pnorm_estimate_by_all_signs(M, p, samples, seed=k)
 
 
 def test_pnorm_integer_matrix_matches_candidate_loop():
@@ -534,6 +547,85 @@ def test_dilate_matches_the_oracle_up_to_m_16_and_n_64(rng, field):
         assert entry_max(X.conj().T @ T - np.eye(fp.n)) <= 1e-12
     assert outcome(lambda: fk.dilate(cases[-2]))[0] == "NotParseval"
     assert outcome(lambda: fk.dilate(cases[-1]))[0] == "RangesDiffer"
+
+
+def near_idempotent_margin(rng, m, n, field, tol, self_dual):
+    """(theta_A, theta_Psi, S) of a pair with S = (1 + t) I and t within 3e-7
+    relative of abs_tol + rel_tol.
+
+    The range basis Q holds a standard basis vector, so P = (1 + t) Q Q^*
+    has a unit diagonal entry and max |P^2 - P| = t (1 + t) meets the
+    idempotent margin abs_tol + rel_tol max |P| there, inside the Parseval
+    window |t| <= abs_tol + rel_tol (1 + t).  A pair that is not self-dual
+    is (theta C, theta C^-*), whose idempotent is still Hermitian.
+    """
+    G = random_matrix(rng, n, m, field)
+    k = int(rng.integers(n))
+    G[:, 0] = 0.0
+    G[k, :] = 0.0
+    G[k, 0] = 1.0
+    Q = np.linalg.qr(G)[0]
+    U = np.linalg.qr(random_matrix(rng, m, m, field))[0]
+    t = (tol.abs_tol + tol.rel_tol) * (1.0 + 3e-7 * rng.uniform(-1.0, 1.0))
+    C = np.eye(m) if self_dual else random_matrix(rng, m, m, field) + 3.0 * np.eye(m)
+    theta = np.sqrt(1.0 + t) * Q @ U.conj().T
+    theta_A, theta_Psi = theta @ C, theta @ np.linalg.inv(C).conj().T
+    return theta_A, theta_Psi, theta_Psi.conj().T @ theta_A
+
+
+def test_dilation_idempotent_verdicts_move_only_within_round_off_of_the_margin(rng):
+    """P^2 - P as theta_A (S - I) theta_Psi^* against the N x N x N product
+    (oracles.dilation_rows_by_complete_qr): the same verdict, except where
+    the oracle's max |P P - P| lies within round-off of the margin."""
+    eps = np.finfo(float).eps
+    seen = collections.Counter()
+    for k in range(1500):
+        field = "complex" if k % 2 else "real"
+        tol = (Tolerance(), Tolerance(1e-12, 1e-9), Tolerance(0.0, 1e-9))[k % 3]
+        m = int(rng.integers(1, 6))
+        A, Psi, S = near_idempotent_margin(rng, m, m + int(rng.integers(0, 8)), field, tol,
+                                           self_dual=k % 4 != 3)
+        got = outcome(lambda: frames._dilation_rows(A, Psi, S, tol))
+        want = outcome(lambda: oracles.dilation_rows_by_complete_qr(A, Psi, S, tol))
+        seen[tuple(x[0] if isinstance(x, tuple) else "rows" for x in (want, got))] += 1
+        if isinstance(got, tuple) and isinstance(want, tuple):
+            assert got == want
+            continue
+        P = A @ Psi.conj().T
+        if isinstance(got, tuple) or isinstance(want, tuple):  # a moved verdict
+            assert (got if isinstance(got, tuple) else want)[0] == "IdempotentNotProjection"
+            assert abs(entry_max(P @ P - P) - tol.margin(entry_max(P))) <= 8 * eps
+            continue
+        W, W_want = got, want
+        assert W.shape == W_want.shape
+        assert entry_max(W @ W.conj().T - np.eye(W.shape[0])) <= 1e-12
+        assert entry_max(W.conj().T @ W - W_want.conj().T @ W_want) <= 1e-12
+    # the margin is straddled: the oracle decides both ways among Parseval pairs
+    assert seen["IdempotentNotProjection", "IdempotentNotProjection"] > 0
+    assert seen["rows", "rows"] > 100
+    assert seen["NotParseval", "NotParseval"] > 100
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_dilation_rows_with_zero_householder_scalars(rng, field):
+    """theta = [I_m; 0] with its rows permuted (or not): a range basis of
+    standard basis vectors, whose Householder QR has tau_k = 0 wherever a
+    column is already in place."""
+    zero_taus = 0
+    for m, n, permute in [(1, 1, False), (3, 3, False), (3, 7, False), (3, 7, True),
+                          (16, 64, False), (16, 64, True), (5, 200, True), (16, 1024, True)]:
+        theta = np.zeros((n, m), dtype=complex if field == "complex" else float)
+        theta[:m] = np.eye(m)
+        if permute:
+            theta = theta[rng.permutation(n)]
+        fp = FramePair(theta.conj().T, theta.conj().T, field)
+        zero_taus += int(np.sum(np.linalg.qr(frames.range_basis(theta, fp.tol), mode="raw")[1] == 0))
+        W = frames._dilation_rows(theta, theta, fk.frame_operator(fp), fp.tol)
+        assert W.shape == (n - m, n)
+        assert entry_max(W @ W.conj().T - np.eye(n - m)) <= 1e-12
+        assert entry_max(theta @ theta.conj().T + W.conj().T @ W - np.eye(n)) <= 1e-12
+        assert fk.classify(fk.dilate(fp).big).orthonormal_frame
+    assert zero_taus > 0
 
 
 def test_is_identity_matches_subtracting_the_identity(rng):
