@@ -120,28 +120,13 @@ def _require_square(M) -> np.ndarray:
 # reads.  They take matrices the caller already holds as finite and square.
 
 
-_HERMITIAN_BLOCK = 64
-
-
 def _hermitian(M, tol: Tolerance):
     """Whether M, or each matrix of a stack (..., k, k), is Hermitian within tol.
 
     The deviation max |M - M^*| is compared with tol's margin at the
-    scale max |M|.  Above _HERMITIAN_BLOCK rows it is taken over the upper
-    triangle only, since |m_ab - conj(m_ba)| = |m_ba - conj(m_ab)|, one
-    panel of rows against the matching columns at a time: the same
-    maximum, without reading all of M^* at the column stride.  Smaller
-    matrices take it in one expression, which costs less per call.
+    scale max |M|.
     """
-    k = M.shape[-1]
-    if k <= _HERMITIAN_BLOCK:
-        dev = np.abs(M - np.swapaxes(M, -1, -2).conj()).max(axis=(-2, -1), initial=0.0)
-    else:
-        dev = 0.0
-        for i in range(0, k, _HERMITIAN_BLOCK):
-            rows = M[..., i:i + _HERMITIAN_BLOCK, i:]
-            cols = np.swapaxes(M[..., i:, i:i + _HERMITIAN_BLOCK], -1, -2).conj()
-            dev = np.maximum(dev, np.abs(rows - cols).max(axis=(-2, -1), initial=0.0))
+    dev = np.abs(M - np.swapaxes(M, -1, -2).conj()).max(axis=(-2, -1), initial=0.0)
     return dev <= tol.abs_tol + tol.rel_tol * np.abs(M).max(axis=(-2, -1), initial=0.0)
 
 

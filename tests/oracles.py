@@ -47,6 +47,7 @@ from framekit.frames import (
 )
 from framekit.numerics import (
     _gaussian_rows,
+    _hermitian,
     _lp_norm,
     _lp_norms,
     _normalized_image_lp_norms,
@@ -422,12 +423,6 @@ def dilate_by_range_bases(fp):
     return DilationResult(big, fp.m + (fp.n - r))
 
 
-def hermitian_by_full_transpose(M, tol):
-    """numerics._hermitian as one subtraction of the whole M^*, stacks included."""
-    dev = np.abs(M - np.swapaxes(M, -1, -2).conj()).max(axis=(-2, -1), initial=0.0)
-    return dev <= tol.abs_tol + tol.rel_tol * np.abs(M).max(axis=(-2, -1), initial=0.0)
-
-
 def dilation_rows_by_complete_qr(theta_A, theta_Psi, S, tol,
                                  message="theta_A and theta_Psi must have equal ranges"):
     """frames._dilation_rows as it was before the compact WY complement:
@@ -439,7 +434,7 @@ def dilation_rows_by_complete_qr(theta_A, theta_Psi, S, tol,
     if Q is None:
         raise RangesDiffer(message)
     P = theta_A @ theta_Psi.conj().T
-    if not hermitian_by_full_transpose(P, tol) or entry_max(P @ P - P) > tol.margin(entry_max(P)):
+    if not _hermitian(P, tol) or entry_max(P @ P - P) > tol.margin(entry_max(P)):
         raise IdempotentNotProjection("frame idempotent is not an orthogonal projection")
     Pperp = np.eye(theta_A.shape[0], dtype=P.dtype) - hermitian_part(P)
     Qperp = np.linalg.qr(Q, mode="complete")[0][:, Q.shape[1]:]

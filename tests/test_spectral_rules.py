@@ -12,7 +12,6 @@ import framekit as fk
 from framekit import FramePair, PFramePair, Tolerance
 from framekit.analysis import _first_misaligned
 from framekit.errors import NotPFrame, ParamNotAdmissible, SpectrumOnCut
-from framekit.numerics import _hermitian
 
 import oracles
 from conftest import random_frame, random_matrix, random_parseval, random_parseval_ovf
@@ -143,28 +142,6 @@ def test_dilate_runs_only_raw_mode_qr(rng, monkeypatch, field):
 
 
 # --- the vectorised gates against their per-element forms ---------------------------
-
-
-@pytest.mark.parametrize("k", [2, 63, 64, 65, 130, 200])
-def test_hermitian_in_panels_matches_the_full_transpose(rng, k):
-    """The upper-triangle panels of numerics._hermitian reach the verdict of
-    one |M - M^*| over the whole matrix, on deviations straddling the margin,
-    for single matrices and stacks."""
-    tol = Tolerance()
-    seen = collections.Counter()
-    for trial in range(24):
-        field = "complex" if trial % 2 else "real"
-        H = random_matrix(rng, k, k, field)
-        H = H + H.conj().T
-        E = random_matrix(rng, k, k, field)
-        margin = tol.margin(np.abs(H).max())
-        M = H + E * (rng.uniform(0.5, 1.5) * margin / np.abs(E - E.conj().T).max())
-        if trial % 3 == 2:
-            M = np.stack([M, H, M.conj().T])
-        got = _hermitian(M, tol)
-        assert np.array_equal(got, oracles.hermitian_by_full_transpose(M, tol))
-        seen.update(np.ravel(got).tolist())
-    assert seen[True] > 0 and seen[False] > 0
 
 
 def straddling_members(rng, m, n, field, tol):
