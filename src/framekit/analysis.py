@@ -30,8 +30,7 @@ from .frames import (
     _frame_eigh,
     _require_frame,
     _require_frame_flags,
-    _thetas,
-    _tight_block,
+    _extend_tight,
     _weighted_onb,
     _frame_flags,
     frame_operator,
@@ -64,8 +63,11 @@ def iterate_reconstruct(fp: FramePair, h, steps: int) -> IterationTrace:
     """h_k = h_{k-1} + (2/(a+b)) S (h - h_{k-1}) starting from h_0 = 0.
 
     The error after k steps is bounded by ((b-a)/(b+a))^k ||h||.  A complex
-    h iterates in complex arithmetic, whatever the pair's field.
+    h iterates in complex arithmetic, whatever the pair's field.  A
+    negative steps raises ValueError.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     S = frame_operator(fp)
     report = _require_frame_flags(S, fp.tol, "reconstruction iterates on a frame")
     h = np.asarray(h)
@@ -88,9 +90,11 @@ def iterate_reconstruct(fp: FramePair, h, steps: int) -> IterationTrace:
 
 
 def extend_tight_append(fp: FramePair, lam: float) -> FramePair:
-    """Append the m columns of (lam I - S)^(1/2) to both families."""
-    B = _tight_block(frame_operator(fp), lam, fp.tol)
-    return FramePair(np.hstack([fp.X, B]), np.hstack([fp.T, B]), fp.field, fp.tol)
+    """Append the m columns of (lam I - S)^(1/2) to both families.
+
+    One body with ovf.extend_tight_ovf (frames._extend_tight).
+    """
+    return _extend_tight(fp, lam)
 
 
 def extend_tight_minimal(fp: FramePair) -> FramePair:
@@ -279,8 +283,7 @@ def weighted_onb_check(fp: FramePair, c) -> WeightedOnbResult:
 
     The d = 1 case of ovf.weighted_onb_bessel_check.
     """
-    holds, _ = _weighted_onb(*_thetas(fp), (1,) * fp.n, c, fp.tol)
-    return WeightedOnbResult(holds)
+    return WeightedOnbResult(_weighted_onb(fp, c)[0])
 
 
 @dataclass(frozen=True)

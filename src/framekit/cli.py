@@ -65,6 +65,8 @@ def _parse_vector(text: str, complex_ok: bool = True) -> np.ndarray:
         raise ValueError("empty vector literal")
     values = [complex(p.replace("i", "j")) if complex_ok else float(p) for p in parts]
     arr = np.asarray(values)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"vector entries must be finite, got {text!r}")
     if np.all(arr.imag == 0):
         arr = arr.real
     return arr

@@ -8,6 +8,13 @@ the optimal frame bounds are then the extreme eigenvalues of S.
 Analysis operators are theta_x = X^*, theta_tau = T^* (vectors to
 coefficients); the frame idempotent P = X^* S^-1 T acts on coefficient
 space.
+
+A vector pair is the rank-one operator-valued pair (Kaftal-Larson-Zhang):
+a FramePair reads as the stacked view that ovf.OvfPair stores, theta_A =
+X^*, theta_Psi = T^* and codims = (1,) * n, and FramePair._stacked builds
+one from that view with the same signature as OvfPair._stacked.  So each
+operation both layers share has one body below, which takes a pair of
+either class and builds its result through type(pair)._stacked.
 """
 
 from __future__ import annotations
@@ -117,6 +124,29 @@ class FramePair:
     def with_tol(self, tol: Tolerance) -> "FramePair":
         return replace(self, tol=tol)
 
+    @property
+    def theta_A(self) -> np.ndarray:
+        """X^*: the stacked rank-one members A_j = x_j^*."""
+        return self.X.conj().T
+
+    @property
+    def theta_Psi(self) -> np.ndarray:
+        """T^*: the stacked rank-one members Psi_j = tau_j^*."""
+        return self.T.conj().T
+
+    @property
+    def codims(self) -> tuple:
+        return (1,) * self.n
+
+    @classmethod
+    def _stacked(cls, theta_A, theta_Psi, codims: tuple, field: str, tol: Tolerance) -> "FramePair":
+        """The pair with X = theta_A^* and T = theta_Psi^*: every row is a rank-one member.
+
+        codims is not kept: a block of d rows acts as d rank-one members,
+        with the same frame operator.
+        """
+        return cls(theta_A.conj().T, theta_Psi.conj().T, field, tol)
+
 
 @dataclass(frozen=True)
 class FrameReport:
@@ -131,9 +161,16 @@ class FrameReport:
     parseval: bool
 
 
-def frame_operator(fp: FramePair) -> np.ndarray:
-    """S = T X^* = sum_j tau_j x_j^*  (m x m); NumericalOverflow when it overflows."""
-    return _finite_product(fp.T, fp.X.conj().T, "frame operator")
+def frame_operator(pair) -> np.ndarray:
+    """S = theta_Psi^* theta_A = sum_j Psi_j^* A_j  (m x m) of a pair of either layer.
+
+    A FramePair forms it from its own columns as T X^* = sum_j tau_j x_j^*,
+    one conjugate copy where theta_Psi^* theta_A would take two.
+    NumericalOverflow when it overflows.
+    """
+    if isinstance(pair, FramePair):
+        return _finite_product(pair.T, pair.X.conj().T, "frame operator")
+    return _finite_product(pair.theta_Psi.conj().T, pair.theta_A, "frame operator")
 
 
 def frame_flags(S, tol: Tolerance) -> FrameReport:
@@ -175,9 +212,10 @@ def verify(fp: FramePair) -> FrameReport:
     return _frame_flags(frame_operator(fp), fp.tol)
 
 
-def _require_frame(fp: FramePair, message: str = "operation requires a frame") -> np.ndarray:
-    S = frame_operator(fp)
-    _require_frame_flags(S, fp.tol, message)
+def _require_frame(pair, message: str = "operation requires a frame") -> np.ndarray:
+    """S of a pair of either layer that must be a frame, else NotAFrame(message)."""
+    S = frame_operator(pair)
+    _require_frame_flags(S, pair.tol, message)
     return S
 
 
@@ -206,13 +244,9 @@ def _frame_eigh(S: np.ndarray, tol: Tolerance, message: str = "operation require
 def canonical_dual(fp: FramePair) -> FramePair:
     """(S^-1 x_j, S^-1 tau_j); its frame operator is S^-1.
 
-    The d = 1 case of ovf.canonical_dual_ovf: one S^-1 and two products
-    (_canonical_dual), returned as the conjugate transposes of the dual
-    analysis operators, so the bridged results agree bit for bit.
+    The d = 1 case of ovf.canonical_dual_ovf, one body (_canonical_dual).
     """
-    S = _require_frame(fp)
-    theta_A, theta_Psi = _canonical_dual(*_thetas(fp), S)
-    return FramePair(theta_A.conj().T, theta_Psi.conj().T, fp.field, fp.tol)
+    return _canonical_dual(fp)
 
 
 def _check_shapes(fp: FramePair, gq: FramePair):
@@ -225,13 +259,13 @@ def _check_shapes(fp: FramePair, gq: FramePair):
 def is_dual(fp: FramePair, gq: FramePair) -> bool:
     """True iff Omega X^* = I and Y T^* = I, gq = (Y, Omega)."""
     _check_shapes(fp, gq)
-    return _duality(*_thetas(fp), *_thetas(gq), fp.tol)[0]
+    return _duality(fp, gq)[0]
 
 
 def is_orthogonal(fp: FramePair, gq: FramePair) -> bool:
     """True iff Omega X^* = 0 and Y T^* = 0 (bilinear condition only)."""
     _check_shapes(fp, gq)
-    return _duality(*_thetas(fp), *_thetas(gq), fp.tol)[1]
+    return _duality(fp, gq)[1]
 
 
 def make_dual_from_params(fp: FramePair, U, V) -> FramePair:
@@ -272,15 +306,10 @@ def common_dual(fp: FramePair, gq: FramePair) -> FramePair:
     return FramePair(Z, R, fp.field if fp.field == gq.field else COMPLEX, fp.tol)
 
 
-def _thetas(fp: FramePair):
-    """The analysis operators (theta_x, theta_tau) = (X^*, T^*)."""
-    return fp.X.conj().T, fp.T.conj().T
-
-
 def frame_idempotent(fp: FramePair) -> np.ndarray:
     """P = X^* S^-1 T  (n x n), idempotent on coefficient space."""
     S = _require_frame(fp)
-    return _idempotent(*_thetas(fp), S)
+    return _idempotent(fp.theta_A, fp.theta_Psi, S)
 
 
 @dataclass(frozen=True)
@@ -292,7 +321,7 @@ class ClassifyResult:
     @cached_property
     def cross_gram(self) -> np.ndarray:
         """Entry [k, j] = <x_j, tau_k>; computed on first access, since no verdict reads it."""
-        return self._pair.T.conj().T @ self._pair.X
+        return self._pair.theta_Psi @ self._pair.X
 
 
 def classify(fp: FramePair) -> ClassifyResult:
@@ -307,7 +336,7 @@ def classify(fp: FramePair) -> ClassifyResult:
 
 def _classify(fp: FramePair, S: np.ndarray, report: FrameReport) -> ClassifyResult:
     """classify for a frame whose S and flags the caller already holds."""
-    return ClassifyResult(*_refinements(*_thetas(fp), S, report, (1,) * fp.n, fp.tol), fp)
+    return ClassifyResult(*_refinements(fp, S, report), fp)
 
 
 def direct_sum(fp: FramePair, gq: FramePair) -> FramePair:
@@ -324,9 +353,7 @@ def tensor_product(fp: FramePair, gq: FramePair) -> FramePair:
     The d = 1 case of ovf.tensor_ovf (_tensor); kron commutes exactly with
     the conjugate transpose, so the columns are those of kron(X, Y).
     """
-    field = fp.field if fp.field == gq.field else COMPLEX
-    theta_A, theta_Psi, _ = _tensor(*_thetas(fp), (1,) * fp.n, *_thetas(gq), (1,) * gq.n)
-    return FramePair(theta_A.conj().T, theta_Psi.conj().T, field, fp.tol)
+    return _tensor(fp, gq)
 
 
 def interpolate_parseval(fp: FramePair, gq: FramePair, A, B, C, D) -> FramePair:
@@ -360,10 +387,8 @@ def similarity_detect(fp: FramePair, gq: FramePair) -> Optional[SimilarityTransf
     S = _require_frame(fp)
     _require_frame(gq)
     _check_shapes(fp, gq)
-    found = _right_similarity(*_thetas(fp), S, *_thetas(gq), (1,) * fp.n, fp.tol)
-    if found is None:
-        return None
-    return SimilarityTransforms(found[0].conj().T, found[1].conj().T)
+    found = _right_similarity(fp, S, gq)  # y_j^* = x_j^* R is y_j = R^* x_j
+    return None if found is None else SimilarityTransforms(found[0].conj().T, found[1].conj().T)
 
 
 LEFT_ON_X = "left_on_x"
@@ -428,18 +453,20 @@ def dilate(fp: FramePair) -> DilationResult:
     The new members are y_j = x_j + P_perp e_j (coordinates of the
     orthogonal complement of ran(theta_x) appended below the originals),
     so projecting onto the first m coordinates recovers the input.
+    One body with ovf.dilate_ovf (_dilate).
     """
-    rows = _dilation_rows(*_thetas(fp), frame_operator(fp), fp.tol,
-                          "theta_x and theta_tau must have equal ranges")
-    big = FramePair(np.vstack([fp.X, rows]), np.vstack([fp.T, rows]), fp.field, fp.tol)
-    return DilationResult(big, fp.m + rows.shape[0])
+    big = _dilate(fp, "theta_x and theta_tau must have equal ranges")
+    return DilationResult(big, big.m)
 
 
 # --- one body per operation for both layers ---------------------------------------
 #
-# These take stacked analysis operators: theta_A and theta_Psi are N x m, the
-# members' d_j x m blocks in order, and codims lists the d_j.  A vector pair
-# is the case theta_A = X^*, theta_Psi = T^*, every d_j = 1.
+# The bodies take pairs of either layer and read them through the stacked
+# view: theta_A and theta_Psi are N x m, the members' d_j x m blocks in
+# order, and codims lists the d_j.  A body that builds a pair returns the
+# caller's class through type(pair)._stacked.  The array kernels among them
+# (_idempotent, _block_identities_ok, _members_close, _dilation_rows, ...)
+# take the stacked operators themselves.
 
 
 def _idempotent(theta_A: np.ndarray, theta_Psi: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -467,25 +494,25 @@ def _rank_excludes_identity(N: int, m: int, tol: Tolerance) -> bool:
     return 1.0 / N > mu
 
 
-def _refinements(theta_A: np.ndarray, theta_Psi: np.ndarray, S: np.ndarray,
-                 report: FrameReport, codims, tol: Tolerance):
+def _refinements(pair, S: np.ndarray, report: FrameReport):
     """(riesz, orthonormal) for a pair whose S and frame_flags report the caller holds.
 
     riesz: a frame whose idempotent P passes tol.is_identity; for N > m the
-    rank rule decides it without forming P (_rank_excludes_identity).
-    orthonormal: riesz, Parseval, and the block identities
-    A_j Psi_k^* = delta_jk I, each block at its own scale.
+    rank rule decides it without forming P or the stacked operators
+    (_rank_excludes_identity).  orthonormal: riesz, Parseval, and the
+    block identities A_j Psi_k^* = delta_jk I, each block at its own scale.
     """
-    riesz = bool(report.is_frame
-                 and not _rank_excludes_identity(theta_A.shape[0], S.shape[0], tol)
-                 and tol.is_identity(_idempotent(theta_A, theta_Psi, S)))
+    tol = pair.tol
+    if not report.is_frame or _rank_excludes_identity(sum(pair.codims), S.shape[0], tol):
+        return False, False
+    theta_A, theta_Psi = pair.theta_A, pair.theta_Psi
+    riesz = bool(tol.is_identity(_idempotent(theta_A, theta_Psi, S)))
     orthonormal = bool(riesz and report.parseval
-                       and _block_identities_ok(theta_A, theta_Psi, codims, tol))
+                       and _block_identities_ok(theta_A, theta_Psi, pair.codims, tol))
     return riesz, orthonormal
 
 
-def _duality(theta_A1: np.ndarray, theta_Psi1: np.ndarray, theta_A2: np.ndarray,
-             theta_Psi2: np.ndarray, tol: Tolerance):
+def _duality(pair1, pair2):
     """(dual, orthogonal): theta_Psi2^* theta_A1 and theta_A2^* theta_Psi1 against I and 0.
 
     Each sum adds N products of one entry of each factor, so
@@ -493,9 +520,9 @@ def _duality(theta_A1: np.ndarray, theta_Psi1: np.ndarray, theta_A2: np.ndarray,
     zero test; the verdict is then invariant under positive scaling of
     either pair.
     """
-    N = theta_A1.shape[0]
+    N, tol = sum(pair1.codims), pair1.tol
     sums = [(left.conj().T @ right, N * entry_max(left) * entry_max(right))
-            for left, right in ((theta_Psi2, theta_A1), (theta_A2, theta_Psi1))]
+            for left, right in ((pair2.theta_Psi, pair1.theta_A), (pair2.theta_A, pair1.theta_Psi))]
     dual = all(tol.is_identity(M) for M, _ in sums)
     orthogonal = all(tol.is_zero(M, scale) for M, scale in sums)
     return dual, orthogonal
@@ -514,26 +541,30 @@ def _pair_rows(codims1, codims2) -> np.ndarray:
     return np.argsort(key.ravel(), kind="stable")
 
 
-def _tensor(theta_A1: np.ndarray, theta_Psi1: np.ndarray, codims1,
-            theta_A2: np.ndarray, theta_Psi2: np.ndarray, codims2):
-    """(theta_A, theta_Psi, codims) of the members A_j (x) B_l, (j, l) row-major.
+def _tensor(pair1, pair2):
+    """The pair of the members A_j (x) B_l, (j, l) row-major, of pair1's class.
 
     One kron of the stacked operators, with its rows regrouped by member
     pair; every entry is the same single product as in kron(A_j, B_l).
     """
-    rows = _pair_rows(codims1, codims2)
-    codims = tuple(d1 * d2 for d1 in codims1 for d2 in codims2)
-    return np.kron(theta_A1, theta_A2)[rows], np.kron(theta_Psi1, theta_Psi2)[rows], codims
+    rows = _pair_rows(pair1.codims, pair2.codims)
+    codims = tuple(d1 * d2 for d1 in pair1.codims for d2 in pair2.codims)
+    field = pair1.field if pair1.field == pair2.field else COMPLEX
+    return type(pair1)._stacked(np.kron(pair1.theta_A, pair2.theta_A)[rows],
+                                np.kron(pair1.theta_Psi, pair2.theta_Psi)[rows],
+                                codims, field, pair1.tol)
 
 
-def _canonical_dual(theta_A: np.ndarray, theta_Psi: np.ndarray, S: np.ndarray):
-    """The dual analysis operators (theta_A S^-1, theta_Psi S^-1), for an invertible S.
+def _canonical_dual(pair, message: str = "operation requires a frame"):
+    """The pair (A_j S^-1, Psi_j S^-1) of pair's class; NotAFrame(message) unless a frame.
 
     S^-1 is taken once, by a solve against the identity, so the two
     products share it.
     """
+    S = _require_frame(pair, message)
     Sinv = np.linalg.solve(S, np.eye(S.shape[0], dtype=S.dtype))
-    return theta_A @ Sinv, theta_Psi @ Sinv
+    return type(pair)._stacked(pair.theta_A @ Sinv, pair.theta_Psi @ Sinv,
+                               pair.codims, pair.field, pair.tol)
 
 
 def _members_close(M: np.ndarray, N: np.ndarray, codims, tol: Tolerance) -> bool:
@@ -602,9 +633,9 @@ def _dilation_rows(theta_A: np.ndarray, theta_Psi: np.ndarray, S: np.ndarray, to
     (_complement_rows).  No step costs more than O(N^2 m): P^2 - P =
     theta_A (S - I) theta_Psi^* goes through the m x m core S the Parseval
     gate decided, not through the N x N x N product P P.
-    The vector layer appends W below X and T, the operator layer W^* as new
-    columns of theta_A and theta_Psi.  Unequal ranges raise
-    RangesDiffer(message), which names the operators as the caller's layer does.
+    _dilate appends W^* as new columns of theta_A and theta_Psi.  Unequal
+    ranges raise RangesDiffer(message), which names the operators as the
+    caller's layer does.
     """
     if not _frame_flags(S, tol).parseval:
         raise NotParseval("dilation starts from a Parseval pair")
@@ -618,24 +649,41 @@ def _dilation_rows(theta_A: np.ndarray, theta_Psi: np.ndarray, S: np.ndarray, to
     return _complement_rows(Q)
 
 
-def _tight_block(S: np.ndarray, lam: float, tol: Tolerance) -> np.ndarray:
-    """The block B = (lam I - S)^(1/2) whose appending makes a Bessel pair lam-tight.
+def _dilate(pair, message: str = "theta_A and theta_Psi must have equal ranges"):
+    """The orthonormal pair of pair's class that a Parseval pair dilates to.
 
-    The vector layer appends its columns to X and T, the operator layer its
-    rows to theta_A and theta_Psi; herm_sqrt's B is exactly Hermitian, so
-    these are the same pair.
+    The rows W of _dilation_rows become new coordinates: W^* is appended as
+    columns of both stacked operators, so a vector pair gains W as rows of
+    X and T.  Unequal ranges raise RangesDiffer(message).
     """
+    theta_A, theta_Psi = pair.theta_A, pair.theta_Psi
+    cols = _dilation_rows(theta_A, theta_Psi, frame_operator(pair), pair.tol, message).conj().T
+    return type(pair)._stacked(np.hstack([theta_A, cols]), np.hstack([theta_Psi, cols]),
+                               pair.codims, pair.field, pair.tol)
+
+
+def _extend_tight(pair, lam: float):
+    """The lam-tight pair of pair's class: the member B = (lam I - S)^(1/2) appended.
+
+    B is m x m; a vector pair reads its rows as m rank-one members, the
+    columns of B^* = B appended to X and T (herm_sqrt's B is exactly
+    Hermitian).
+    """
+    S, tol = frame_operator(pair), pair.tol
     w = _hermitian_eig(S, tol)
     if not _psd(w, tol):
         raise NotBessel("tight extension starts from a Bessel pair")
     top = float(w[-1])
     if lam <= top + tol.abs_tol:
         raise LambdaTooSmall(f"lambda must exceed the top eigenvalue {top}")
-    return herm_sqrt(lam * np.eye(S.shape[0]) - S, tol)
+    B = herm_sqrt(lam * np.eye(S.shape[0]) - S, tol)
+    return type(pair)._stacked(np.vstack([pair.theta_A, B]), np.vstack([pair.theta_Psi, B]),
+                               pair.codims + (pair.m,), pair.field, tol)
 
 
-def _weighted_onb(theta_A: np.ndarray, theta_Psi: np.ndarray, codims, c, tol: Tolerance):
+def _weighted_onb(pair, c):
     """(holds, deficiency) of ovf.weighted_onb_bessel_check."""
+    theta_A, theta_Psi, codims, tol = pair.theta_A, pair.theta_Psi, pair.codims, pair.tol
     weights = np.asarray(c, dtype=float)
     if weights.shape != (len(codims),):
         raise ShapeMismatch("need one weight per member")
@@ -651,9 +699,13 @@ def _weighted_onb(theta_A: np.ndarray, theta_Psi: np.ndarray, codims, c, tol: To
     return bool(_psd(w, tol)), deficiency
 
 
-def _right_similarity(theta_A: np.ndarray, theta_Psi: np.ndarray, S: np.ndarray,
-                      theta_B: np.ndarray, theta_Phi: np.ndarray, codims, tol: Tolerance):
-    """Invertible (R, R') with B_j = A_j R and Phi_j = Psi_j R', or None; S is (A, Psi)'s."""
+def _right_similarity(pair1, S: np.ndarray, pair2):
+    """Invertible (R, R') with B_j = A_j R and Phi_j = Psi_j R', or None.
+
+    pair1 = (A, Psi) with frame operator S, pair2 = (B, Phi) of the same member shapes.
+    """
+    theta_A, theta_Psi, codims, tol = pair1.theta_A, pair1.theta_Psi, pair1.codims, pair1.tol
+    theta_B, theta_Phi = pair2.theta_A, pair2.theta_Psi
     R = np.linalg.solve(S, theta_Psi.conj().T @ theta_B)
     R2 = np.linalg.solve(S, theta_A.conj().T @ theta_Phi)
     if not (_invertible(R, tol) and _invertible(R2, tol)):

@@ -376,9 +376,10 @@ def pnorm_estimate(
 
     A witness above the upper end by more than round-off
     (8 cols eps relative) means the upper bound is wrong and raises
-    InconsistentInterval; smaller overshoot is clamped.
+    InconsistentInterval; smaller overshoot is clamped.  p = inf is the
+    max-norm; a p below 1 or NaN raises BadExponent.
     """
-    if p < 1:
+    if not p >= 1:
         raise BadExponent(f"p must be >= 1, got {p}")
     M = np.asarray(M)
     if M.ndim != 2:

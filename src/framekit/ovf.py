@@ -7,11 +7,14 @@ arrays A and Psi are views into them.  The frame operator is
 S = theta_Psi^* theta_A = sum_j Psi_j^* A_j, and the frame idempotent
 P = theta_A S^-1 theta_Psi^* acts on the coefficient space K^(sum d_j).
 
-A vector pair is the d = 1 case (ovf_bridge: theta_A = X^*, theta_Psi = T^*),
-so the Riesz / orthonormal refinements, duality, the tensor product,
-dilation, tight extension, the weighted-ONB check, similarity, the
-canonical dual and the frame idempotent have one body each, shared with
-the vector layer in frames.py.
+A vector pair is the rank-one case: frames.FramePair gives the same
+stacked view (theta_A = X^*, theta_Psi = T^*, codims = (1,) * n) and
+FramePair._stacked builds one from it, so ovf_bridge and its inverse only
+hand the view across.  The frame operator, the Riesz / orthonormal
+refinements, duality, the tensor product, dilation, tight extension, the
+weighted-ONB check, similarity, the canonical dual and the frame
+idempotent have one body each in frames.py, which takes a pair of either
+class and returns the caller's.
 
 Codomain dimensions are usually uniform, but a pair may carry one
 odd-sized member (the tight-extension construction appends an m x m
@@ -36,30 +39,24 @@ from .frames import (
     _as_matrix,
     _block_identities_ok,
     _canonical_dual,
-    _dilation_rows,
+    _dilate,
     _duality,
+    _extend_tight,
+    _frame_flags,
     _idempotent,
     _members_close,
     _pair_rows,
     _refinements,
-    _require_frame_flags,
+    _require_frame,
     _right_similarity,
     _tensor,
-    _thetas,
-    _tight_block,
     _weighted_onb,
-    _frame_flags,
+    frame_operator,
     infer_field,
 )
-from .numerics import (
-    Tolerance,
-    _finite_product,
-    _hermitian_eig,
-    _invertible,
-    _pd,
-    _psd,
-    _require_square,
-)
+from .numerics import Tolerance, _hermitian_eig, _invertible, _pd, _psd, _require_square
+
+_NEEDS_AN_OVF = "operation requires an operator-valued frame"
 
 
 @dataclass(frozen=True, init=False)
@@ -154,25 +151,13 @@ def ovf_operators(op: OvfPair) -> OvfOperators:
 
     NumericalOverflow when S overflows.
     """
-    S = _finite_product(op.theta_Psi.conj().T, op.theta_A, "frame operator")
-    return OvfOperators(S, op.theta_A, op.theta_Psi, op.tol)
+    return OvfOperators(frame_operator(op), op.theta_A, op.theta_Psi, op.tol)
 
 
 @dataclass(frozen=True)
 class OvfReport(FrameReport):
     riesz_ovf: bool = False
     orthonormal_ovf: bool = False
-
-
-def _cross_identities_ok(op: OvfPair, left, right, tol: Tolerance) -> bool:
-    """max_jk || left_j right_k^* - delta_jk I || <= tol; needs a common codomain.
-
-    left and right are stacked operators of op's shape, or their member sequences.
-    """
-    if op.d is None:
-        return False
-    return _block_identities_ok(np.reshape(left, (-1, op.m)), np.reshape(right, (-1, op.m)),
-                                op.codims, tol)
 
 
 def verify_ovf(op: OvfPair) -> OvfReport:
@@ -183,22 +168,15 @@ def verify_ovf(op: OvfPair) -> OvfReport:
     body (frames._refinements) shared with frames.classify.  For N > m
     neither holds, decided without forming P.
     """
-    ops = ovf_operators(op)
-    base = _frame_flags(ops.S, op.tol)
-    riesz, orthonormal = _refinements(op.theta_A, op.theta_Psi, ops.S, base, op.codims, op.tol)
+    S = frame_operator(op)
+    base = _frame_flags(S, op.tol)
+    riesz, orthonormal = _refinements(op, S, base)
     return OvfReport(**vars(base), riesz_ovf=riesz, orthonormal_ovf=orthonormal)
 
 
-def _require_ovf_frame(op: OvfPair) -> OvfOperators:
-    ops = ovf_operators(op)
-    _require_frame_flags(ops.S, op.tol, "operation requires an operator-valued frame")
-    return ops
-
-
 def canonical_dual_ovf(op: OvfPair) -> OvfPair:
-    """(A_j S^-1, Psi_j S^-1), from one S^-1 shared with frames.canonical_dual."""
-    theta_A, theta_Psi = _canonical_dual(op.theta_A, op.theta_Psi, _require_ovf_frame(op).S)
-    return OvfPair._stacked(theta_A, theta_Psi, op.codims, op.field, op.tol)
+    """(A_j S^-1, Psi_j S^-1), one body with frames.canonical_dual (_canonical_dual)."""
+    return _canonical_dual(op, _NEEDS_AN_OVF)
 
 
 @dataclass(frozen=True)
@@ -214,8 +192,7 @@ def duality_relation(op1: OvfPair, op2: OvfPair) -> DualityRelation:
     """
     if op1.m != op2.m or op1.codims != op2.codims:
         raise ShapeMismatch("pairs must share member shapes")
-    return DualityRelation(*_duality(op1.theta_A, op1.theta_Psi, op2.theta_A, op2.theta_Psi,
-                                     op1.tol))
+    return DualityRelation(*_duality(op1, op2))
 
 
 def onb_blocks(n: int, d: int, tol: Tolerance = Tolerance()) -> OvfPair:
@@ -231,7 +208,7 @@ def _is_onb_family(op: OvfPair) -> bool:
     tol = op.tol
     return (op.d is not None and op.m == op.n * op.d
             and _members_close(op.theta_A, op.theta_Psi, op.codims, tol)
-            and _cross_identities_ok(op, op.theta_A, op.theta_A, tol)
+            and _block_identities_ok(op.theta_A, op.theta_A, op.codims, tol)
             and tol.is_identity(op.theta_A.conj().T @ op.theta_A))
 
 
@@ -305,7 +282,7 @@ def weighted_onb_bessel_check(op: OvfPair, c) -> WeightedBesselResult:
     Requires {A_j} to satisfy the orthonormal-set cross identities and
     all weights <= 2; holds iff the deficiency is Hermitian psd.
     """
-    return WeightedBesselResult(*_weighted_onb(op.theta_A, op.theta_Psi, op.codims, c, op.tol))
+    return WeightedBesselResult(*_weighted_onb(op, c))
 
 
 @dataclass(frozen=True)
@@ -316,12 +293,11 @@ class RightSimilarityTransforms:
 
 def right_similarity_detect(op1: OvfPair, op2: OvfPair) -> Optional[RightSimilarityTransforms]:
     """Invertible right factors with B_j = A_j R, Phi_j = Psi_j R', if any."""
-    ops1 = _require_ovf_frame(op1)
-    _require_ovf_frame(op2)
+    S = _require_frame(op1, _NEEDS_AN_OVF)
+    _require_frame(op2, _NEEDS_AN_OVF)
     if op1.m != op2.m or op1.codims != op2.codims:
         raise ShapeMismatch("pairs must share member shapes")
-    found = _right_similarity(ops1.thetaA, ops1.thetaPsi, ops1.S, op2.theta_A, op2.theta_Psi,
-                              op1.codims, op1.tol)
+    found = _right_similarity(op1, S, op2)
     return None if found is None else RightSimilarityTransforms(*found)
 
 
@@ -350,43 +326,36 @@ def tensor_ovf(op1: OvfPair, op2: OvfPair) -> OvfPair:
 
     One body with frames.tensor_product (_tensor).
     """
-    field = op1.field if op1.field == op2.field else COMPLEX
-    theta_A, theta_Psi, codims = _tensor(op1.theta_A, op1.theta_Psi, op1.codims,
-                                         op2.theta_A, op2.theta_Psi, op2.codims)
-    return OvfPair._stacked(theta_A, theta_Psi, codims, field, op1.tol)
+    return _tensor(op1, op2)
 
 
 def extend_tight_ovf(op: OvfPair, lam: float) -> OvfPair:
     """Append the member B = (lam I - S)^(1/2) to both families.
 
     The appended block maps K^m to K^m regardless of the other members'
-    codomains, so the output may be codomain-heterogeneous.
+    codomains, so the output may be codomain-heterogeneous.  One body with
+    analysis.extend_tight_append (frames._extend_tight).
     """
-    B = _tight_block(ovf_operators(op).S, lam, op.tol)
-    return OvfPair._stacked(np.vstack([op.theta_A, B]), np.vstack([op.theta_Psi, B]),
-                            op.codims + (op.m,), op.field, op.tol)
+    return _extend_tight(op, lam)
 
 
 def dilate_ovf(op: OvfPair) -> OvfPair:
     """Extend a Parseval OVF pair to an orthonormal OVF on K^(m + nd - r).
 
-    The appended columns are the adjoint of the rows frames.dilate appends.
+    One body with frames.dilate (_dilate).
     """
     if op.d is None:
         raise ShapeMismatch("dilation needs a uniform codomain")
-    ops = ovf_operators(op)
-    cols = _dilation_rows(ops.thetaA, ops.thetaPsi, ops.S, op.tol).conj().T
-    return OvfPair._stacked(np.hstack([op.theta_A, cols]), np.hstack([op.theta_Psi, cols]),
-                            op.codims, op.field, op.tol)
+    return _dilate(op)
 
 
 def ovf_bridge(fp: FramePair) -> OvfPair:
     """Frame pair -> rank-one OVF pair: A_j = x_j^*, Psi_j = tau_j^*."""
-    return OvfPair._stacked(*_thetas(fp), (1,) * fp.n, fp.field, fp.tol)
+    return OvfPair._stacked(fp.theta_A, fp.theta_Psi, fp.codims, fp.field, fp.tol)
 
 
 def ovf_bridge_inverse(op: OvfPair) -> FramePair:
     """Rank-one OVF pair -> frame pair; requires codomain dimension one."""
     if op.d != 1:
         raise CodomainNotOneDim("the inverse bridge needs d = 1")
-    return FramePair(op.theta_A.conj().T, op.theta_Psi.conj().T, op.field, op.tol)
+    return FramePair._stacked(op.theta_A, op.theta_Psi, op.codims, op.field, op.tol)

@@ -55,8 +55,8 @@ class PFramePair:
     tol: Tolerance = Tolerance()
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
+        if not 1 <= self.p < np.inf:  # NaN fails both comparisons
+            raise ValueError(f"p must be a finite number >= 1, got {self.p}")
         F = _as_matrix(self.F, self.field)
         T = _as_matrix(self.T, self.field)
         if F.shape[0] != T.shape[1] or F.shape[1] != T.shape[0]:
@@ -128,10 +128,13 @@ def p_orthonormal_check(vectors, p: float, trials: int = 200, seed: int = 0,
                         tol: Tolerance = Tolerance()) -> POrthonormalResult:
     """Falsifier for ||sum c_j x_j||_p^p = sum |c_j|^p.
 
-    Exhausts all +-1 sign patterns for n <= 12 and adds seeded random
+    Exhausts the +-1 sign patterns for n <= 12 and adds seeded random
     coefficients; consistency is evidence, not a decision.  Candidates are
     evaluated in batches and the first failing one, in the order sign
     patterns (lexicographic, +1 before -1) then draws, is the witness.
+    c and -c have equal sides, and in that order c comes first when it
+    begins with +1, so only the 2^(n-1) patterns that begin with +1 run:
+    the same verdict and the same witness.
     """
     M = np.asarray(vectors)
     if M.ndim != 2:
@@ -140,7 +143,7 @@ def p_orthonormal_check(vectors, p: float, trials: int = 200, seed: int = 0,
     off = np.flatnonzero(np.abs(_lp_norms(M.T, p) - 1.0) > tol.margin(1.0))
     if off.size:
         return POrthonormalResult(False, np.eye(n)[:, off[0]])
-    signs = [np.ascontiguousarray(-_sign_patterns(n)[:, ::-1])] if n <= 12 else []
+    signs = [np.ascontiguousarray(-_sign_patterns(n)[: (1 << n) >> 1, ::-1])] if n <= 12 else []
     draws = _gaussian_blocks(np.random.default_rng(seed), trials, n, np.iscomplexobj(M), max(M.shape))
     for C in itertools.chain(signs, draws):
         lhs = _image_lp_norms(M, np.asarray(C, dtype=M.dtype), p) ** p

@@ -75,6 +75,9 @@ CASES = [
     ("pframe_ragged", "pframe verify", _with(PFRAME, f=[[1, 0], [0]]), "parse_error", 1),
     ("pframe_string", "pframe verify", _with(PFRAME, tau=[["x", 0], [0, 2]]), "parse_error", 1),
     ("pframe_p_beyond_float", "pframe verify", _with(PFRAME, p=10**400), "parse_error", 1),
+    ("pframe_p_nan", "pframe verify", _with(PFRAME, p=float("nan")), "parse_error", 1),
+    ("pframe_p_infinity", "pframe verify", _with(PFRAME, p=float("inf"), tau=[[2, 0], [0, 1]]),
+     "parse_error", 1),
     # finite entries whose frame operator overflows: a numerical failure
     ("overflow_verify", "verify", _with(FRAME, x=[[BIG, 0], [0, BIG], [BIG, BIG]],
                                         tau=[[BIG, 0], [0, BIG], [BIG, BIG]]), "domain_error", 2),

@@ -206,6 +206,30 @@ def test_cli_analyze_reconstruct_complex_target_on_a_real_pair(tmp_path, capsys)
     assert "step_1 = [0, 0]\n" in text
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "reconstruct", "FILE", "--target", "nan,1"],
+    ["pframe", "fourlaws", "--x", "1,2", "--y", "1,inf"],
+    ["analyze", "reconstruct", "FILE", "--target", "1,1", "--steps", "-2"],
+    ["pframe", "fourlaws", "--x", "nan,1", "--y", "1,2"],
+    ["construct", "group", "--table", "TABLE", "--x", "1,0,0", "--tau", "1,nan,0"],
+], ids=["nan_target", "inf_fourlaws", "negative_steps", "nan_fourlaws", "nan_group_member"])
+def test_cli_arguments_without_meaning_are_parse_errors(tmp_path, capsys, argv):
+    frame, table = tmp_path / "std.frame", tmp_path / "z3.group"
+    fio.write_frame_pair(str(frame), FramePair(np.eye(2), np.eye(2), "real"))
+    fio.write_group_table(str(table), GroupTable.cyclic(3))
+    argv = [{"FILE": str(frame), "TABLE": str(table)}.get(a, a) for a in argv]
+    code, text = run_cli(capsys, *argv)
+    assert (code, text.splitlines()[0]) == (1, "kind = parse_error")
+    assert "error = ValueError\n" in text
+
+
+def test_reconstruction_rejects_negative_steps():
+    fp = FramePair(np.eye(2), np.eye(2), "real")
+    with pytest.raises(ValueError, match="steps must be >= 0, got -1"):
+        fk.iterate_reconstruct(fp, [1.0, 1.0], -1)
+    assert len(fk.iterate_reconstruct(fp, [1.0, 1.0], 0).iterates) == 1
+
+
 def test_cli_analyze_extend_and_span(tmp_path, capsys):
     path = tmp_path / "std.frame"
     fio.write_frame_pair(str(path), FramePair(np.eye(2), np.eye(2), "real"))

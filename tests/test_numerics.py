@@ -123,6 +123,11 @@ def test_pnorm_rejects_small_exponent():
         pnorm_estimate(np.eye(2), 0.5)
 
 
+def test_pnorm_rejects_a_nan_exponent():
+    with pytest.raises(BadExponent, match="got nan"):
+        pnorm_estimate(np.eye(2), float("nan"))
+
+
 def test_pnorm_interval_order_and_p2_tightness(rng):
     for k in range(100):
         rows = int(rng.integers(1, 7))

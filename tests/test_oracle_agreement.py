@@ -18,7 +18,7 @@ import framekit.io as fio
 from framekit import FramePair, GroupTable, OvfPair, Representation, Tolerance, frames
 from framekit.analysis import _falsifying_samples
 from framekit.errors import FramekitError
-from framekit.frames import FrameReport, frame_flags
+from framekit.frames import FrameReport, _block_identities_ok, frame_flags
 from framekit.numerics import (
     _BLOCK_ENTRIES,
     _gaussian_blocks,
@@ -26,7 +26,6 @@ from framekit.numerics import (
     _sign_patterns,
     entry_max,
 )
-from framekit.ovf import _cross_identities_ok
 
 import oracles
 from oracles import smallest_singular_value
@@ -176,6 +175,11 @@ def test_p_orthonormal_matches_candidate_loop(rng, monkeypatch, p, block_entries
             assert got.witness is None
         else:
             assert np.array_equal(got.witness, witness)
+    for n in (11, 12):  # passing inputs at the largest sizes that run the sign patterns
+        B = signed_permutation(rng, n)
+        got = fk.p_orthonormal_check(B, p, trials=25, seed=n, tol=tol)
+        assert (got.consistent, got.witness) == (True, None)
+        assert oracles.p_orthonormal_by_candidates(B, p, trials=25, seed=n, tol=tol) == (True, None)
 
 
 def test_riesz_sampled_minimum_matches_candidate_loop(rng):
@@ -203,7 +207,7 @@ def test_cross_identities_match_pairwise_loop(rng):
             Psi = [B + 10 ** rng.uniform(-9.7, -8.7) * rng.standard_normal(B.shape) for B in Psi]
         pair = OvfPair(tuple(A), tuple(Psi), op.field)
         expected = oracles.cross_identities_by_pairs(pair.A, pair.Psi, tol)
-        assert _cross_identities_ok(pair, pair.A, pair.Psi, tol) == expected
+        assert _block_identities_ok(pair.theta_A, pair.theta_Psi, pair.codims, tol) == expected
         assert fk.verify_ovf(pair).orthonormal_ovf == (expected and fk.verify_ovf(pair).riesz_ovf
                                                       and fk.verify_ovf(pair).parseval)
 

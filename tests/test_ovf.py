@@ -99,7 +99,7 @@ def test_verify_orthonormal_iff_parseval_and_cross(rng):
         else:
             op = random_parseval_ovf(rng, n * d, d, n)
         report = fk.verify_ovf(op)
-        cross = fk.ovf._cross_identities_ok(op, op.A, op.Psi, op.tol)
+        cross = fk.frames._block_identities_ok(op.theta_A, op.theta_Psi, op.codims, op.tol)
         assert report.orthonormal_ovf == (report.parseval and cross)
 
 

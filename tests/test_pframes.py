@@ -39,6 +39,12 @@ def test_p_verify_diag_exact(p):
     assert report.upper_b.upper == pytest.approx(2.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("p", [float("nan"), float("inf"), 0.5])
+def test_p_frame_pair_needs_a_finite_exponent_of_at_least_one(p):
+    with pytest.raises(ValueError, match="p must be a finite number >= 1"):
+        PFramePair(np.eye(2), np.diag([2.0, 1.0]), p, "real")
+
+
 def test_p_verify_negative_eigenvalue():
     pf = PFramePair(np.eye(2), np.diag([-1.0, 1.0]), 2.0, "real")
     report = fk.p_verify(pf)

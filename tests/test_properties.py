@@ -1,9 +1,12 @@
 """Identities the theory promises, checked on drawn inputs with hypothesis.
 
-Each test draws (seed, m, n, field, self_dual) and builds its pair with the
+Each test draws (seed, m, n, field, ...) and builds its pair with the
 seeded conftest generators.  derandomize=True fixes the examples, so every
-run checks the same ones.
+run checks the same ones.  Round trips compare bit for bit: shapes,
+dtypes and the bytes of every array.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -12,8 +15,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 import framekit as fk
+import framekit.io as fio
 
-from conftest import random_parseval, random_parseval_ovf, rng_for
+from conftest import (
+    random_frame,
+    random_matrix,
+    random_parseval,
+    random_parseval_ovf,
+    random_parseval_pframe,
+    rng_for,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -46,3 +57,64 @@ def test_an_ovf_dilation_compresses_back_to_the_input(seed, m, d, spare, field):
     assert fk.verify_ovf(big).orthonormal_ovf
     assert np.array_equal(big.theta_A[:, :m], op.theta_A)
     assert np.array_equal(big.theta_Psi[:, :m], op.theta_Psi)
+
+
+def bits(A):
+    """An array as its shape, dtype and C-order bytes: equal exactly when bit for bit equal."""
+    return A.shape, A.dtype.str, A.tobytes()
+
+
+def frame_pair_bits(fp):
+    return type(fp), fp.field, fp.tol, bits(fp.X), bits(fp.T)
+
+
+@PROPERTY
+@given(seed=SEEDS, mn=sizes(), field=FIELDS)
+def test_the_stacked_view_rebuilds_the_vector_pair(seed, mn, field):
+    fp = random_frame(rng_for(seed), *mn, field)
+    assert fp.codims == (1,) * fp.n
+    back = fk.FramePair._stacked(fp.theta_A, fp.theta_Psi, fp.codims, fp.field, fp.tol)
+    assert frame_pair_bits(back) == frame_pair_bits(fp)
+
+
+@PROPERTY
+@given(seed=SEEDS, mn=sizes(), field=FIELDS)
+def test_the_bridge_and_its_inverse_round_trip(seed, mn, field):
+    fp = random_frame(rng_for(seed), *mn, field)
+    op = fk.ovf_bridge(fp)
+    assert op.codims == fp.codims
+    assert frame_pair_bits(fk.ovf_bridge_inverse(op)) == frame_pair_bits(fp)
+
+
+def through_text(to_dict, from_dict, pair):
+    return from_dict(json.loads(fio.dumps(to_dict(pair))))
+
+
+@PROPERTY
+@given(seed=SEEDS, mn=sizes(), field=FIELDS)
+def test_a_frame_pair_survives_the_io_round_trip(seed, mn, field):
+    fp = random_frame(rng_for(seed), *mn, field)
+    back = through_text(fio.frame_pair_to_dict, fio.frame_pair_from_dict, fp)
+    assert frame_pair_bits(back) == frame_pair_bits(fp)
+
+
+@PROPERTY
+@given(seed=SEEDS, m=st.integers(1, 5), codims=st.lists(st.integers(1, 3), min_size=1, max_size=6),
+       field=FIELDS)
+def test_an_ovf_pair_survives_the_io_round_trip(seed, m, codims, field):
+    rng = rng_for(seed)
+    cuts = np.cumsum(codims[:-1])
+    op = fk.OvfPair(tuple(np.split(random_matrix(rng, sum(codims), m, field), cuts)),
+                    tuple(np.split(random_matrix(rng, sum(codims), m, field), cuts)), field)
+    back = through_text(fio.ovf_pair_to_dict, fio.ovf_pair_from_dict, op)
+    assert ((type(back), back.field, back.tol, back.codims, bits(back.theta_A), bits(back.theta_Psi))
+            == (type(op), op.field, op.tol, op.codims, bits(op.theta_A), bits(op.theta_Psi)))
+
+
+@PROPERTY
+@given(seed=SEEDS, mn=sizes(), p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.5]), field=FIELDS)
+def test_a_p_frame_pair_survives_the_io_round_trip(seed, mn, p, field):
+    pf = random_parseval_pframe(rng_for(seed), *mn, p, field)
+    back = through_text(fio.pframe_pair_to_dict, fio.pframe_pair_from_dict, pf)
+    assert ((type(back), back.p, back.field, back.tol, bits(back.F), bits(back.T))
+            == (type(pf), pf.p, pf.field, pf.tol, bits(pf.F), bits(pf.T)))
