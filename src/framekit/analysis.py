@@ -64,7 +64,7 @@ def iterate_reconstruct(fp: FramePair, h, steps: int) -> IterationTrace:
 
     The error after k steps is bounded by ((b-a)/(b+a))^k ||h||.  A complex
     h iterates in complex arithmetic, whatever the pair's field.  A
-    negative steps raises ValueError.
+    negative steps or a non-finite h raises ValueError.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -74,6 +74,8 @@ def iterate_reconstruct(fp: FramePair, h, steps: int) -> IterationTrace:
     h = h.astype(complex if fp.field == COMPLEX or np.iscomplexobj(h) else float).ravel()
     if h.shape != (fp.m,):
         raise ShapeMismatch("vector must live in the frame's space")
+    if not np.all(np.isfinite(h)):
+        raise ValueError(f"target entries must be finite, got {h}")
     a, b = report.lower_a, report.upper_b
     factor = 2.0 / (a + b)
     ratio = (b - a) / (b + a)

@@ -63,7 +63,9 @@ def _parse_vector(text: str, complex_ok: bool = True) -> np.ndarray:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise ValueError("empty vector literal")
-    values = [complex(p.replace("i", "j")) if complex_ok else float(p) for p in parts]
+    # a trailing i is the imaginary unit; the i of inf stays as it is
+    values = [complex(p[:-1] + "j" if p.endswith("i") else p) if complex_ok else float(p)
+              for p in parts]
     arr = np.asarray(values)
     if not np.isfinite(arr).all():
         raise ValueError(f"vector entries must be finite, got {text!r}")

@@ -7,7 +7,7 @@ i.e. permutation matrices built from the multiplication table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -22,8 +22,16 @@ from .errors import (
     NotInvariant,
     NotParseval,
 )
+from . import numerics
 from .frames import FramePair, FrameReport, REAL, infer_field, verify
 from .numerics import Tolerance, entry_max
+
+
+def _blocks(count: int, width: int) -> list:
+    """Slices of range(count), a block of them times width within
+    numerics._BLOCK_ENTRIES entries (one item when width alone exceeds it)."""
+    step = max(1, numerics._BLOCK_ENTRIES // max(width, 1))
+    return [slice(k, k + step) for k in range(0, count, step)]
 
 
 @dataclass(frozen=True)
@@ -34,15 +42,18 @@ class GroupTable:
     identity: int
 
     def __post_init__(self):
-        mul = np.asarray(self.mul, dtype=int)
+        mul = np.asarray(self.mul)
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1] or mul.shape[0] < 1:
             raise BadGroupTable("mul must be a square table of positive order")
         n = mul.shape[0]
         e = self.identity
         if not 0 <= e < n:
             raise BadGroupTable("identity index out of range")
-        if np.any(mul < 0) or np.any(mul >= n):
+        kind = mul.dtype.kind
+        integral = kind in "iu" or (kind == "f" and np.all(np.trunc(mul) == mul))
+        if not integral or np.any(mul < 0) or np.any(mul >= n):
             raise BadGroupTable("table entries must be element indices")
+        mul = mul.astype(int)
         idx = np.arange(n)
         if np.any(np.sort(mul, axis=1) != idx) or np.any(np.sort(mul, axis=0) != idx[:, None]):
             raise BadGroupTable("rows and columns must be permutations")
@@ -50,9 +61,10 @@ class GroupTable:
             raise BadGroupTable("identity does not act trivially")
         if np.any(np.count_nonzero(mul == e, axis=1) != 1):
             raise BadGroupTable("inverses must exist and be unique")
-        # associativity (gh)q = g(hq), one g at a time to keep temporaries O(order^2)
-        for g in range(n):
-            if np.any(mul[mul[g], :] != mul[g, mul]):
+        # associativity (gh)q = g(hq), for a block of rows g at a time
+        for block in _blocks(n, n * n):
+            rows = mul[block]
+            if not np.array_equal(mul[rows], np.take(rows, mul, axis=1)):
                 raise BadGroupTable("table is not associative")
         mul.setflags(write=False)
         object.__setattr__(self, "mul", mul)
@@ -66,47 +78,40 @@ class GroupTable:
         idx = np.arange(n)
         return cls((idx[:, None] + idx[None, :]) % n, 0)
 
-    def left_translation(self, g: int) -> np.ndarray:
-        """Permutation matrix of q -> g*q."""
-        n = self.order
-        L = np.zeros((n, n))
-        L[self.mul[g], np.arange(n)] = 1.0
-        return L
-
 
 @dataclass(frozen=True)
 class Representation:
-    """Unitary representation: a matrix per group element, validated."""
+    """Unitary representation: a matrix per group element, validated.
+
+    A representation by exact 0/1 permutation matrices keeps their index
+    rows, mats[g] @ v == v[_indices[g]] for every vector v; else None.
+    """
 
     group: GroupTable
     mats: tuple
     tol: Tolerance = Tolerance()
+    _indices: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mats = tuple(np.asarray(M) for M in self.mats)
         if len(mats) != self.group.order:
             raise NotARepresentation("need one matrix per group element")
+        if mats[0].ndim != 2:
+            raise NotARepresentation("matrices must be square of equal size")
         m = mats[0].shape[0]
-        tol = self.tol
         mul = self.group.mul
-        order = self.group.order
         # Products of 0/1 permutation matrices are exact and unitarity holds
         # exactly; once a unit entry difference exceeds the margin, two such
         # matrices are tol-close iff they are equal, so the law runs on indices.
-        perms = _permutation_indices(mats, m) if tol.margin(1.0) < 1.0 else None
-        if perms is not None:
-            law = all(np.array_equal(perms[g][perms], perms[mul[g]]) for g in range(order))
+        indices = _permutation_indices(mats, m) if self.tol.margin(1.0) < 1.0 else None
+        if indices is not None:
+            law = _index_law(indices, mul)
         else:
-            for M in mats:
-                if M.ndim != 2 or M.shape != (m, m):
-                    raise NotARepresentation("matrices must be square of equal size")
-                if not tol.is_identity(M @ M.conj().T) or not tol.is_identity(M.conj().T @ M):
-                    raise NotARepresentation("matrices must be unitary")
-            law = all(tol.mat_close(mats[g] @ mats[h], mats[mul[g, h]])
-                      for g in range(order) for h in range(order))
+            law = _dense_law(_unitary_stack(mats, m, self.tol), mul, self.tol)
         if not law:
             raise NotARepresentation("matrices do not respect the group law")
         object.__setattr__(self, "mats", mats)
+        object.__setattr__(self, "_indices", indices)
 
     @property
     def dim(self) -> int:
@@ -114,23 +119,91 @@ class Representation:
 
 
 def _permutation_indices(mats, m: int) -> Optional[np.ndarray]:
-    """perm[g, q] = i with mats[g] e_q = e_i, when every matrix is an exact
+    """idx with mats[g] @ v == v[idx[g]], when every matrix is an exact
     m x m 0/1 permutation matrix; None otherwise."""
-    perms = np.empty((len(mats), m), dtype=np.intp)
+    idx = np.empty((len(mats), m), dtype=np.intp)
+    picked = np.empty((len(mats), m), dtype=complex)
+    rows = np.arange(m)
     for g, M in enumerate(mats):
         if M.ndim != 2 or M.shape != (m, m) or M.dtype.kind not in "iufc":
             return None
-        ones = M == 1
-        if not (np.all(ones | (M == 0)) and np.all(ones.sum(axis=0) == 1)
-                and np.all(ones.sum(axis=1) == 1)):
+        if np.count_nonzero(M) != m:
             return None
-        perms[g] = np.argmax(ones, axis=0)
-    return perms
+        idx[g] = M.argmax(axis=1)
+        picked[g] = M[rows, idx[g]]
+    # m nonzero entries, each row's largest a 1: that 1 is the row's only
+    # nonzero, and a permutation matrix needs the 1s in distinct columns
+    if np.all(picked == 1) and np.all(np.sort(idx, axis=1) == rows):
+        return idx
+    return None
+
+
+def _index_law(idx: np.ndarray, mul: np.ndarray) -> bool:
+    """mats[g] @ mats[h] == mats[g*h] on index rows, idx[h][idx[g]] ==
+    idx[g*h], for a block of h at a time."""
+    order, m = idx.shape
+    return all(np.array_equal(np.take(idx[block], idx, axis=1), idx[mul[:, block].T])
+               for block in _blocks(order, order * m))
+
+
+def _unitary_stack(mats, m: int, tol: Tolerance) -> np.ndarray:
+    """The matrices stacked, after the checks of a loop over them: each is
+    m x m and unitary, or NotARepresentation names the first that is not.
+
+    The group law reaches every matrix from every block of pairs, so the
+    matrices are stacked once; the products go by blocks.
+    """
+    order = len(mats)
+    bad = next((k for k, M in enumerate(mats) if M.ndim != 2 or M.shape != (m, m)), order)
+    stack = np.stack(mats[:bad]) if bad else None
+    for block in _blocks(bad, m * m):
+        S = stack[block]
+        Sh = S.conj().swapaxes(1, 2)
+        if not (np.all(_identities(S @ Sh, tol)) and np.all(_identities(Sh @ S, tol))):
+            raise NotARepresentation("matrices must be unitary")
+    if bad < order:
+        raise NotARepresentation("matrices must be square of equal size")
+    return stack
+
+
+def _dense_law(stack: np.ndarray, mul: np.ndarray, tol: Tolerance) -> bool:
+    """stack[g] @ stack[h] against stack[g*h], each pair with its own
+    mat_close margin, for a block of pairs at a time."""
+    order, m = stack.shape[:2]
+    targets = mul.ravel()
+    for block in _blocks(order * order, m * m):
+        g, h = np.divmod(np.arange(order * order)[block], order)
+        if not np.all(_close(stack[g] @ stack[h], stack[targets[block]], tol, (1, 2))):
+            return False
+    return True
+
+
+def _close(A: np.ndarray, B: np.ndarray, tol: Tolerance, axes) -> np.ndarray:
+    """tol.mat_close of each pair of slices of A and B that `axes` spans:
+    entry_max(A - B) against the margin of the larger entry_max."""
+    def entry_maxes(S):
+        return np.abs(S).max(axis=axes, initial=0.0)
+    margins = tol.abs_tol + tol.rel_tol * np.maximum(entry_maxes(A), entry_maxes(B))
+    return entry_maxes(A - B) <= margins
+
+
+def _identities(P: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """tol.is_identity of each matrix of a stack (k, m, m)."""
+    P = P.astype(np.result_type(P.dtype, np.float64), copy=False)
+    dev = np.abs(P)
+    scale = dev.max(axis=(1, 2), initial=0.0)
+    diag = np.arange(P.shape[1])
+    dev[:, diag, diag] = np.abs(np.diagonal(P, axis1=1, axis2=2) - 1.0)
+    return dev.max(axis=(1, 2), initial=0.0) <= tol.abs_tol + tol.rel_tol * np.maximum(1.0, scale)
 
 
 def left_regular(g: GroupTable, tol: Tolerance = Tolerance()) -> Representation:
     """Left regular representation by permutation matrices, dim = order."""
-    return Representation(g, tuple(g.left_translation(idx) for idx in range(g.order)), tol)
+    n = g.order
+    idx = np.arange(n)
+    L = np.zeros((n, n, n))
+    L[idx[:, None], g.mul, idx] = 1.0  # L[h] e_q = e_{hq}
+    return Representation(g, tuple(L), tol)
 
 
 @dataclass(frozen=True)
@@ -198,8 +271,8 @@ def group_frame(rep: Representation, x, tau, tol: Tolerance = Tolerance()) -> Gr
     tau = np.asarray(tau).ravel()
     if x.shape != (rep.dim,) or tau.shape != (rep.dim,):
         raise DimMismatch("generator vectors must match the representation dimension")
-    X = np.column_stack([rep.mats[g] @ x for g in range(rep.group.order)])
-    T = np.column_stack([rep.mats[g] @ tau for g in range(rep.group.order)])
+    X = _orbit(rep, x)
+    T = _orbit(rep, tau)
     fp = FramePair(X, T, infer_field(X, T), tol)
     report = verify(fp)
     if not report.is_frame:
@@ -213,6 +286,16 @@ def group_frame(rep: Representation, x, tau, tol: Tolerance = Tolerance()) -> Gr
     return GroupFrameResult(fp, report, bool(ok))
 
 
+def _orbit(rep: Representation, v: np.ndarray) -> np.ndarray:
+    """The dim x order matrix whose column g is pi_g v."""
+    if rep._indices is not None:
+        images = v[rep._indices].astype(np.result_type(v, *rep.mats), copy=False)
+    else:
+        images = np.concatenate([np.stack(rep.mats[block]) @ v
+                                 for block in _blocks(rep.group.order, rep.dim ** 2)])
+    return np.ascontiguousarray(images.T)
+
+
 def check_group_invariance(fp: FramePair, g: GroupTable) -> bool:
     """All three Gram invariances <v_{gp}, w_{gq}> = <v_p, w_q>."""
     if fp.n != g.order:
@@ -223,11 +306,13 @@ def check_group_invariance(fp: FramePair, g: GroupTable) -> bool:
         fp.T.conj().T @ fp.X,  # [p, q] = <x_q, tau_p>
         fp.T.conj().T @ fp.T,
     )
-    for G in grams:
-        scale = entry_max(G)
-        for gg in range(g.order):
-            perm = g.mul[gg, :]
-            if entry_max(G[np.ix_(perm, perm)] - G) > tol.margin(scale):
+    margins = [tol.margin(entry_max(G)) for G in grams]
+    n = g.order
+    for block in _blocks(n, n * n):
+        rows = g.mul[block]
+        moved = rows[:, :, None] * n + rows[:, None, :]  # flat indices of G[g p, g q]
+        for G, margin in zip(grams, margins):
+            if np.any(np.abs(np.take(G, moved) - G).max(axis=(1, 2)) > margin):
                 return False
     return True
 
@@ -241,23 +326,21 @@ class RepresentationSynthesis:
 def synthesize_representation(fp: FramePair, g: GroupTable) -> RepresentationSynthesis:
     """Recover pi_g = T lambda_g X^* from a Parseval group-invariant pair.
 
-    pi_reproduces records whether x_g = pi_g x_e and tau_g = pi_g tau_e
-    hold for every element.
+    lambda_g e_q = e_{gq}, so T lambda_g is T[:, mul[g]]; pi_reproduces
+    records whether x_g = pi_g x_e and tau_g = pi_g tau_e hold for every
+    element.
     """
     if not verify(fp).parseval:
         raise NotParseval("synthesis needs a Parseval pair")
     if not check_group_invariance(fp, g):
         raise NotInvariant("pair is not group invariant")
-    mats = []
-    for idx in range(g.order):
-        lam = g.left_translation(idx)
-        mats.append(fp.T @ lam @ fp.X.conj().T)
-    rep = Representation(g, tuple(mats), fp.tol)
+    n, m = g.order, fp.m
+    Xh = fp.X.conj().T
+    pis = np.empty((n, m, m), dtype=np.result_type(fp.T, Xh))
+    for block in _blocks(n, m * n):
+        np.matmul(fp.T[:, g.mul[block]].swapaxes(0, 1), Xh, out=pis[block])
+    rep = Representation(g, tuple(pis), fp.tol)
     e = g.identity
-    ok = True
-    for idx in range(g.order):
-        if not fp.tol.mat_close(rep.mats[idx] @ fp.X[:, e], fp.X[:, idx]) or \
-                not fp.tol.mat_close(rep.mats[idx] @ fp.T[:, e], fp.T[:, idx]):
-            ok = False
-            break
-    return RepresentationSynthesis(rep, ok)
+    images = pis @ np.stack([fp.X[:, e], fp.T[:, e]], axis=1)  # [g, :, 0] = pi_g x_e
+    targets = np.stack([fp.X.T, fp.T.T], axis=2)
+    return RepresentationSynthesis(rep, bool(np.all(_close(images, targets, fp.tol, 1))))

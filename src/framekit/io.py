@@ -158,7 +158,7 @@ def group_table_to_dict(g: GroupTable) -> dict:
 def group_table_from_dict(doc: dict) -> GroupTable:
     from .constructors import GroupTable
 
-    return GroupTable(np.asarray(doc["mul"], dtype=int), int(doc["identity"]))
+    return GroupTable(np.asarray(doc["mul"]), int(doc["identity"]))
 
 
 _KIND_KEYS = {

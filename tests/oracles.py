@@ -11,14 +11,17 @@ import itertools
 import numpy as np
 
 from framekit.analysis import SpanCharacterization, _rank
+from framekit.constructors import Representation, RepresentationSynthesis
 from framekit.errors import (
     BadGroupTable,
+    CountMismatch,
     HypothesisFails,
     IdempotentNotProjection,
     LambdaTooSmall,
     NotAFrame,
     NotARepresentation,
     NotBessel,
+    NotInvariant,
     NotParseval,
     NotPsd,
     NotSelfPair,
@@ -318,7 +321,7 @@ def left_translation_by_loop(mul, g):
 
 def check_representation_by_products(mul, mats, tol):
     """Unitarity of every matrix, then the group law on every dense product."""
-    m = mats[0].shape[0]
+    m = mats[0].shape[0] if mats[0].ndim else 0  # a 0-d first matrix fails the shape test below
     for M in mats:
         if M.ndim != 2 or M.shape != (m, m):
             raise NotARepresentation("matrices must be square of equal size")
@@ -329,6 +332,42 @@ def check_representation_by_products(mul, mats, tol):
         for h in range(order):
             if not tol.mat_close(mats[g] @ mats[h], mats[mul[g, h]]):
                 raise NotARepresentation("matrices do not respect the group law")
+
+
+def orbit_by_products(mats, v):
+    """The matrix whose column g is mats[g] @ v, one product per element."""
+    return np.column_stack([M @ v for M in mats])
+
+
+def check_group_invariance_by_loops(fp, g):
+    """All three Gram invariances, one Gram and one group element at a time."""
+    if fp.n != g.order:
+        raise CountMismatch("pair count must equal the group order")
+    tol = fp.tol
+    grams = (fp.X.conj().T @ fp.X, fp.T.conj().T @ fp.X, fp.T.conj().T @ fp.T)
+    for G in grams:
+        scale = entry_max(G)
+        for gg in range(g.order):
+            perm = g.mul[gg, :]
+            if entry_max(G[np.ix_(perm, perm)] - G) > tol.margin(scale):
+                return False
+    return True
+
+
+def synthesize_representation_by_loops(fp, g):
+    """pi_g = T lambda_g X^* with the dense left translation lambda_g, and
+    pi_reproduces by one pair of products per element."""
+    if not verify(fp).parseval:
+        raise NotParseval("synthesis needs a Parseval pair")
+    if not check_group_invariance_by_loops(fp, g):
+        raise NotInvariant("pair is not group invariant")
+    mats = tuple(fp.T @ left_translation_by_loop(g.mul, idx) @ fp.X.conj().T for idx in range(g.order))
+    rep = Representation(g, mats, fp.tol)
+    e = g.identity
+    ok = all(fp.tol.mat_close(rep.mats[idx] @ fp.X[:, e], fp.X[:, idx])
+             and fp.tol.mat_close(rep.mats[idx] @ fp.T[:, e], fp.T[:, idx])
+             for idx in range(g.order))
+    return RepresentationSynthesis(rep, ok)
 
 
 def first_falsifying_sample(X, T, Y, alpha, beta, gamma, samples, seed, linear, complex_field, tol):

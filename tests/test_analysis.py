@@ -72,6 +72,13 @@ def test_iterate_requires_frame():
         fk.iterate_reconstruct(FramePair(np.zeros((2, 2)), np.zeros((2, 2)), "real"), [1, 0], 3)
 
 
+@pytest.mark.parametrize("h", [[np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf * 1j]])
+def test_iterate_rejects_a_non_finite_target(h):
+    fp = FramePair(np.eye(2), np.eye(2), "real")
+    with pytest.raises(ValueError, match="target entries must be finite"):
+        fk.iterate_reconstruct(fp, h, 2)
+
+
 # --- tight extensions ------------------------------------------------------------
 
 def test_extend_append_rank_one():

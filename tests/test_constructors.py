@@ -69,6 +69,21 @@ def test_bad_tables_rejected():
 
 # --- left regular ---------------------------------------------------------------
 
+def test_table_entries_must_be_integers():
+    for mul in ([[0.5, 1], [1, 0]], [[0, 1], [1, np.nan]], [[False, True], [True, False]],
+                [["0", "1"], ["1", "0"]], [[0, 1], [1, 0j]]):
+        with pytest.raises(BadGroupTable, match="^table entries must be element indices$"):
+            GroupTable(np.asarray(mul), 0)
+    z2 = GroupTable(np.array([[0.0, 1.0], [1.0, 0.0]]), 0)  # integral floats are indices
+    assert z2.mul.dtype == int and np.array_equal(z2.mul, GroupTable.cyclic(2).mul)
+
+
+def test_group_table_leaves_the_callers_array_writable():
+    mul = GroupTable.cyclic(3).mul.copy()
+    GroupTable(mul, 0)
+    assert mul.flags.writeable
+
+
 def test_left_regular_small_groups():
     assert np.allclose(fk.left_regular(GroupTable.cyclic(1)).mats[0], [[1.0]])
     z2 = fk.left_regular(GroupTable.cyclic(2))

@@ -7,6 +7,7 @@ import framekit as fk
 import framekit.io as fio
 from framekit import FramePair, GroupTable, OvfPair, PFramePair
 from framekit.cli import run
+from framekit.errors import BadGroupTable
 
 from conftest import mercedes_benz, random_frame, random_ovf
 
@@ -221,6 +222,30 @@ def test_cli_arguments_without_meaning_are_parse_errors(tmp_path, capsys, argv):
     code, text = run_cli(capsys, *argv)
     assert (code, text.splitlines()[0]) == (1, "kind = parse_error")
     assert "error = ValueError\n" in text
+
+
+def test_cli_infinite_target_is_rejected_as_non_finite(tmp_path, capsys):
+    frame = tmp_path / "std.frame"
+    fio.write_frame_pair(str(frame), FramePair(np.eye(2), np.eye(2), "real"))
+    code, text = run_cli(capsys, "analyze", "reconstruct", str(frame), "--target=1,inf")
+    assert code == 1
+    assert text == ("kind = parse_error\nerror = ValueError\n"
+                    "message = vector entries must be finite, got '1,inf'\n")
+    code, text = run_cli(capsys, "analyze", "reconstruct", str(frame), "--target=1,2i", "--steps", "1")
+    assert code == 0 and "step_1 = [0, 0]\n" in text
+
+
+def test_group_table_entries_must_be_integers_in_documents(tmp_path, capsys):
+    doc = fio.group_table_to_dict(GroupTable.cyclic(2))
+    doc["mul"] = [[0.5, 1], [1, 0]]
+    with pytest.raises(BadGroupTable, match="table entries must be element indices"):
+        fio.group_table_from_dict(doc)
+    path = tmp_path / "half.group"
+    fio.save(str(path), doc)
+    code, text = run_cli(capsys, "construct", "group", "--table", str(path), "--x", "1,0", "--tau", "1,0")
+    assert code == 2
+    assert text == ("kind = domain_error\nerror = BadGroupTable\n"
+                    "message = table entries must be element indices\n")
 
 
 def test_reconstruction_rejects_negative_steps():

@@ -8,6 +8,7 @@ interval endpoints and matrices agree to 1e-13 relative.
 """
 
 import collections
+import itertools
 import json
 
 import numpy as np
@@ -265,6 +266,20 @@ def relabelled(mul, perm):
     return out
 
 
+def dihedral(k):
+    """D_k of order 2k with r^i s^j at index i + k j:
+    (r^i s^j)(r^a s^b) = r^(i + (-1)^j a) s^(j + b)."""
+    i, j = np.divmod(np.arange(2 * k), k)[::-1]
+    sign = 1 - 2 * j[:, None]
+    return (i[:, None] + sign * i[None, :]) % k + k * ((j[:, None] + j[None, :]) % 2)
+
+
+def symmetric4():
+    perms = list(itertools.permutations(range(4)))
+    index = {p: n for n, p in enumerate(perms)}
+    return np.array([[index[tuple(p[q[k]] for k in range(4))] for q in perms] for p in perms])
+
+
 def table_cases(rng):
     idx = np.arange(4)
     z2z2 = np.bitwise_xor(idx[:, None], idx[None, :])
@@ -292,9 +307,11 @@ def test_group_table_checks_match_loops(rng):
 
 
 def test_left_translation_matches_loop():
-    for table in (GroupTable.cyclic(7), GroupTable(relabelled(GroupTable.cyclic(6).mul, np.arange(6)[::-1]), 5)):
+    for table in (GroupTable.cyclic(7), GroupTable(relabelled(GroupTable.cyclic(6).mul, np.arange(6)[::-1]), 5),
+                  GroupTable(dihedral(5), 0), GroupTable(symmetric4(), 0)):
+        rep = fk.left_regular(table)
         for g in range(table.order):
-            assert np.array_equal(table.left_translation(g), oracles.left_translation_by_loop(table.mul, g))
+            assert np.array_equal(rep.mats[g], oracles.left_translation_by_loop(table.mul, g))
 
 
 def rep_outcome(table, mats, tol):
@@ -307,7 +324,7 @@ def test_representation_checks_match_dense_products(rng):
     tol = Tolerance()
     perm = rng.permutation(6)
     table = GroupTable(relabelled(GroupTable.cyclic(6).mul, perm), int(perm[0]))
-    regular = tuple(table.left_translation(g) for g in range(6))
+    regular = tuple(oracles.left_translation_by_loop(table.mul, g) for g in range(6))
     swapped = list(regular)
     swapped[1], swapped[2] = swapped[2], swapped[1]  # one wrong matrix
     single = list(regular)
@@ -339,6 +356,281 @@ def test_left_regular_matches_dense_products():
     for table in (GroupTable.cyclic(12), GroupTable(np.bitwise_xor(*np.ix_(range(8), range(8))), 0)):
         rep = fk.left_regular(table)
         oracles.check_representation_by_products(table.mul, rep.mats, Tolerance())
+
+
+# Orders whose blocks of group elements split differently: numerics._BLOCK_ENTRIES // order^2
+# rows per block is 36 at order 30 (one block), 9 at order 60 (seven blocks) and 0 at 182,
+# where a block is one row.
+BLOCK_ORDERS = [1, 2, 3, 30, 31, 60, 182]
+
+
+def switched_cyclic(n):
+    """Z_n (n even) with the intercalate in rows 1, 1 + n/2 and columns 1, 1 + n/2
+    switched: a Latin square with identity 0.  The switched rows are renamed
+    n - 1 and n - 2, so they sit in the last block of rows."""
+    mul = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+    a, b = 1, 1 + n // 2
+    mul[[a, a, b, b], [a, b, a, b]] = mul[[a, a, b, b], [b, a, b, a]]
+    perm = np.arange(n)
+    perm[[a, b, n - 1, n - 2]] = [n - 1, n - 2, a, b]
+    return relabelled(mul, perm), 0
+
+
+def block_tables(n, rng):
+    perm = rng.permutation(n)
+    yield relabelled((np.arange(n)[:, None] + np.arange(n)[None, :]) % n, perm), int(perm[0])
+    if n % 2 == 0:
+        perm = rng.permutation(n)
+        yield relabelled(dihedral(n // 2), perm), int(perm[0])
+    if n % 2 == 0 and n >= 6:
+        yield switched_cyclic(n)
+
+
+@pytest.mark.parametrize("order", BLOCK_ORDERS)
+def test_group_tables_across_block_boundaries_match_loops(rng, order):
+    verdicts = []
+    for mul, e in block_tables(order, rng):
+        expected = outcome(lambda: oracles.check_group_table_by_loops(mul, e))
+        got = outcome(lambda: GroupTable(mul, e))
+        assert (None if isinstance(got, GroupTable) else got) == expected
+        verdicts.append(expected)
+    groups = [None] * (1 + (order % 2 == 0))  # cyclic, and dihedral at even orders
+    loop = [("BadGroupTable", "table is not associative")] if order % 2 == 0 and order >= 6 else []
+    assert verdicts == groups + loop
+
+
+def test_symmetric_group_tables_match_loops(rng):
+    for k in range(3):
+        perm = rng.permutation(24) if k else np.arange(24)
+        mul, e = relabelled(symmetric4(), perm), int(perm[0])
+        assert outcome(lambda: oracles.check_group_table_by_loops(mul, e)) is None
+        assert GroupTable(mul, e).order == 24
+
+
+def rotations(n):
+    angles = 2 * np.pi * np.arange(n) / n
+    return tuple(np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]) for t in angles)
+
+
+def shifts(n, d):
+    """Z_n acting on Z_d (d divides n) by q -> q + g: d x d permutation matrices."""
+    eye = np.eye(d)
+    return tuple(eye[:, (np.arange(d) + g) % d] for g in range(n))
+
+
+def permutation_dim(n):
+    return n if n <= 60 else 7
+
+
+def planted_representations(n):
+    """(name, matrices) pairs on Z_n whose fault sits in the last element."""
+    rot = rotations(n)
+    perm = shifts(n, permutation_dim(n))
+    last = n - 1
+    d = perm[0].shape[0]
+    cases = [("rotations", rot), ("shifts", perm)]
+    if n > 1:
+        cases += [
+            ("rotation_law", rot[:last] + (rotations(14)[1],)),  # unitary, but no element of Z_n
+            ("rotation_unitary", rot[:last] + (1.5 * rot[last],)),
+            ("rotation_shape", rot[:last] + (np.eye(3),)),
+        ]
+    if n > 2:
+        cases.append(("shift_law", perm[:last] + (perm[1],)))
+    scaled = perm[last].copy()
+    scaled[scaled == 1] = 2.0  # 0/2: one entry per row and column, no 1
+    near = perm[last].copy()
+    near[near == 1] = 1.0 + 1e-12  # within tolerance, but no exact permutation
+    tiny = perm[last].copy()
+    tiny[0, :] += 1e-300  # a nonzero beside each 1 of the first row
+    doubled = perm[last].copy()
+    doubled[:, 0] = doubled[:, -1]  # two 1s in one row, none in another
+    cases += [("shift_near", perm[:last] + (near,)), ("shift_tiny", perm[:last] + (tiny,)),
+              ("shift_scaled", perm[:last] + (scaled,))]
+    if d > 1:
+        collapsed = perm[last].copy()
+        collapsed[:, 0] += collapsed[:, 1]  # one 1 per row, two in column 0
+        collapsed[:, 1] = 0.0
+        cases += [("shift_doubled", perm[:last] + (doubled,)),
+                  ("shift_collapsed", perm[:last] + (collapsed,))]
+    return cases
+
+
+@pytest.mark.parametrize("order, block_entries", [(n, _BLOCK_ENTRIES) for n in BLOCK_ORDERS]
+                         + [(n, 64) for n in BLOCK_ORDERS[:-1]])  # 64: 16 pairs of 2 x 2 per block
+def test_representations_across_block_boundaries_match_dense_products(monkeypatch, order,
+                                                                      block_entries):
+    monkeypatch.setattr(fk.numerics, "_BLOCK_ENTRIES", block_entries)
+    table = GroupTable.cyclic(order)
+    outcomes = {}
+    for name, mats in planted_representations(order):
+        got, expected = rep_outcome(table, mats, Tolerance())
+        assert got == expected, name
+        outcomes[name] = got
+    assert outcomes["rotations"] is None and outcomes["shifts"] is None
+    assert outcomes["shift_near"] is None and outcomes["shift_tiny"] is None
+    law = ("NotARepresentation", "matrices do not respect the group law")
+    assert outcomes.get("shift_law", law) == law
+    if order > 1:
+        assert outcomes["rotation_law"] == law
+        assert outcomes["rotation_unitary"] == ("NotARepresentation", "matrices must be unitary")
+        assert outcomes["shift_scaled"] == ("NotARepresentation", "matrices must be unitary")
+        assert outcomes["shift_collapsed"] == ("NotARepresentation", "matrices must be unitary")
+        assert outcomes["rotation_shape"] == (
+            "NotARepresentation", "matrices must be square of equal size")
+
+
+def test_each_product_keeps_its_own_margin():
+    """Z_2 = {e, s} with pi_s = sqrt(u) F, F a reflection: pi_s pi_s = u I misses
+    pi_e = I by |u - 1|, which only the margin of the larger of the two entry
+    maxima covers (the product's for u > 1, the target's for u < 1)."""
+    tol = Tolerance(abs_tol=0.0, rel_tol=1e-3)
+    table = GroupTable.cyclic(2)
+    for u in (1.0010005, 0.9990005):
+        got, expected = rep_outcome(table, (np.eye(2), np.sqrt(u) * np.diag([1.0, -1.0])), tol)
+        assert got is expected is None
+        assert tol.margin(min(u, 1.0)) < abs(u - 1.0) <= tol.margin(max(u, 1.0))
+
+
+def test_representation_rejects_a_zero_dimensional_first_matrix():
+    got, expected = rep_outcome(GroupTable.cyclic(1), (np.float64(1.0),), Tolerance())
+    assert got == expected == ("NotARepresentation", "matrices must be square of equal size")
+
+
+def test_a_unitarity_failure_before_a_shape_failure_is_reported_first():
+    table = GroupTable.cyclic(4)
+    rot = rotations(4)
+    for mats in ((rot[0], 2 * rot[1], np.eye(3), rot[3]), (rot[0], np.eye(3), 2 * rot[2], rot[3])):
+        got, expected = rep_outcome(table, mats, Tolerance())
+        assert got == expected
+    assert expected == ("NotARepresentation", "matrices must be square of equal size")
+
+
+def dihedral_rotations(k):
+    """D_k on R^2: r^i s^j acts as R^i F^j, R the rotation by 2 pi / k, F = diag(1, -1)."""
+    R, F = rotations(k), np.diag([1.0, -1.0])
+    return Representation(GroupTable(dihedral(k), 0), R + tuple(M @ F for M in R))
+
+
+@pytest.mark.parametrize("k", [1, 15, 30, 91])
+def test_dihedral_representations_match_dense_products(k):
+    rep = dihedral_rotations(k)
+    got, expected = rep_outcome(rep.group, rep.mats, Tolerance())
+    assert got is expected is None
+    swapped = (rep.mats[k],) + rep.mats[1:k] + (rep.mats[0],) + rep.mats[k + 1:]
+    got, expected = rep_outcome(rep.group, swapped, Tolerance())
+    assert got == expected == ("NotARepresentation", "matrices do not respect the group law")
+
+
+def representation_of(n):
+    return Representation(GroupTable.cyclic(n), shifts(n, permutation_dim(n)))
+
+
+@pytest.mark.parametrize("order", BLOCK_ORDERS)
+def test_group_frame_orbits_equal_the_per_element_products(rng, order):
+    rep = fk.left_regular(GroupTable.cyclic(order)) if order <= 60 else representation_of(order)
+    d = rep.dim
+    complex_rep = Representation(rep.group, tuple(M.astype(complex) for M in rep.mats))
+    cases = [
+        (rep, rng.standard_normal(d), rng.standard_normal(d)),
+        (rep, rng.integers(-3, 4, d), rng.standard_normal(d) + 1j * rng.standard_normal(d)),
+        (complex_rep, rng.standard_normal(d), rng.standard_normal(d)),
+    ]
+    for r, x, tau in cases:
+        result = fk.group_frame(r, x, tau)
+        X, T = oracles.orbit_by_products(r.mats, x), oracles.orbit_by_products(r.mats, tau)
+        assert np.array_equal(result.fp.X, X) and np.array_equal(result.fp.T, T)
+        assert result.fp.X.flags.c_contiguous and result.fp.T.flags.c_contiguous
+        assert result.fp.field == frames.infer_field(X, T)
+        assert result.report == frames.verify(FramePair(X, T, result.fp.field))
+
+
+@pytest.mark.parametrize("order", BLOCK_ORDERS)
+def test_group_frame_on_rotations_matches_the_per_element_products(order):
+    rep = Representation(GroupTable.cyclic(order), rotations(order))
+    x, tau = np.array([1.0, 0.5]), np.array([0.25, -1.0])
+    result = fk.group_frame(rep, x, tau)
+    assert np.allclose(result.fp.X, oracles.orbit_by_products(rep.mats, x), rtol=0, atol=1e-15)
+    assert np.allclose(result.fp.T, oracles.orbit_by_products(rep.mats, tau), rtol=0, atol=1e-15)
+
+
+def plane_representation(n):
+    """Order n acting on R^2: D_(n/2) at even n, Z_n at odd n."""
+    return dihedral_rotations(n // 2) if n % 2 == 0 else Representation(GroupTable.cyclic(n), rotations(n))
+
+
+def invariance_cases(rng, n):
+    rep = plane_representation(n)
+    fp = fk.group_frame(rep, [1.0, 0.5], [0.5, -1.0]).fp
+    X, T = fp.X.copy(), fp.T.copy()
+    X[0, -1] += 1e-6  # the last member moved
+    T2 = fp.T.copy()
+    T2[:, -1] *= 1.0 + 1e-13  # within tolerance
+    T3 = fp.T.copy()
+    T3[0, -1] += 1e-6
+    turn = np.array([[0.0, -1.0], [1.0, 0.0]]) if n % 2 == 0 else np.diag([1.0, -1.0])
+    yield fp, True
+    yield FramePair(X, fp.T, "real"), n == 1
+    yield FramePair(fp.X, T2, "real"), True
+    yield FramePair(fp.X, T3, "real"), n == 1  # only the Grams that read T move
+    # turn commutes with none of these representations but the trivial one; each
+    # family is still an orbit, so only the cross Gram <x_q, tau_p> breaks
+    yield FramePair(fp.X, turn @ fp.T, "real"), n == 1
+    if n <= 60:
+        lr = fk.left_regular(rep.group)
+        yield fk.group_frame(lr, rng.standard_normal(n), rng.standard_normal(n)).fp, True
+
+
+@pytest.mark.parametrize("order", BLOCK_ORDERS)
+def test_group_invariance_matches_the_per_element_loop(rng, order):
+    table = plane_representation(order).group
+    for fp, invariant in invariance_cases(rng, order):
+        got = fk.check_group_invariance(fp, table)
+        assert got is oracles.check_group_invariance_by_loops(fp, table) is invariant
+
+
+def synthesis_outcome(fn):
+    got = outcome(fn)
+    if isinstance(got, fk.constructors.RepresentationSynthesis):
+        return got.rep.mats, got.pi_reproduces
+    return got
+
+
+@pytest.mark.parametrize("order", BLOCK_ORDERS)
+def test_synthesis_matches_the_dense_left_translations(rng, order):
+    rep = plane_representation(order)
+    table = rep.group
+    parseval = fk.group_frame(rep, [1.0, 0.0], [1.0, 0.0]).fp
+    scale = np.sqrt(2.0 / order)  # an irreducible orbit of a unit vector in R^2 has S = (n/2) I
+    parseval = FramePair(parseval.X * scale, parseval.T * scale, "real")
+    cases = [parseval, FramePair(parseval.X, 2 * parseval.T, "real")]
+    if order > 1:
+        moved = parseval.X.copy()
+        moved[:, -1] = -moved[:, -1]
+        cases.append(FramePair(moved, moved, "real"))  # still Parseval, not invariant
+    if order <= 31:
+        x = rng.standard_normal(order) + 1j * rng.standard_normal(order)
+        fp = fk.group_frame(fk.left_regular(table), x, x).fp
+        cases.append(fk.parsevalize(fp))
+    if order >= 30:
+        # tau_last moved by 2e-9: still Parseval and invariant within tolerance,
+        # but pi_last tau_e misses tau_last by more than its own margin
+        for family in (0, 1):
+            moved = [parseval.X.copy(), parseval.T.copy()]
+            moved[family][1, -1] += 2e-9
+            cases.append(FramePair(*moved, "real"))
+    reproduced = []
+    for fp in cases:
+        got = synthesis_outcome(lambda: fk.synthesize_representation(fp, table))
+        expected = synthesis_outcome(lambda: oracles.synthesize_representation_by_loops(fp, table))
+        if isinstance(expected, tuple) and isinstance(expected[0], str):
+            assert got == expected
+        else:
+            assert got[1] is expected[1]
+            assert all(np.allclose(A, B, rtol=0, atol=1e-13) for A, B in zip(got[0], expected[0]))
+            reproduced.append(got[1])
+    if order >= 30:
+        assert reproduced[0] is True and reproduced[-1] is False
 
 
 # --- sampled perturbation falsifier -----------------------------------------------------
