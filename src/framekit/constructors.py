@@ -36,7 +36,11 @@ def _blocks(count: int, width: int) -> list:
 
 @dataclass(frozen=True)
 class GroupTable:
-    """Multiplication table of a finite group; mul[g, h] = g*h."""
+    """Multiplication table of a finite group; mul[g, h] = g*h.
+
+    Entries must be integer element indices (integral floats count); any
+    other entry raises BadGroupTable rather than being truncated.
+    """
 
     mul: np.ndarray
     identity: int
