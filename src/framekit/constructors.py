@@ -34,12 +34,20 @@ def _blocks(count: int, width: int) -> list:
     return [slice(k, k + step) for k in range(0, count, step)]
 
 
+def _element_indices(a: np.ndarray, n: int) -> bool:
+    """Whether every entry of a is an integer (integral floats count) in [0, n)."""
+    kind = a.dtype.kind
+    integral = kind in "iu" or (kind == "f" and np.all(np.trunc(a) == a))
+    return bool(integral and np.all(a >= 0) and np.all(a < n))
+
+
 @dataclass(frozen=True)
 class GroupTable:
     """Multiplication table of a finite group; mul[g, h] = g*h.
 
-    Entries must be integer element indices (integral floats count); any
-    other entry raises BadGroupTable rather than being truncated.
+    Entries and the identity must be integer element indices (integral
+    floats count); anything else, bool and NaN included, raises
+    BadGroupTable rather than being truncated.
     """
 
     mul: np.ndarray
@@ -50,12 +58,11 @@ class GroupTable:
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1] or mul.shape[0] < 1:
             raise BadGroupTable("mul must be a square table of positive order")
         n = mul.shape[0]
-        e = self.identity
-        if not 0 <= e < n:
-            raise BadGroupTable("identity index out of range")
-        kind = mul.dtype.kind
-        integral = kind in "iu" or (kind == "f" and np.all(np.trunc(mul) == mul))
-        if not integral or np.any(mul < 0) or np.any(mul >= n):
+        e = np.asarray(self.identity)
+        if e.ndim != 0 or not _element_indices(e, n):
+            raise BadGroupTable(f"identity must be an element index below the order {n}")
+        e = int(e)
+        if not _element_indices(mul, n):
             raise BadGroupTable("table entries must be element indices")
         mul = mul.astype(int)
         idx = np.arange(n)
@@ -63,8 +70,6 @@ class GroupTable:
             raise BadGroupTable("rows and columns must be permutations")
         if np.any(mul[e, :] != idx) or np.any(mul[:, e] != idx):
             raise BadGroupTable("identity does not act trivially")
-        if np.any(np.count_nonzero(mul == e, axis=1) != 1):
-            raise BadGroupTable("inverses must exist and be unique")
         # associativity (gh)q = g(hq), for a block of rows g at a time
         for block in _blocks(n, n * n):
             rows = mul[block]
@@ -72,6 +77,7 @@ class GroupTable:
                 raise BadGroupTable("table is not associative")
         mul.setflags(write=False)
         object.__setattr__(self, "mul", mul)
+        object.__setattr__(self, "identity", e)
 
     @property
     def order(self) -> int:

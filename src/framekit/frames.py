@@ -327,8 +327,10 @@ class ClassifyResult:
 def classify(fp: FramePair) -> ClassifyResult:
     """Riesz frame: P = I.  Orthonormal frame: Riesz, Parseval and <x_j, tau_k> = delta_jk.
 
-    The d = 1 case of ovf.verify_ovf's refinements (_refinements): for
-    n > m neither holds, decided without forming P.
+    The d = 1 case of ovf.verify_ovf's refinements (_refinements), decided
+    by counting members without forming P: a frame with n = m is Riesz,
+    and for n > m neither holds.  Only a tolerance too loose for that rank
+    rule forms P.
     """
     S = frame_operator(fp)
     return _classify(fp, S, _require_frame_flags(S, fp.tol))
@@ -497,18 +499,24 @@ def _rank_excludes_identity(N: int, m: int, tol: Tolerance) -> bool:
 def _refinements(pair, S: np.ndarray, report: FrameReport):
     """(riesz, orthonormal) for a pair whose S and frame_flags report the caller holds.
 
-    riesz: a frame whose idempotent P passes tol.is_identity; for N > m the
-    rank rule decides it without forming P or the stacked operators
-    (_rank_excludes_identity).  orthonormal: riesz, Parseval, and the
-    block identities A_j Psi_k^* = delta_jk I, each block at its own scale.
+    riesz is decided by counting rows, N stacked against m = S.shape[0]
+    (Christensen, An Introduction to Frames and Riesz Bases, 2016).  A frame
+    with N = m is Riesz: an invertible S = theta_Psi^* theta_A makes both
+    square factors invertible, so P = theta_A S^-1 theta_Psi^* = I exactly,
+    and neither P nor its solve is formed.  For N > m the rank rule decides
+    without forming P (_rank_excludes_identity); only tolerances too loose
+    for it (1/N <= mu), and an N < m that a loose abs_tol admits as a
+    frame, form P and test it with tol.is_identity.  orthonormal: riesz,
+    Parseval, and the block identities A_j Psi_k^* = delta_jk I, each block
+    at its own scale.
     """
     tol = pair.tol
-    if not report.is_frame or _rank_excludes_identity(sum(pair.codims), S.shape[0], tol):
+    N, m = sum(pair.codims), S.shape[0]
+    if not report.is_frame or _rank_excludes_identity(N, m, tol):
         return False, False
-    theta_A, theta_Psi = pair.theta_A, pair.theta_Psi
-    riesz = bool(tol.is_identity(_idempotent(theta_A, theta_Psi, S)))
+    riesz = N == m or bool(tol.is_identity(_idempotent(pair.theta_A, pair.theta_Psi, S)))
     orthonormal = bool(riesz and report.parseval
-                       and _block_identities_ok(theta_A, theta_Psi, pair.codims, tol))
+                       and _block_identities_ok(pair.theta_A, pair.theta_Psi, pair.codims, tol))
     return riesz, orthonormal
 
 

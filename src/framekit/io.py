@@ -158,7 +158,10 @@ def group_table_to_dict(g: GroupTable) -> dict:
 def group_table_from_dict(doc: dict) -> GroupTable:
     from .constructors import GroupTable
 
-    return GroupTable(np.asarray(doc["mul"]), int(doc["identity"]))
+    table = GroupTable(np.asarray(doc["mul"]), doc["identity"])
+    if table.order != int(doc["order"]):
+        raise ValueError("mul does not match the declared order")
+    return table
 
 
 _KIND_KEYS = {

@@ -165,8 +165,10 @@ def verify_ovf(op: OvfPair) -> OvfReport:
 
     riesz_ovf asks whether the N x N idempotent P (N = sum d_j) is the
     identity, orthonormal_ovf adds Parseval and the block identities; one
-    body (frames._refinements) shared with frames.classify.  For N > m
-    neither holds, decided without forming P.
+    body (frames._refinements) shared with frames.classify.  Counting rows
+    decides riesz_ovf without forming P: a frame with N = m is Riesz, and
+    for N > m neither holds.  Only a tolerance too loose for that rank
+    rule forms P.
     """
     S = frame_operator(op)
     base = _frame_flags(S, op.tol)

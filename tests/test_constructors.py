@@ -78,6 +78,16 @@ def test_table_entries_must_be_integers():
     assert z2.mul.dtype == int and np.array_equal(z2.mul, GroupTable.cyclic(2).mul)
 
 
+def test_group_identity_must_be_an_element_index():
+    mul = GroupTable.cyclic(3).mul
+    for e in (0.5, 0.7, np.nan, np.inf, True, np.bool_(False), "0", [0], 1j, 3, -1, 3.0):
+        with pytest.raises(BadGroupTable, match="^identity must be an element index below the order 3$"):
+            GroupTable(mul, e)
+    for e in (0, 0.0, np.int8(0), np.float32(0.0)):  # integral floats are indices
+        z3 = GroupTable(mul, e)
+        assert type(z3.identity) is int and z3.identity == 0
+
+
 def test_group_table_leaves_the_callers_array_writable():
     mul = GroupTable.cyclic(3).mul.copy()
     GroupTable(mul, 0)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import framekit as fk
-from framekit import FramePair, Tolerance
+import framekit.io as fio
+from framekit import FramePair, Tolerance, frames
+from framekit.cli import run
 from framekit.errors import (
     BadCoefficients,
     CountMismatch,
@@ -296,6 +298,49 @@ def test_classify_examples():
     c = fk.classify(DIAG12)
     assert c.riesz_frame and not c.orthonormal_frame
     assert c.cross_gram[1, 1] == pytest.approx(2.0)
+
+
+# X = T with sigma_min(X) ~ 5e-5: lambda_min(S) = 2.5e-9 clears the frame gate
+# abs_tol = 1e-9, and the rounded idempotent misses I by far more than its margin
+NEAR_SQUARE = FramePair(np.array([[1.0, 1.0], [1.0, 1.0001]]), np.array([[1.0, 1.0], [1.0, 1.0001]]),
+                        "real")
+
+
+def test_a_square_frame_near_the_gate_is_riesz(tmp_path, capsys):
+    assert fk.verify(NEAR_SQUARE).is_frame
+    assert fk.classify(NEAR_SQUARE).riesz_frame
+    assert fk.verify_ovf(fk.ovf_bridge(NEAR_SQUARE)).riesz_ovf
+    path = tmp_path / "near_square.json"
+    fio.write_frame_pair(str(path), NEAR_SQUARE)
+    assert run(["classify", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "riesz_frame = true" in out and "orthonormal_frame = false" in out
+
+
+def test_square_refinements_form_no_idempotent(monkeypatch, rng):
+    """At N = m the count rule decides Riesz: no solve and no N x N idempotent.
+    The loose N = 2 > m = 1 case forms P, which shows the spies are live."""
+    calls = []
+
+    def spy(name, real):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(np.linalg, "solve", spy("solve", np.linalg.solve))
+    monkeypatch.setattr(frames, "_idempotent", spy("_idempotent", frames._idempotent))
+    square = [NEAR_SQUARE, STD2, DIAG12, random_frame(rng, 4, 4, "complex"),
+              random_parseval(rng, 3, 3, "real", self_dual=True)]
+    for fp in square:
+        assert fk.classify(fp).riesz_frame
+        assert fk.verify_ovf(fk.ovf_bridge(fp)).riesz_ovf
+    blocks = np.split(random_frame(rng, 5, 5).X.T, [2])  # members of codims 2 and 3, N = m = 5
+    assert fk.verify_ovf(fk.OvfPair(tuple(blocks), tuple(blocks), "real")).riesz_ovf
+    assert calls == []
+    half = np.array([[1.0, 1.0]]) / np.sqrt(2.0)
+    assert fk.classify(FramePair(half, half, "real", Tolerance(0.6, 0.0))).riesz_frame
+    assert calls == ["_idempotent", "solve"]
 
 
 # --- sums and tensors --------------------------------------------------------

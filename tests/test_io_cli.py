@@ -248,6 +248,34 @@ def test_group_table_entries_must_be_integers_in_documents(tmp_path, capsys):
                     "message = table entries must be element indices\n")
 
 
+def test_group_identity_is_read_unconverted(tmp_path, capsys):
+    doc = fio.group_table_to_dict(GroupTable.cyclic(3))
+    doc["identity"] = 0.7
+    with pytest.raises(BadGroupTable, match="identity must be an element index below the order 3"):
+        fio.group_table_from_dict(doc)
+    path = tmp_path / "fractional.group"
+    fio.save(str(path), doc)
+    code, text = run_cli(capsys, "construct", "group", "--table", str(path), "--x", "1,0", "--tau", "1,0")
+    assert code == 2
+    assert text == ("kind = domain_error\nerror = BadGroupTable\n"
+                    "message = identity must be an element index below the order 3\n")
+    doc["identity"] = 0.0
+    assert fio.group_table_from_dict(doc).identity == 0
+
+
+def test_group_order_must_match_the_table(tmp_path, capsys):
+    doc = fio.group_table_to_dict(GroupTable.cyclic(3))
+    doc["order"] = 5
+    with pytest.raises(ValueError, match="^mul does not match the declared order$"):
+        fio.group_table_from_dict(doc)
+    path = tmp_path / "order5.group"
+    fio.save(str(path), doc)
+    code, text = run_cli(capsys, "construct", "group", "--table", str(path), "--x", "1,0", "--tau", "1,0")
+    assert code == 1  # the exit code of a frame document's dim/count mismatch
+    assert text == ("kind = parse_error\nerror = ValueError\n"
+                    "message = mul does not match the declared order\n")
+
+
 def test_reconstruction_rejects_negative_steps():
     fp = FramePair(np.eye(2), np.eye(2), "real")
     with pytest.raises(ValueError, match="steps must be >= 0, got -1"):

@@ -18,6 +18,7 @@ import framekit as fk
 import framekit.io as fio
 
 from conftest import (
+    orthonormal_rows,
     random_frame,
     random_matrix,
     random_parseval,
@@ -118,3 +119,35 @@ def test_a_p_frame_pair_survives_the_io_round_trip(seed, mn, p, field):
     back = through_text(fio.pframe_pair_to_dict, fio.pframe_pair_from_dict, pf)
     assert ((type(back), back.p, back.field, back.tol, bits(back.F), bits(back.T))
             == (type(pf), pf.p, pf.field, pf.tol, bits(pf.F), bits(pf.T)))
+
+
+@PROPERTY
+@given(seed=SEEDS, m=st.integers(1, 6), field=FIELDS, self_dual=st.booleans(),
+       depth=st.floats(0.0, 4.75), cut=st.integers(0, 5))
+def test_a_square_frame_is_riesz(seed, m, field, self_dual, depth, cut):
+    """N = m: every pair that verify calls a frame is Riesz, in both layers.
+
+    X = U diag(s) V^* with sigma_min = 10^-depth, so lambda_min(X X^*) runs
+    from 1 down past the frame gate abs_tol = 1e-9 (depth 4.5).  The dual
+    family is X itself, or W X^-* with W Hermitian positive of the same
+    lambda_min, so that S = W.  The OVF splits theta_A's m rows into two
+    members after row 1 + cut mod (m - 1).
+    """
+    rng = rng_for(seed)
+    s = np.geomspace(1.0, 10.0 ** -depth, m)
+    X = (orthonormal_rows(rng, m, m, field) * s) @ orthonormal_rows(rng, m, m, field)
+    if self_dual:
+        T = X
+    else:
+        Q = orthonormal_rows(rng, m, m, field)
+        T = ((Q * s ** 2) @ Q.conj().T) @ np.linalg.inv(X).conj().T
+    fp = fk.FramePair(X, T, field)
+    frame = fk.verify(fp).is_frame
+    if not frame:
+        return
+    assert fk.classify(fp).riesz_frame
+    assert fk.verify_ovf(fk.ovf_bridge(fp)).riesz_ovf
+    cuts = [1 + cut % (m - 1)] if m > 1 else []
+    report = fk.verify_ovf(fk.OvfPair(tuple(np.split(fp.theta_A, cuts)),
+                                      tuple(np.split(fp.theta_Psi, cuts)), field))
+    assert report.is_frame and report.riesz_ovf
