@@ -505,10 +505,10 @@ def _refinements(pair, S: np.ndarray, report: FrameReport):
     square factors invertible, so P = theta_A S^-1 theta_Psi^* = I exactly,
     and neither P nor its solve is formed.  For N > m the rank rule decides
     without forming P (_rank_excludes_identity); only tolerances too loose
-    for it (1/N <= mu), and an N < m that a loose abs_tol admits as a
-    frame, form P and test it with tol.is_identity.  orthonormal: riesz,
-    Parseval, and the block identities A_j Psi_k^* = delta_jk I, each block
-    at its own scale.
+    for it (1/N <= mu), and an N < m whose rank-deficient S passes the
+    frame gate through rounding (abs_tol = 0), form P and test it with
+    tol.is_identity.  orthonormal: riesz, Parseval, and the block
+    identities A_j Psi_k^* = delta_jk I, each block at its own scale.
     """
     tol = pair.tol
     N, m = sum(pair.codims), S.shape[0]

@@ -797,11 +797,9 @@ def test_verify_ovf_riesz_matches_the_svd_gated_idempotent(rng):
         ops = fk.ovf_operators(op)
         want = bool(frame_flags(ops.S, tol).is_frame and ops.P is not None
                     and tol.is_identity(ops.P))
-        got = fk.verify_ovf(op)
-        assert got.riesz_ovf == got.is_frame
-        assert want == oracles.verify_ovf_by_idempotent(op)[0]
-        step = count_rule_move((got.riesz_ovf, got.orthonormal_ovf),
-                               oracles.verify_ovf_by_idempotent(op), True, got.is_frame)
+        got, reference = fk.verify_ovf(op), oracles.verify_ovf_by_idempotent(op)
+        assert got.riesz_ovf == got.is_frame and reference[0] == want
+        step = count_rule_move((got.riesz_ovf, got.orthonormal_ovf), reference, True, got.is_frame)
         moved += step
         agreed += got.riesz_ovf and not step
     assert moved > 0 and agreed > 0  # both outcomes on frames are represented
@@ -1134,7 +1132,7 @@ def classify_cases(rng, field):
 def test_classify_verdicts_match_the_idempotent(rng, field):
     """Exact agreement with the rounded idempotent wherever n != m; at n = m
     only Riesz false -> true moves on frames (count_rule_move).  The moves
-    occur under Tolerance(0, 0), where the rounded P never passes exactly."""
+    occur under Tolerance(0, 0), where the rounded P must equal I exactly."""
     cases = classify_cases(rng, field)
     moved = collections.Counter()
     for fp in cases:
