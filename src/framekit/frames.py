@@ -186,18 +186,22 @@ def _frame_flags(S: np.ndarray, tol: Tolerance) -> FrameReport:
     """frame_flags for a finite square S, such as the one frame_operator forms.
 
     One decomposition decides everything.  A Hermitian S (within
-    tolerance) pays one eigvalsh of its Hermitian part: invertible reads
-    min |lambda| > abs_tol, and is_frame is the pd rule, lambda_min >
-    abs_tol.  A non-Hermitian S, which is never a frame, pays one SVD to
-    report invertible as sigma_min(S) > abs_tol.
+    tolerance) pays one eigvalsh of its Hermitian part: is_frame is the pd
+    rule, lambda_min > abs_tol, and invertible reads min |lambda| >
+    abs_tol, which a frame meets at once: its ascending lambda have
+    lambda_min > abs_tol >= 0, so min |lambda| = lambda_min.  A
+    non-Hermitian S, which is never a frame, pays one SVD to report
+    invertible as sigma_min(S) > abs_tol.
     """
     w = _hermitian_eig(S, tol)
     psd, is_frame = bool(_psd(w, tol)), bool(_pd(w, tol))
-    a, b = (float(w[0]), float(w[-1])) if is_frame else (0.0, 0.0)
-    tight = is_frame and (b - a) <= tol.margin(b)
+    if not is_frame:
+        invertible = _invertible(S if w is None else w, tol)
+        return FrameReport(w is not None, psd, invertible, psd, False, 0.0, 0.0, False, False)
+    a, b = float(w[0]), float(w[-1])
+    tight = b - a <= tol.margin(b)
     parseval = tight and abs(b - 1.0) <= tol.margin(1.0, b)
-    invertible = _invertible(S if w is None else w, tol)
-    return FrameReport(w is not None, psd, invertible, psd, is_frame, a, b, tight, parseval)
+    return FrameReport(True, True, True, True, True, a, b, tight, parseval)
 
 
 def verify(fp: FramePair) -> FrameReport:
@@ -503,16 +507,17 @@ def _refinements(pair, S: np.ndarray, report: FrameReport):
     (Christensen, An Introduction to Frames and Riesz Bases, 2016).  A frame
     with N = m is Riesz: an invertible S = theta_Psi^* theta_A makes both
     square factors invertible, so P = theta_A S^-1 theta_Psi^* = I exactly,
-    and neither P nor its solve is formed.  For N > m the rank rule decides
-    without forming P (_rank_excludes_identity); only tolerances too loose
-    for it (1/N <= mu), and an N < m whose rank-deficient S passes the
-    frame gate through rounding (abs_tol = 0), form P and test it with
+    and neither P nor its solve is formed.  A frame needs rank S = m <= N,
+    so for N < m, where S passed the frame gate only through rounding,
+    neither verdict holds and nothing is solved against that S.  For N > m
+    the rank rule decides without forming P (_rank_excludes_identity); only
+    tolerances too loose for it (1/N <= mu) form P and test it with
     tol.is_identity.  orthonormal: riesz, Parseval, and the block
     identities A_j Psi_k^* = delta_jk I, each block at its own scale.
     """
     tol = pair.tol
     N, m = sum(pair.codims), S.shape[0]
-    if not report.is_frame or _rank_excludes_identity(N, m, tol):
+    if not report.is_frame or N < m or _rank_excludes_identity(N, m, tol):
         return False, False
     riesz = N == m or bool(tol.is_identity(_idempotent(pair.theta_A, pair.theta_Psi, S)))
     orthonormal = bool(riesz and report.parseval

@@ -10,6 +10,7 @@ applied entrywise with the max-magnitude of the operands as scale.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,7 @@ class Tolerance:
             raise ValueError("tolerances must be nonnegative")
 
     def margin(self, *scales: float) -> float:
-        scale = max((abs(float(s)) for s in scales), default=0.0)
-        return self.abs_tol + self.rel_tol * scale
+        return self.abs_tol + self.rel_tol * max(map(abs, map(float, scales)), default=0.0)
 
     def close(self, a, b) -> bool:
         return abs(complex(a) - complex(b)) <= self.margin(abs(complex(a)), abs(complex(b)))
@@ -101,7 +101,7 @@ def _finite_product(L: np.ndarray, R: np.ndarray, what: str) -> np.ndarray:
 def hermitian_part(M) -> np.ndarray:
     """(M + M^*) / 2, for a matrix or each matrix of a stack (..., k, k)."""
     M = np.asarray(M)
-    return 0.5 * (M + np.swapaxes(M, -1, -2).conj())
+    return 0.5 * (M + M.swapaxes(-1, -2).conj())
 
 
 def _require_square(M) -> np.ndarray:
@@ -120,14 +120,19 @@ def _require_square(M) -> np.ndarray:
 # reads.  They take matrices the caller already holds as finite and square.
 
 
-def _hermitian(M, tol: Tolerance):
+def _hermitian(M, tol: Tolerance, Mh=None):
     """Whether M, or each matrix of a stack (..., k, k), is Hermitian within tol.
 
     The deviation max |M - M^*| is compared with tol's margin at the
-    scale max |M|.
+    scale max |M|.  Mh is M^* when the caller has formed it already.
     """
-    dev = np.abs(M - np.swapaxes(M, -1, -2).conj()).max(axis=(-2, -1), initial=0.0)
+    Mh = M.swapaxes(-1, -2).conj() if Mh is None else Mh
+    dev = np.abs(M - Mh).max(axis=(-2, -1), initial=0.0)
     return dev <= tol.abs_tol + tol.rel_tol * np.abs(M).max(axis=(-2, -1), initial=0.0)
+
+
+# In the psd and pd rules, w[..., 0][()] is lambda_min of each matrix: a
+# numpy scalar for one w, whose comparison costs a tenth of a 0-d array's.
 
 
 def _psd(w, tol: Tolerance):
@@ -135,7 +140,7 @@ def _psd(w, tol: Tolerance):
 
     w is None for a matrix that failed the Hermitian rule, which fails this one.
     """
-    return w is not None and (w.shape[-1] == 0 or w[..., 0] >= -tol.abs_tol)
+    return w is not None and (w.shape[-1] == 0 or w[..., 0][()] >= -tol.abs_tol)
 
 
 def _pd(w, tol: Tolerance):
@@ -143,7 +148,7 @@ def _pd(w, tol: Tolerance):
 
     w is None for a matrix that failed the Hermitian rule, which fails this one.
     """
-    return w is not None and w.shape[-1] > 0 and w[..., 0] > tol.abs_tol
+    return w is not None and w.shape[-1] > 0 and w[..., 0][()] > tol.abs_tol
 
 
 def _invertible(M, tol: Tolerance) -> bool:
@@ -176,10 +181,14 @@ def _decompose(fn, M):
 
 def _hermitian_eig(M, tol: Tolerance, vectors: bool = False):
     """Ascending eigenvalues w of M's Hermitian part, or its eigh (w, V) with
-    vectors; None when M fails the Hermitian rule."""
-    if not _hermitian(M, tol):
+    vectors; None when M fails the Hermitian rule.
+
+    M^* is formed once, for both the rule and the Hermitian part.
+    """
+    Mh = M.swapaxes(-1, -2).conj()
+    if not _hermitian(M, tol, Mh):
         return None
-    return _decompose(np.linalg.eigh if vectors else np.linalg.eigvalsh, hermitian_part(M))
+    return _decompose(np.linalg.eigh if vectors else np.linalg.eigvalsh, 0.5 * (M + Mh))
 
 
 @dataclass(frozen=True)
@@ -316,16 +325,22 @@ def _normalized_image_lp_norms(M: np.ndarray, C, p: float) -> np.ndarray:
     return _image_lp_norms(M, np.asarray(C, dtype=M.dtype) / nc[:, None], p)
 
 
-def _sign_patterns(n: int) -> np.ndarray:
-    """All 2^n vectors of +-1 as the rows of a 2^n x n array.
+@functools.lru_cache(maxsize=None)
+def _half_sign_patterns(n: int) -> np.ndarray:
+    """The 2^(n-1) vectors of +-1 that end in +1, as the rows of a read-only
+    array built once per n.
 
-    Row k has +1 in column j exactly when bit j of k is set.
+    Row k has +1 in column j exactly when bit j of 2^(n-1) + k is set: the
+    second half of all 2^n patterns in bit order.  c and -c have equal
+    image norms, so these rows stand for all 2^n; callers ask only for
+    n <= 12, whose tables hold about 0.4 MB together.
     """
-    bits = np.arange(2**n)[:, None] >> np.arange(n)
+    bits = np.arange((1 << n) >> 1, 1 << n)[:, None] >> np.arange(n)
     bits &= 1
     signs = bits.astype(float)
     signs *= 2.0
     signs -= 1.0
+    signs.setflags(write=False)
     return signs
 
 
@@ -370,7 +385,9 @@ def pnorm_estimate(
     patterns up to a global sign (when cols <= 12), the leading right
     singular vector, and `samples` seeded random directions, each
     normalised in lp; each family of witnesses goes through one stacked
-    product.
+    product.  The sign patterns are the 2^(cols-1) that end in +1, taken
+    from a read-only table cached once per cols (at most about 0.4 MB
+    over all cols <= 12) and divided by their common lp norm.
     upper: exact largest singular value at p = 2, else the interpolation
     bound ||M||_1^(1/p) * ||M||_inf^(1-1/p).
 
@@ -398,9 +415,12 @@ def pnorm_estimate(
 
     # a standard basis vector has unit lp norm and maps to its column exactly
     witnesses = [_lp_norms(M.T, p)]
-    if cols <= 12:  # c and -c have equal image norms: keep the patterns ending in +1
-        half = _sign_patterns(cols)[(1 << cols) >> 1:]
-        witnesses.append(_normalized_image_lp_norms(M, half, p))
+    if 0 < cols <= 12:
+        # every pattern has the lp norm _lp_norms gives the first, cols^(1/p),
+        # since a sum of cols ones is exact
+        signs = _half_sign_patterns(cols)
+        scaled = np.asarray(signs, dtype=M.dtype) / _lp_norms(signs[:1], p)
+        witnesses.append(_image_lp_norms(M, scaled, p))
     try:
         _, _, Vh = np.linalg.svd(M)
         witnesses.append(_normalized_image_lp_norms(M, Vh[:1].conj(), p))

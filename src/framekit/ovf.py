@@ -232,7 +232,9 @@ def factorize_against_onb(op: OvfPair, F: OvfPair) -> FactorizationResult:
     The label is the strongest class whose defining condition on (U, V)
     holds; the full flag set is reported alongside since the classes do
     not form a chain (an onb pair with unequal weights is not an
-    orthonormal OVF).
+    orthonormal OVF).  The factored pair has N = m = n d stacked rows, so
+    riesz_ovf is the frame verdict, by the count rule that verify_ovf
+    applies to the same pair.
     """
     if not _is_onb_family(F):
         raise NotOnb("F must be an orthonormal basis pair (m = n*d with block identities)")
@@ -245,7 +247,7 @@ def factorize_against_onb(op: OvfPair, F: OvfPair) -> FactorizationResult:
     VhU = V.conj().T @ U
     w = _hermitian_eig(_require_square(VhU), tol)
     bessel, frame = _psd(w, tol), _pd(w, tol)
-    riesz_ovf = bool(frame and tol.is_identity(U @ np.linalg.solve(VhU, V.conj().T)))
+    riesz_ovf = bool(frame)  # N = m = n d rows: the count rule of frames._refinements
     orthonormal_ovf = bool(tol.is_identity(VhU) and tol.is_identity(U @ V.conj().T))
     riesz_basis = bool(frame and _invertible(U, tol) and _invertible(V, tol))
 

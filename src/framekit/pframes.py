@@ -34,12 +34,12 @@ from .numerics import (
     _finite_product,
     _gaussian_blocks,
     _gaussian_rows,
+    _half_sign_patterns,
     _image_lp_norms,
     _invertible,
     _lp_norm,
     _lp_norms,
     _normalized_image_lp_norms,
-    _sign_patterns,
     entry_max,
     pnorm_estimate,
     principal_power,
@@ -143,7 +143,8 @@ def p_orthonormal_check(vectors, p: float, trials: int = 200, seed: int = 0,
     off = np.flatnonzero(np.abs(_lp_norms(M.T, p) - 1.0) > tol.margin(1.0))
     if off.size:
         return POrthonormalResult(False, np.eye(n)[:, off[0]])
-    signs = [np.ascontiguousarray(-_sign_patterns(n)[: (1 << n) >> 1, ::-1])] if n <= 12 else []
+    # reversed in both axes, the patterns that end in +1 are those that begin with +1, in order
+    signs = [np.ascontiguousarray(_half_sign_patterns(n)[::-1, ::-1])] if 0 < n <= 12 else []
     draws = _gaussian_blocks(np.random.default_rng(seed), trials, n, np.iscomplexobj(M), max(M.shape))
     for C in itertools.chain(signs, draws):
         lhs = _image_lp_norms(M, np.asarray(C, dtype=M.dtype), p) ** p

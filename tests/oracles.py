@@ -54,7 +54,6 @@ from framekit.numerics import (
     _lp_norm,
     _lp_norms,
     _normalized_image_lp_norms,
-    _sign_patterns,
     entry_max,
     herm_sqrt,
     hermitian_part,
@@ -196,9 +195,26 @@ def pnorm_by_candidates(M, p, samples=200, seed=0):
     return lower, upper
 
 
-def pnorm_estimate_by_all_signs(M, p, samples=200, seed=0):
+def sign_patterns(n):
+    """All 2^n vectors of +-1 as the rows of a 2^n x n array, built on every call.
+
+    Row k has +1 in column j exactly when bit j of k is set.
+    """
+    bits = np.arange(2**n)[:, None] >> np.arange(n)
+    bits &= 1
+    signs = bits.astype(float)
+    signs *= 2.0
+    signs -= 1.0
+    return signs
+
+
+def pnorm_estimate_by_all_signs(M, p, samples=200, seed=0, half=False):
     """(lower, upper) of numerics.pnorm_estimate with all 2^cols sign patterns as
-    witnesses (cols <= 12), where the library keeps the half ending in +1."""
+    witnesses (cols <= 12), where the library keeps the half ending in +1.
+
+    With half, the witnesses are that half, built and normalised row by row
+    on every call, as the library did before it cached the table.
+    """
     M = np.asarray(M)
     cols = M.shape[1]
     absM = np.abs(M)
@@ -212,7 +228,9 @@ def pnorm_estimate_by_all_signs(M, p, samples=200, seed=0):
         upper = norm1 ** (1.0 / p) * norminf ** (1.0 - 1.0 / p)
     witnesses = [_lp_norms(M.T, p)]
     if cols <= 12:
-        witnesses.append(_normalized_image_lp_norms(M, _sign_patterns(cols), p))
+        signs = sign_patterns(cols)
+        signs = signs[(1 << cols) >> 1:] if half else signs
+        witnesses.append(_normalized_image_lp_norms(M, signs, p))
     witnesses.append(_normalized_image_lp_norms(M, np.linalg.svd(M)[2][:1].conj(), p))
     draws = _gaussian_rows(np.random.default_rng(seed), samples, cols, np.iscomplexobj(M))
     witnesses.append(_normalized_image_lp_norms(M, draws, p))
@@ -404,6 +422,43 @@ def first_falsifying_sample(X, T, Y, alpha, beta, gamma, samples, seed, linear, 
 # The library now decides a verdict from one Hermitian eigendecomposition.
 # These are the earlier forms, with a separate SVD or spectral pass, that
 # the differential tests hold it to.
+
+
+def margin_by_generator(tol, *scales):
+    """Tolerance.margin with its scale taken by a generator."""
+    scale = max((abs(float(s)) for s in scales), default=0.0)
+    return tol.abs_tol + tol.rel_tol * scale
+
+
+def hermitian_by_adjoint_copies(M, tol):
+    """The Hermitian rule on a matrix or a stack, forming M^* with np.swapaxes."""
+    dev = np.abs(M - np.swapaxes(M, -1, -2).conj()).max(axis=(-2, -1), initial=0.0)
+    return dev <= tol.abs_tol + tol.rel_tol * np.abs(M).max(axis=(-2, -1), initial=0.0)
+
+
+def psd_by_first_column(w, tol):
+    """The psd rule on ascending eigenvalues w (..., k), lambda_min read as w[..., 0]."""
+    return w is not None and (w.shape[-1] == 0 or w[..., 0] >= -tol.abs_tol)
+
+
+def pd_by_first_column(w, tol):
+    """The pd rule on ascending eigenvalues w (..., k), lambda_min read as w[..., 0]."""
+    return w is not None and w.shape[-1] > 0 and w[..., 0] > tol.abs_tol
+
+
+def frame_flags_by_every_rule(S, tol):
+    """Frame verdict that runs every rule: invertible from |lambda|, or from one
+    SVD of a non-Hermitian S, also when the pd rule has passed."""
+    w = None
+    if hermitian_by_adjoint_copies(S, tol):
+        w = np.linalg.eigvalsh(0.5 * (S + np.swapaxes(S, -1, -2).conj()))
+    psd, is_frame = bool(psd_by_first_column(w, tol)), bool(pd_by_first_column(w, tol))
+    a, b = (float(w[0]), float(w[-1])) if is_frame else (0.0, 0.0)
+    tight = is_frame and (b - a) <= margin_by_generator(tol, b)
+    parseval = tight and abs(b - 1.0) <= margin_by_generator(tol, 1.0, b)
+    s = np.linalg.svd(S, compute_uv=False) if w is None else np.abs(w)
+    invertible = bool(s.size) and float(s.min()) > tol.abs_tol
+    return FrameReport(w is not None, psd, invertible, psd, is_frame, a, b, tight, parseval)
 
 
 def frame_flags_by_svd(S, tol):

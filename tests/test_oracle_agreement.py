@@ -24,7 +24,7 @@ from framekit.numerics import (
     _BLOCK_ENTRIES,
     _gaussian_blocks,
     _gaussian_rows,
-    _sign_patterns,
+    _half_sign_patterns,
     entry_max,
 )
 
@@ -46,9 +46,13 @@ def outcome(fn):
 # --- shared candidate generation -----------------------------------------------------
 
 def test_sign_patterns_follow_the_bit_order():
+    """The full table of the reference and the library's cached half, rows
+    2^(n-1).. of it, against a loop over the bits."""
     for n in range(0, 6):
-        loop = [[1.0 if (bits >> j) & 1 else -1.0 for j in range(n)] for bits in range(2**n)]
-        assert np.array_equal(_sign_patterns(n), np.asarray(loop).reshape(2**n, n))
+        loop = np.asarray([[1.0 if (bits >> j) & 1 else -1.0 for j in range(n)]
+                           for bits in range(2**n)]).reshape(2**n, n)
+        assert np.array_equal(oracles.sign_patterns(n), loop)
+        assert np.array_equal(_half_sign_patterns(n), loop[(1 << n) >> 1:])
 
 
 @pytest.mark.parametrize("complex_field", [False, True])
