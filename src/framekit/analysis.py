@@ -27,12 +27,12 @@ from .frames import (
     COMPLEX,
     REAL,
     FramePair,
+    _extend_tight,
     _frame_eigh,
+    _pair_flags,
     _require_frame,
     _require_frame_flags,
-    _extend_tight,
     _weighted_onb,
-    _frame_flags,
     frame_operator,
     verify,
 )
@@ -68,8 +68,7 @@ def iterate_reconstruct(fp: FramePair, h, steps: int) -> IterationTrace:
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    S = frame_operator(fp)
-    report = _require_frame_flags(S, fp.tol, "reconstruction iterates on a frame")
+    S, report = _require_frame_flags(fp, "reconstruction iterates on a frame")
     h = np.asarray(h)
     h = h.astype(complex if fp.field == COMPLEX or np.iscomplexobj(h) else float).ravel()
     if h.shape != (fp.m,):
@@ -108,7 +107,7 @@ def extend_tight_minimal(fp: FramePair) -> FramePair:
     """
     if not fp.tol.mat_close(fp.X, fp.T):
         raise NotSelfPair("minimal extension needs x_j = tau_j")
-    w, V = _frame_eigh(frame_operator(fp), fp.tol, "minimal extension starts from a frame")
+    w, V = _frame_eigh(fp, "minimal extension starts from a frame")
     top = float(w[-1])
     cols = []
     for lam_j, v in zip(w, V.T):
@@ -226,9 +225,8 @@ def formulas_report(fp: FramePair) -> FormulasReport:
     cyclic trace, taken as sum_ab S_ab S_ba from the m x m S rather than
     from the n x n Gram X^* T; no conjugate enters, so this holds over C.
     """
-    S = frame_operator(fp)
-    report = _frame_flags(S, fp.tol)
-    diag = np.einsum("ij,ij->j", fp.T.conj(), fp.X)  # [j] = <x_j, tau_j>
+    S, report = _pair_flags(fp)
+    diag = np.einsum("ij,ij->j", fp.theta_Psi.T, fp.X)  # [j] = <x_j, tau_j>
     sum_inner = complex(diag.sum())
     trace_S = complex(np.trace(S))
     trace_S2 = complex(np.einsum("ab,ba->", S, S))
@@ -267,8 +265,8 @@ def trace_formula(fp: FramePair, M) -> TraceFormulaResult:
     if M.shape != (fp.m, fp.m):
         raise ShapeMismatch("M must be m x m")
     lhs = complex(np.trace(M))
-    rhs = complex(np.einsum("ij,ik,kj->", fp.T.conj(), M, fp.X))
-    mirrored = complex(np.einsum("ij,ik,kj->", fp.X.conj(), M, fp.T))
+    rhs = complex(np.einsum("ij,ik,kj->", fp.theta_Psi.T, M, fp.X))
+    mirrored = complex(np.einsum("ij,ik,kj->", fp.theta_A.T, M, fp.T))
     tol = fp.tol
     scale = max(1.0, entry_max(M) * fp.m)
     ok = bool(abs(lhs - rhs) <= tol.margin(scale) and abs(lhs - mirrored) <= tol.margin(scale))
@@ -340,7 +338,7 @@ def perturb_normsum(fp: FramePair, Y) -> PerturbCertificate:
     Y = _as_columns(fp, Y)
     Sinv = np.linalg.inv(S)
     r = float(np.sum(np.linalg.norm(fp.X - Y, axis=0) ** 2))
-    theta_tau_Sinv = opnorm2(fp.T.conj().T @ Sinv)
+    theta_tau_Sinv = opnorm2(fp.theta_Psi @ Sinv)
     hypothesis = _alignment_ok(fp, Y) and r < 1.0 / theta_tau_Sinv**2
     lower = (1.0 - np.sqrt(r) * theta_tau_Sinv) / opnorm2(Sinv)
     upper = opnorm2(fp.T) * (opnorm2(fp.X) + np.sqrt(r))
@@ -361,8 +359,7 @@ def perturb_sampled(fp: FramePair, Y, alpha: float, beta: float, gamma: float,
     together with nonnegativity of s_y(h).  hypothesis_ok means "not
     falsified by any sample" - it is not a proof.
     """
-    S = frame_operator(fp)
-    report = _require_frame_flags(S, fp.tol, _CERTIFICATES_NEED_A_FRAME)
+    S, report = _require_frame_flags(fp, _CERTIFICATES_NEED_A_FRAME)
     Y = _as_columns(fp, Y)
     if min(alpha, beta, gamma) < 0:
         raise BadParams("coefficients must be nonnegative")
@@ -370,7 +367,7 @@ def perturb_sampled(fp: FramePair, Y, alpha: float, beta: float, gamma: float,
     a, b = report.lower_a, report.upper_b
 
     if kind == SAMPLED_LINEAR:
-        gate = alpha + gamma * opnorm2(fp.T.conj().T @ Sinv)
+        gate = alpha + gamma * opnorm2(fp.theta_Psi @ Sinv)
         if max(gate, beta) >= 1.0:
             raise BadParams("need max(alpha + gamma ||theta_tau S^-1||, beta) < 1")
         lower = (1.0 - gate) / ((1.0 + beta) * opnorm2(Sinv))
@@ -403,8 +400,8 @@ def _falsifying_samples(fp: FramePair, Y, V, alpha, beta, gamma, kind) -> np.nda
         rhs = (alpha * np.linalg.norm(V @ fp.X.T, axis=1) + gamma * vnorm
                + beta * np.linalg.norm(V @ Y.T, axis=1))
         return lhs > rhs + slack
-    coeff_t = (V @ fp.T.conj()).conj()  # row k = conj(T^* v_k), ready for <., .>
-    s_x = (coeff_t * (V @ fp.X.conj())).sum(axis=1)
+    coeff_t = (V @ fp.theta_Psi.T).conj()  # row k = conj(T^* v_k), ready for <., .>
+    s_x = (coeff_t * (V @ fp.theta_A.T)).sum(axis=1)
     s_y = (coeff_t * (V @ Y.conj())).sum(axis=1)
     negative = (s_y.real < -slack) | (np.abs(s_y.imag) > slack)
     lhs = np.sqrt(np.abs(s_x - s_y))  # principal modulus

@@ -95,8 +95,7 @@ _VERIFY_BASIS = ("optimal bounds are the extreme eigenvalues of the frame operat
 
 def _verify(args):
     fp = _load(args)
-    S = frames.frame_operator(fp)
-    report = frames._frame_flags(S, fp.tol)
+    S, report = frames._pair_flags(fp)
     pairs = [("kind", "frame_report"), ("dim", fp.m), ("count", fp.n), *_fields(report)]
     if report.is_frame:
         pairs += _fields(frames._classify(fp, S, report))

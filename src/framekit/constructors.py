@@ -312,9 +312,9 @@ def check_group_invariance(fp: FramePair, g: GroupTable) -> bool:
         raise CountMismatch("pair count must equal the group order")
     tol = fp.tol
     grams = (
-        fp.X.conj().T @ fp.X,  # [p, q] = <x_q, x_p>
-        fp.T.conj().T @ fp.X,  # [p, q] = <x_q, tau_p>
-        fp.T.conj().T @ fp.T,
+        fp.theta_A @ fp.X,  # [p, q] = <x_q, x_p>
+        fp.theta_Psi @ fp.X,  # [p, q] = <x_q, tau_p>
+        fp.theta_Psi @ fp.T,
     )
     margins = [tol.margin(entry_max(G)) for G in grams]
     n = g.order
@@ -345,7 +345,7 @@ def synthesize_representation(fp: FramePair, g: GroupTable) -> RepresentationSyn
     if not check_group_invariance(fp, g):
         raise NotInvariant("pair is not group invariant")
     n, m = g.order, fp.m
-    Xh = fp.X.conj().T
+    Xh = fp.theta_A
     pis = np.empty((n, m, m), dtype=np.result_type(fp.T, Xh))
     for block in _blocks(n, m * n):
         np.matmul(fp.T[:, g.mul[block]].swapaxes(0, 1), Xh, out=pis[block])

@@ -1,25 +1,23 @@
 """Dual-pair frames for K^m.
 
-A FramePair holds two families {x_j}, {tau_j} of n vectors in K^m as the
+A FramePair holds two families {x_j}, {tau_j} of n vectors in K^m, the
 columns of X and T.  The frame operator is S = T X^* = sum_j tau_j x_j^*;
 the pair is a frame when S is self-adjoint, positive and invertible, and
-the optimal frame bounds are then the extreme eigenvalues of S.
+the optimal frame bounds are then the extreme eigenvalues of S.  The frame
+idempotent P = X^* S^-1 T acts on coefficient space.
 
-Analysis operators are theta_x = X^*, theta_tau = T^* (vectors to
-coefficients); the frame idempotent P = X^* S^-1 T acts on coefficient
-space.
-
-A vector pair is the rank-one operator-valued pair (Kaftal-Larson-Zhang):
-a FramePair reads as the stacked view that ovf.OvfPair stores, theta_A =
-X^*, theta_Psi = T^* and codims = (1,) * n, and FramePair._stacked builds
-one from that view with the same signature as OvfPair._stacked.  So each
+A vector pair is the rank-one operator-valued pair (Kaftal-Larson-Zhang),
+and both pair classes share one storage (_StackedPair): the read-only
+analysis operators theta_A and theta_Psi, here theta_x = X^* and
+theta_tau = T^* with codims = (1,) * n; X and T are their adjoints.  Each
 operation both layers share has one body below, which takes a pair of
-either class and builds its result through type(pair)._stacked.
+either class and returns the caller's class through type(pair)._stacked,
+adopting the arrays the body has just built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from typing import Optional
 
@@ -57,7 +55,9 @@ REAL = "real"
 COMPLEX = "complex"
 
 
-def _as_matrix(entries, field: str) -> np.ndarray:
+def _as_matrix(entries, field: str, copy: bool = True) -> np.ndarray:
+    """entries as a finite matrix of field's dtype: a copy, or with copy=False
+    the array itself when it already has that dtype."""
     A = np.asarray(entries)
     if A.ndim != 2:
         raise ValueError("expected a matrix")
@@ -66,14 +66,13 @@ def _as_matrix(entries, field: str) -> np.ndarray:
             if entry_max(A.imag) != 0.0:
                 raise ValueError("real field requires exactly zero imaginary parts")
             A = A.real
-        A = A.astype(np.float64)
+        A = A.astype(np.float64, copy=copy)
     elif field == COMPLEX:
-        A = A.astype(np.complex128)
+        A = A.astype(np.complex128, copy=copy)
     else:
         raise ValueError(f"unknown field tag {field!r}")
     if not np.all(np.isfinite(A)):
         raise ValueError("entries must be finite")
-    A.setflags(write=False)
     return A
 
 
@@ -81,24 +80,79 @@ def infer_field(*arrays) -> str:
     return COMPLEX if any(np.iscomplexobj(np.asarray(a)) for a in arrays) else REAL
 
 
-@dataclass(frozen=True)
-class FramePair:
-    """Columns of X are the x_j, columns of T are the tau_j."""
+@dataclass(frozen=True, init=False)
+class _StackedPair:
+    """A pair of either layer, stored as its stacked analysis operators.
 
-    X: np.ndarray
-    T: np.ndarray
+    theta_A and theta_Psi are read-only N x m arrays, the members' d_j x m
+    blocks in order, and codims lists the d_j; a FramePair's members are
+    its rows, so its codims is always (1,) * N.
+    """
+
+    theta_A: np.ndarray
+    theta_Psi: np.ndarray
+    codims: tuple
     field: str
-    tol: Tolerance = Tolerance()
+    tol: Tolerance
 
-    def __post_init__(self):
-        X = _as_matrix(self.X, self.field)
-        T = _as_matrix(self.T, self.field)
+    _rank_one = False  # True: every row is a member, and _store sets codims = (1,) * N
+
+    @classmethod
+    def _stacked(cls, theta_A, theta_Psi, codims: tuple, field: str, tol: Tolerance):
+        """The pair of cls whose members are the row blocks of sizes codims.
+
+        Its callers pass arrays no one else writes: a body's fresh result
+        or another pair's frozen operators.  So they are adopted, cast
+        without a copy when they already have the field's dtype, checked
+        finite and frozen.
+        """
+        pair = object.__new__(cls)
+        pair._store(_as_matrix(theta_A, field, copy=False), _as_matrix(theta_Psi, field, copy=False),
+                     codims, field, tol)
+        return pair
+
+    def _store(self, theta_A, theta_Psi, codims, field, tol):
+        theta_A.setflags(write=False)
+        theta_Psi.setflags(write=False)
+        if self._rank_one:
+            codims = (1,) * theta_A.shape[0]
+        vars(self).update(theta_A=theta_A, theta_Psi=theta_Psi, codims=codims, field=field, tol=tol)
+
+    @property
+    def m(self) -> int:
+        return self.theta_A.shape[1]
+
+    @property
+    def n(self) -> int:
+        return len(self.codims)
+
+
+def _adjoint(M: np.ndarray) -> np.ndarray:
+    """M^*, read-only: a view of a real M, a conjugate copy of a complex one."""
+    Mh = M.conj().T
+    Mh.setflags(write=False)
+    return Mh
+
+
+@dataclass(frozen=True, init=False)
+class FramePair(_StackedPair):
+    """Columns of X are the x_j, columns of T are the tau_j.
+
+    The pair keeps theta_A = X^* and theta_Psi = T^*, each the one copy made
+    of the caller's array (conjugated on the way for a complex pair); X and
+    T are their adjoints.
+    """
+
+    _rank_one = True
+
+    def __init__(self, X, T, field: str, tol: Tolerance = Tolerance()):
+        X = _as_matrix(X, field, copy=False)
+        T = _as_matrix(T, field, copy=False)
         if X.shape != T.shape:
             raise ShapeMismatch(f"X {X.shape} and T {T.shape} must share shape")
         if X.shape[0] < 1 or X.shape[1] < 1:
             raise ValueError("dimension and count must be positive")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "T", T)
+        self._store(np.conjugate(X).T, np.conjugate(T).T, (), field, tol)
 
     @classmethod
     def from_columns(cls, x_cols, tau_cols, field: Optional[str] = None,
@@ -108,44 +162,23 @@ class FramePair:
         return cls(X, T, field or infer_field(X, T), tol)
 
     @property
-    def m(self) -> int:
-        return self.X.shape[0]
+    def X(self) -> np.ndarray:
+        """theta_A^*: a view for a real pair, a conjugate copy for a complex one."""
+        return _adjoint(self.theta_A)
 
     @property
-    def n(self) -> int:
-        return self.X.shape[1]
+    def T(self) -> np.ndarray:
+        """theta_Psi^*, as X."""
+        return _adjoint(self.theta_Psi)
 
     def x(self, j: int) -> np.ndarray:
-        return self.X[:, j]
+        return _adjoint(self.theta_A[j])
 
     def tau(self, j: int) -> np.ndarray:
-        return self.T[:, j]
+        return _adjoint(self.theta_Psi[j])
 
     def with_tol(self, tol: Tolerance) -> "FramePair":
-        return replace(self, tol=tol)
-
-    @property
-    def theta_A(self) -> np.ndarray:
-        """X^*: the stacked rank-one members A_j = x_j^*."""
-        return self.X.conj().T
-
-    @property
-    def theta_Psi(self) -> np.ndarray:
-        """T^*: the stacked rank-one members Psi_j = tau_j^*."""
-        return self.T.conj().T
-
-    @property
-    def codims(self) -> tuple:
-        return (1,) * self.n
-
-    @classmethod
-    def _stacked(cls, theta_A, theta_Psi, codims: tuple, field: str, tol: Tolerance) -> "FramePair":
-        """The pair with X = theta_A^* and T = theta_Psi^*: every row is a rank-one member.
-
-        codims is not kept: a block of d rows acts as d rank-one members,
-        with the same frame operator.
-        """
-        return cls(theta_A.conj().T, theta_Psi.conj().T, field, tol)
+        return self._stacked(self.theta_A, self.theta_Psi, self.codims, self.field, tol)
 
 
 @dataclass(frozen=True)
@@ -164,12 +197,9 @@ class FrameReport:
 def frame_operator(pair) -> np.ndarray:
     """S = theta_Psi^* theta_A = sum_j Psi_j^* A_j  (m x m) of a pair of either layer.
 
-    A FramePair forms it from its own columns as T X^* = sum_j tau_j x_j^*,
-    one conjugate copy where theta_Psi^* theta_A would take two.
-    NumericalOverflow when it overflows.
+    For a vector pair this is T X^* = sum_j tau_j x_j^*.  NumericalOverflow
+    when it overflows.
     """
-    if isinstance(pair, FramePair):
-        return _finite_product(pair.T, pair.X.conj().T, "frame operator")
     return _finite_product(pair.theta_Psi.conj().T, pair.theta_A, "frame operator")
 
 
@@ -177,12 +207,14 @@ def frame_flags(S, tol: Tolerance) -> FrameReport:
     """Verdicts for a would-be frame operator, as _frame_flags decides them.
 
     An S that is not square raises NonSquare, one that is not finite
-    ValueError; degenerate but valid input yields is_frame=False.
+    ValueError; degenerate but valid input yields is_frame=False.  A bare S
+    carries no member count, so the spectral rules alone decide; a pair's
+    verdicts also count its rows (_pair_flags).
     """
     return _frame_flags(_require_square(S), tol)
 
 
-def _frame_flags(S: np.ndarray, tol: Tolerance) -> FrameReport:
+def _frame_flags(S: np.ndarray, tol: Tolerance, short: bool = False) -> FrameReport:
     """frame_flags for a finite square S, such as the one frame_operator forms.
 
     One decomposition decides everything.  A Hermitian S (within
@@ -191,12 +223,13 @@ def _frame_flags(S: np.ndarray, tol: Tolerance) -> FrameReport:
     abs_tol, which a frame meets at once: its ascending lambda have
     lambda_min > abs_tol >= 0, so min |lambda| = lambda_min.  A
     non-Hermitian S, which is never a frame, pays one SVD to report
-    invertible as sigma_min(S) > abs_tol.
+    invertible as sigma_min(S) > abs_tol.  A short S (_short) is neither a
+    frame's nor invertible, whatever its eigenvalues.
     """
     w = _hermitian_eig(S, tol)
-    psd, is_frame = bool(_psd(w, tol)), bool(_pd(w, tol))
+    psd, is_frame = bool(_psd(w, tol)), not short and bool(_pd(w, tol))
     if not is_frame:
-        invertible = _invertible(S if w is None else w, tol)
+        invertible = not short and _invertible(S if w is None else w, tol)
         return FrameReport(w is not None, psd, invertible, psd, False, 0.0, 0.0, False, False)
     a, b = float(w[0]), float(w[-1])
     tight = b - a <= tol.margin(b)
@@ -204,43 +237,57 @@ def _frame_flags(S: np.ndarray, tol: Tolerance) -> FrameReport:
     return FrameReport(True, True, True, True, True, a, b, tight, parseval)
 
 
+def _short(pair, S: np.ndarray) -> bool:
+    """Whether the pair has fewer stacked rows N than m = S.shape[0].
+
+    Then rank S <= N < m: S is singular and the pair no frame, decided by
+    counting (a frame needs rank S = m <= N), however rounding leaves
+    lambda_min and sigma_min.  Every verdict on a pair reads this rule.
+    """
+    return pair.theta_A.shape[0] < S.shape[0]
+
+
+def _pair_flags(pair):
+    """(S, flags) of a pair of either layer: _frame_flags with the count rule (_short)."""
+    S = frame_operator(pair)
+    return S, _frame_flags(S, pair.tol, _short(pair, S))
+
+
 def verify(fp: FramePair) -> FrameReport:
     """Full verdict on the pair; degenerate input yields is_frame=False.
 
     Costs one S and one Hermitian eigendecomposition; see _frame_flags for
-    the invertibility rule.  Weak-frame verification coincides with this
-    predicate: at finite dimension the coordinatewise Bessel conditions
-    hold automatically, so only the frame-operator conditions remain to be
-    checked.
+    the invertibility rule and _short for n < m.  Weak-frame verification
+    coincides with this predicate: at finite dimension the coordinatewise
+    Bessel conditions hold automatically, so only the frame-operator
+    conditions remain to be checked.
     """
-    return _frame_flags(frame_operator(fp), fp.tol)
+    return _pair_flags(fp)[1]
 
 
 def _require_frame(pair, message: str = "operation requires a frame") -> np.ndarray:
     """S of a pair of either layer that must be a frame, else NotAFrame(message)."""
-    S = frame_operator(pair)
-    _require_frame_flags(S, pair.tol, message)
-    return S
+    return _require_frame_flags(pair, message)[0]
 
 
-def _require_frame_flags(S: np.ndarray, tol: Tolerance,
-                         message: str = "operation requires a frame") -> FrameReport:
-    """_frame_flags(S, tol) for an S that must be a frame's, else NotAFrame(message)."""
-    report = _frame_flags(S, tol)
+def _require_frame_flags(pair, message: str = "operation requires a frame"):
+    """_pair_flags(pair) for a pair that must be a frame, else NotAFrame(message)."""
+    S, report = _pair_flags(pair)
     if not report.is_frame:
         raise NotAFrame(message)
-    return report
+    return S, report
 
 
-def _frame_eigh(S: np.ndarray, tol: Tolerance, message: str = "operation requires a frame"):
-    """Eigenpairs (w ascending, V) of S's Hermitian part, for an S that must be a frame's.
+def _frame_eigh(pair, message: str = "operation requires a frame"):
+    """Eigenpairs (w ascending, V) of S's Hermitian part, for a pair that must be a frame.
 
-    One eigh both gates and decomposes: _frame_flags' rules on its own
-    eigenvalues (S Hermitian within tolerance and the pd rule), else
-    NotAFrame(message).
+    One eigh both gates and decomposes: _pair_flags' rules on its own
+    eigenvalues (not short, S Hermitian within tolerance and the pd rule),
+    else NotAFrame(message).
     """
-    eig = _hermitian_eig(S, tol, vectors=True)
-    if eig is None or not _pd(eig[0], tol):
+    S = frame_operator(pair)
+    eig = None if _short(pair, S) else _hermitian_eig(S, pair.tol, vectors=True)
+    if eig is None or not _pd(eig[0], pair.tol):
         raise NotAFrame(message)
     return eig
 
@@ -289,8 +336,8 @@ def make_dual_from_params(fp: FramePair, U, V) -> FramePair:
     Sinv = np.linalg.inv(S)
     SiX = Sinv @ fp.X
     SiT = Sinv @ fp.T
-    UXSiT = (U @ fp.X.conj().T) @ SiT
-    Y = SiX + V - (V @ fp.T.conj().T) @ SiX
+    UXSiT = (U @ fp.theta_A) @ SiT
+    Y = SiX + V - (V @ fp.theta_Psi) @ SiX
     Om = SiT + U - UXSiT
     W = _require_square(Sinv + U @ V.conj().T - UXSiT @ V.conj().T)
     if not _pd(_hermitian_eig(W, fp.tol), fp.tol):
@@ -332,12 +379,11 @@ def classify(fp: FramePair) -> ClassifyResult:
     """Riesz frame: P = I.  Orthonormal frame: Riesz, Parseval and <x_j, tau_k> = delta_jk.
 
     The d = 1 case of ovf.verify_ovf's refinements (_refinements), decided
-    by counting members without forming P: a frame with n = m is Riesz,
-    and for n > m neither holds.  Only a tolerance too loose for that rank
-    rule forms P.
+    by counting members without forming P: a frame has n >= m, one with
+    n = m is Riesz, and for n > m neither holds.  Only a tolerance too
+    loose for that rank rule forms P.
     """
-    S = frame_operator(fp)
-    return _classify(fp, S, _require_frame_flags(S, fp.tol))
+    return _classify(fp, *_require_frame_flags(fp))
 
 
 def _classify(fp: FramePair, S: np.ndarray, report: FrameReport) -> ClassifyResult:
@@ -409,7 +455,7 @@ def parsevalize(fp: FramePair, mode: str = SPLIT) -> FramePair:
     that also decides whether S is a frame's (_frame_eigh).
     """
     if mode == SPLIT:
-        w, V = _frame_eigh(frame_operator(fp), fp.tol)
+        w, V = _frame_eigh(fp)
         Rinv = (V / np.sqrt(w)) @ V.conj().T
         return FramePair(Rinv @ fp.X, Rinv @ fp.T, fp.field, fp.tol)
     S = _require_frame(fp)
@@ -501,23 +547,22 @@ def _rank_excludes_identity(N: int, m: int, tol: Tolerance) -> bool:
 
 
 def _refinements(pair, S: np.ndarray, report: FrameReport):
-    """(riesz, orthonormal) for a pair whose S and frame_flags report the caller holds.
+    """(riesz, orthonormal) for a pair whose S and _pair_flags report the caller holds.
 
     riesz is decided by counting rows, N stacked against m = S.shape[0]
     (Christensen, An Introduction to Frames and Riesz Bases, 2016).  A frame
-    with N = m is Riesz: an invertible S = theta_Psi^* theta_A makes both
-    square factors invertible, so P = theta_A S^-1 theta_Psi^* = I exactly,
-    and neither P nor its solve is formed.  A frame needs rank S = m <= N,
-    so for N < m, where S passed the frame gate only through rounding,
-    neither verdict holds and nothing is solved against that S.  For N > m
-    the rank rule decides without forming P (_rank_excludes_identity); only
-    tolerances too loose for it (1/N <= mu) form P and test it with
-    tol.is_identity.  orthonormal: riesz, Parseval, and the block
-    identities A_j Psi_k^* = delta_jk I, each block at its own scale.
+    has N >= m (_short).  A frame with N = m is Riesz: an invertible
+    S = theta_Psi^* theta_A makes both square factors invertible, so
+    P = theta_A S^-1 theta_Psi^* = I exactly, and neither P nor its solve
+    is formed.  For N > m the rank rule decides without forming P
+    (_rank_excludes_identity); only tolerances too loose for it
+    (1/N <= mu) form P and test it with tol.is_identity.  orthonormal:
+    riesz, Parseval, and the block identities A_j Psi_k^* = delta_jk I,
+    each block at its own scale.
     """
     tol = pair.tol
-    N, m = sum(pair.codims), S.shape[0]
-    if not report.is_frame or N < m or _rank_excludes_identity(N, m, tol):
+    N, m = pair.theta_A.shape[0], S.shape[0]
+    if not report.is_frame or _rank_excludes_identity(N, m, tol):
         return False, False
     riesz = N == m or bool(tol.is_identity(_idempotent(pair.theta_A, pair.theta_Psi, S)))
     orthonormal = bool(riesz and report.parseval
@@ -533,7 +578,7 @@ def _duality(pair1, pair2):
     zero test; the verdict is then invariant under positive scaling of
     either pair.
     """
-    N, tol = sum(pair1.codims), pair1.tol
+    N, tol = pair1.theta_A.shape[0], pair1.tol
     sums = [(left.conj().T @ right, N * entry_max(left) * entry_max(right))
             for left, right in ((pair2.theta_Psi, pair1.theta_A), (pair2.theta_A, pair1.theta_Psi))]
     dual = all(tol.is_identity(M) for M, _ in sums)

@@ -67,8 +67,8 @@ def frame_pair_to_dict(fp: FramePair) -> dict:
         "field": fp.field,
         "dim": fp.m,
         "count": fp.n,
-        "x": _matrix_out(fp.X.T, fp.field),
-        "tau": _matrix_out(fp.T.T, fp.field),
+        "x": _matrix_out(fp.theta_A.conj(), fp.field),
+        "tau": _matrix_out(fp.theta_Psi.conj(), fp.field),
     }
 
 
@@ -192,35 +192,3 @@ def save(path: str, doc: dict):
 def load(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def write_frame_pair(path: str, fp: FramePair):
-    save(path, frame_pair_to_dict(fp))
-
-
-def read_frame_pair(path: str, tol: Tolerance = Tolerance()) -> FramePair:
-    return frame_pair_from_dict(load(path), tol)
-
-
-def write_ovf_pair(path: str, op: OvfPair):
-    save(path, ovf_pair_to_dict(op))
-
-
-def read_ovf_pair(path: str, tol: Tolerance = Tolerance()) -> OvfPair:
-    return ovf_pair_from_dict(load(path), tol)
-
-
-def write_pframe_pair(path: str, pf: PFramePair):
-    save(path, pframe_pair_to_dict(pf))
-
-
-def read_pframe_pair(path: str, tol: Tolerance = Tolerance()) -> PFramePair:
-    return pframe_pair_from_dict(load(path), tol)
-
-
-def write_group_table(path: str, g: GroupTable):
-    save(path, group_table_to_dict(g))
-
-
-def read_group_table(path: str) -> GroupTable:
-    return group_table_from_dict(load(path))

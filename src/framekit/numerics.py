@@ -388,8 +388,9 @@ def pnorm_estimate(
     product.  The sign patterns are the 2^(cols-1) that end in +1, taken
     from a read-only table cached once per cols (at most about 0.4 MB
     over all cols <= 12) and divided by their common lp norm.
-    upper: exact largest singular value at p = 2, else the interpolation
-    bound ||M||_1^(1/p) * ||M||_inf^(1-1/p).
+    upper: at p = 2 the largest singular value, taken from the same full
+    SVD as the singular-vector witness (a failing SVD raises), else the
+    interpolation bound ||M||_1^(1/p) * ||M||_inf^(1-1/p).
 
     A witness above the upper end by more than round-off
     (8 cols eps relative) means the upper bound is wrong and raises
@@ -403,11 +404,17 @@ def pnorm_estimate(
         raise ValueError("pnorm_estimate expects a matrix")
     rows, cols = M.shape
 
+    try:
+        _, sigma, Vh = np.linalg.svd(M)
+    except np.linalg.LinAlgError:
+        if p == 2:  # no upper end without it
+            raise
+        Vh = None
     absM = np.abs(M)
     norm1 = float(absM.sum(axis=0).max()) if M.size else 0.0
     norminf = float(absM.sum(axis=1).max()) if M.size else 0.0
     if p == 2:
-        upper = opnorm2(M)
+        upper = float(sigma[0]) if sigma.size else 0.0
     elif norm1 == 0.0 or norminf == 0.0:
         upper = 0.0
     else:
@@ -421,11 +428,8 @@ def pnorm_estimate(
         signs = _half_sign_patterns(cols)
         scaled = np.asarray(signs, dtype=M.dtype) / _lp_norms(signs[:1], p)
         witnesses.append(_image_lp_norms(M, scaled, p))
-    try:
-        _, _, Vh = np.linalg.svd(M)
+    if Vh is not None:
         witnesses.append(_normalized_image_lp_norms(M, Vh[:1].conj(), p))
-    except np.linalg.LinAlgError:
-        pass
     rng = np.random.default_rng(seed)
     draws = _gaussian_rows(rng, samples, cols, np.iscomplexobj(M))
     witnesses.append(_normalized_image_lp_norms(M, draws, p))

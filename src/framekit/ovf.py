@@ -7,10 +7,10 @@ arrays A and Psi are views into them.  The frame operator is
 S = theta_Psi^* theta_A = sum_j Psi_j^* A_j, and the frame idempotent
 P = theta_A S^-1 theta_Psi^* acts on the coefficient space K^(sum d_j).
 
-A vector pair is the rank-one case: frames.FramePair gives the same
-stacked view (theta_A = X^*, theta_Psi = T^*, codims = (1,) * n) and
-FramePair._stacked builds one from it, so ovf_bridge and its inverse only
-hand the view across.  The frame operator, the Riesz / orthonormal
+A vector pair is the rank-one case: frames.FramePair stores the same
+stacked operators (theta_A = X^*, theta_Psi = T^*, codims = (1,) * n) in
+the same base class, so ovf_bridge and its inverse hand the frozen arrays
+across without a copy.  The frame operator, the Riesz / orthonormal
 refinements, duality, the tensor product, dilation, tight extension, the
 weighted-ONB check, similarity, the canonical dual and the frame
 idempotent have one body each in frames.py, which takes a pair of either
@@ -36,15 +36,16 @@ from .frames import (
     REAL,
     FramePair,
     FrameReport,
+    _StackedPair,
     _as_matrix,
     _block_identities_ok,
     _canonical_dual,
     _dilate,
     _duality,
     _extend_tight,
-    _frame_flags,
     _idempotent,
     _members_close,
+    _pair_flags,
     _pair_rows,
     _refinements,
     _require_frame,
@@ -60,18 +61,14 @@ _NEEDS_AN_OVF = "operation requires an operator-valued frame"
 
 
 @dataclass(frozen=True, init=False)
-class OvfPair:
+class OvfPair(_StackedPair):
     """Members A_j, Psi_j stored as the stacked analysis operators theta_A, theta_Psi."""
 
-    theta_A: np.ndarray
-    theta_Psi: np.ndarray
-    codims: tuple
-    field: str
-    tol: Tolerance
-
     def __init__(self, A, Psi, field: str, tol: Tolerance = Tolerance()):
-        A = [_as_matrix(M, field) for M in A]
-        Psi = [_as_matrix(M, field) for M in Psi]
+        A = [np.asarray(M) for M in A]
+        Psi = [np.asarray(M) for M in Psi]
+        if any(M.ndim != 2 for M in A + Psi):
+            raise ValueError("expected a matrix")
         if len(A) != len(Psi) or not A:
             raise ShapeMismatch("need equally many (and at least one) A and Psi members")
         m = A[0].shape[1]
@@ -80,19 +77,9 @@ class OvfPair:
                 raise ShapeMismatch("each A_j and Psi_j must share shape")
             if Aj.shape[1] != m:
                 raise ShapeMismatch("all members must share the domain dimension")
-        self._store(np.vstack(A), np.vstack(Psi), tuple(Aj.shape[0] for Aj in A), field, tol)
-
-    @classmethod
-    def _stacked(cls, theta_A, theta_Psi, codims: tuple, field: str, tol: Tolerance) -> "OvfPair":
-        """The pair whose members are the row blocks of sizes codims."""
-        op = object.__new__(cls)
-        op._store(_as_matrix(theta_A, field), _as_matrix(theta_Psi, field), codims, field, tol)
-        return op
-
-    def _store(self, theta_A, theta_Psi, codims, field, tol):
-        theta_A.setflags(write=False)
-        theta_Psi.setflags(write=False)
-        vars(self).update(theta_A=theta_A, theta_Psi=theta_Psi, codims=codims, field=field, tol=tol)
+        # np.vstack makes the one copy of the caller's members
+        self._store(_as_matrix(np.vstack(A), field, copy=False), _as_matrix(np.vstack(Psi), field, copy=False),
+                    tuple(Aj.shape[0] for Aj in A), field, tol)
 
     @classmethod
     def from_members(cls, A: Sequence, Psi: Sequence, field: Optional[str] = None,
@@ -107,14 +94,6 @@ class OvfPair:
     @cached_property
     def Psi(self) -> tuple:
         return tuple(np.split(self.theta_Psi, np.cumsum(self.codims[:-1])))
-
-    @property
-    def m(self) -> int:
-        return self.theta_A.shape[1]
-
-    @property
-    def n(self) -> int:
-        return len(self.codims)
 
     @property
     def d(self) -> Optional[int]:
@@ -170,8 +149,7 @@ def verify_ovf(op: OvfPair) -> OvfReport:
     for N > m neither holds.  Only a tolerance too loose for that rank
     rule forms P.
     """
-    S = frame_operator(op)
-    base = _frame_flags(S, op.tol)
+    S, base = _pair_flags(op)
     riesz, orthonormal = _refinements(op, S, base)
     return OvfReport(**vars(base), riesz_ovf=riesz, orthonormal_ovf=orthonormal)
 

@@ -61,6 +61,8 @@ class PFramePair:
         T = _as_matrix(self.T, self.field)
         if F.shape[0] != T.shape[1] or F.shape[1] != T.shape[0]:
             raise ShapeMismatch("F must be n x m and T must be m x n")
+        F.setflags(write=False)
+        T.setflags(write=False)
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "T", T)
 

@@ -38,6 +38,7 @@ from framekit.frames import (
     FramePair,
     FrameReport,
     SimilarityTransforms,
+    _as_matrix,
     _check_shapes,
     _frame_flags,
     _require_frame,
@@ -49,6 +50,7 @@ from framekit.frames import (
     verify,
 )
 from framekit.numerics import (
+    Tolerance,
     _gaussian_rows,
     _hermitian,
     _lp_norm,
@@ -193,6 +195,15 @@ def pnorm_by_candidates(M, p, samples=200, seed=0):
             continue
         lower = max(lower, _lp_norm(M @ (np.asarray(c, dtype=M.dtype) / nc), p))
     return lower, upper
+
+
+def full_svd_upper(M):
+    """The p = 2 upper end as pnorm_estimate reads it: the largest singular
+    value of the full SVD that also gives its singular-vector witness.  The
+    oracles above and below take it from opnorm2's values-only SVD, as the
+    library did before; the two differ by a few eps at most."""
+    M = np.asarray(M)
+    return float(np.linalg.svd(M)[1][0]) if M.size else 0.0
 
 
 def sign_patterns(n):
@@ -459,6 +470,20 @@ def frame_flags_by_every_rule(S, tol):
     s = np.linalg.svd(S, compute_uv=False) if w is None else np.abs(w)
     invertible = bool(s.size) and float(s.min()) > tol.abs_tol
     return FrameReport(w is not None, psd, invertible, psd, is_frame, a, b, tight, parseval)
+
+
+def pair_flags_by_every_rule(pair, S, tol):
+    """frame_flags_by_every_rule(S, tol) for the S of a pair with N stacked rows.
+
+    For N < m, rank S <= N < m: S is singular and no frame's, whatever its
+    rounded spectrum says, so only the self-adjoint, psd and Bessel flags
+    stay.
+    """
+    report = frame_flags_by_every_rule(S, tol)
+    if pair.theta_A.shape[0] >= S.shape[0]:
+        return report
+    return FrameReport(report.self_adjoint, report.psd, False, report.is_bessel, False,
+                       0.0, 0.0, False, False)
 
 
 def frame_flags_by_svd(S, tol):
@@ -779,3 +804,46 @@ def first_misaligned_by_spectral(T, Y, tol):
         if not (rep.is_hermitian and rep.is_psd):
             return j
     return None
+
+
+class FramePairByColumns:
+    """A vector pair stored as X and T, as frames.FramePair was before it
+    stored the stacked view: each a frozen copy of the caller's array,
+    theta_A = X^* and theta_Psi = T^* rebuilt on every read, and a pair a
+    body builds conjugated back into columns and copied again (_stacked).
+    The library's bodies accept it as they accept a FramePair."""
+
+    def __init__(self, X, T, field, tol=Tolerance()):
+        X, T = _as_matrix(X, field), _as_matrix(T, field)
+        if X.shape != T.shape:
+            raise ShapeMismatch(f"X {X.shape} and T {T.shape} must share shape")
+        if X.shape[0] < 1 or X.shape[1] < 1:
+            raise ValueError("dimension and count must be positive")
+        X.setflags(write=False)
+        T.setflags(write=False)
+        self.X, self.T, self.field, self.tol = X, T, field, tol
+
+    @property
+    def m(self):
+        return self.X.shape[0]
+
+    @property
+    def n(self):
+        return self.X.shape[1]
+
+    @property
+    def theta_A(self):
+        return self.X.conj().T
+
+    @property
+    def theta_Psi(self):
+        return self.T.conj().T
+
+    @property
+    def codims(self):
+        return (1,) * self.n
+
+    @classmethod
+    def _stacked(cls, theta_A, theta_Psi, codims, field, tol):
+        return cls(theta_A.conj().T, theta_Psi.conj().T, field, tol)
+

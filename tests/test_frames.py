@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import framekit as fk
-import framekit.io as fio
 from framekit import FramePair, Tolerance, frames
 from framekit.cli import run
 from framekit.errors import (
@@ -15,6 +14,7 @@ from framekit.errors import (
     ShapeMismatch,
 )
 
+import pairfiles
 from conftest import mercedes_benz, random_frame, random_parseval
 from oracles import brute_force_extreme_eigs, brute_force_is_frame
 
@@ -311,7 +311,7 @@ def test_a_square_frame_near_the_gate_is_riesz(tmp_path, capsys):
     assert fk.classify(NEAR_SQUARE).riesz_frame
     assert fk.verify_ovf(fk.ovf_bridge(NEAR_SQUARE)).riesz_ovf
     path = tmp_path / "near_square.json"
-    fio.write_frame_pair(str(path), NEAR_SQUARE)
+    pairfiles.write_frame_pair(str(path), NEAR_SQUARE)
     assert run(["classify", str(path)]) == 0
     out = capsys.readouterr().out
     assert "riesz_frame = true" in out and "orthonormal_frame = false" in out

@@ -6,10 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-import framekit.io as fio
 from framekit import PFramePair
 from framekit.cli import run
 from framekit.numerics import _lp_norm, _lp_norms
+
+import pairfiles
 
 EPS = np.finfo(float).eps
 
@@ -52,9 +53,9 @@ def test_four_laws_overflow_is_a_numerical_failure(capsys):
 
 def test_paley_wiener_on_a_huge_base_is_not_orthonormal(tmp_path, capsys):
     base = tmp_path / "base.pframe"
-    fio.write_pframe_pair(str(base), PFramePair(np.eye(2), 1e200 * np.eye(2), 3.0, "real"))
+    pairfiles.write_pframe_pair(str(base), PFramePair(np.eye(2), 1e200 * np.eye(2), 3.0, "real"))
     pert = tmp_path / "pert.pframe"
-    fio.write_pframe_pair(str(pert), PFramePair(np.eye(2), 1e200 * np.eye(2), 3.0, "real"))
+    pairfiles.write_pframe_pair(str(pert), PFramePair(np.eye(2), 1e200 * np.eye(2), 3.0, "real"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = run(["pframe", "paley-wiener", str(base), str(pert)])

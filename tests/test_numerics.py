@@ -141,9 +141,21 @@ def test_pnorm_interval_order_and_p2_tightness(rng):
         assert iv2.lower == pytest.approx(iv2.upper, rel=1e-9, abs=1e-12)
 
 
+def plant_largest_singular_value(monkeypatch, top):
+    """Make numpy's SVD report top as the largest singular value; the p = 2
+    upper end of pnorm_estimate is read from it."""
+    real = np.linalg.svd
+
+    def planted(A, *args, **kwargs):
+        U, s, Vh = real(A, *args, **kwargs)
+        return U, np.concatenate([[top], s[1:]]), Vh
+
+    monkeypatch.setattr(np.linalg, "svd", planted)
+
+
 def test_pnorm_estimate_raises_on_an_upper_bound_below_a_witness(monkeypatch):
     M = np.diag([3.0, 1.0])
-    monkeypatch.setattr(framekit.numerics, "opnorm2", lambda A: 2.0)
+    plant_largest_singular_value(monkeypatch, 2.0)
     with pytest.raises(InconsistentInterval) as info:
         pnorm_estimate(M, 2.0)
     assert "3.0" in str(info.value) and "2.0" in str(info.value)
@@ -152,6 +164,6 @@ def test_pnorm_estimate_raises_on_an_upper_bound_below_a_witness(monkeypatch):
 def test_pnorm_estimate_clamps_round_off_overshoot(monkeypatch):
     M = np.diag([3.0, 1.0])
     below = 3.0 * (1.0 - 4.0 * np.finfo(float).eps)
-    monkeypatch.setattr(framekit.numerics, "opnorm2", lambda A: below)
+    plant_largest_singular_value(monkeypatch, below)
     iv = pnorm_estimate(M, 2.0)
     assert iv.lower == iv.upper == below

@@ -17,6 +17,7 @@ from framekit.numerics import _half_sign_patterns
 from framekit.ovf import OvfReport
 
 import oracles
+import pairfiles
 from conftest import random_frame, random_matrix, random_ovf, random_parseval, random_spd
 
 TOLERANCES = (Tolerance(), Tolerance(0.0, 0.0))
@@ -100,7 +101,7 @@ def test_pair_verdicts_match_every_rule(rng, field, tol):
     every rule, fed to the one refinement body."""
     for fp in pairs(rng, field, tol):
         S = fk.frame_operator(fp)
-        want = oracles.frame_flags_by_every_rule(S, tol)
+        want = oracles.pair_flags_by_every_rule(fp, S, tol)
         assert typed(fk.verify(fp)) == typed(want)
         op = fk.ovf_bridge(fp)
         refinements = _refinements(op, S, want)
@@ -129,7 +130,7 @@ def test_ovf_reports_match_every_rule(rng, tol):
                          tuple(random_matrix(rng, d, m, field) for _ in range(n)), field)
         op = OvfPair._stacked(op.theta_A, op.theta_Psi, op.codims, field, tol)
         S = fk.frame_operator(op)
-        want = oracles.frame_flags_by_every_rule(S, tol)
+        want = oracles.pair_flags_by_every_rule(op, S, tol)
         riesz, orthonormal = _refinements(op, S, want)
         assert typed(fk.verify_ovf(op)) == typed(OvfReport(**vars(want), riesz_ovf=riesz,
                                                            orthonormal_ovf=orthonormal))
@@ -177,8 +178,9 @@ def test_margin_matches_the_generator_form(rng):
 
 
 def test_verify_on_a_pd_s_runs_no_invertibility_rule(rng, monkeypatch):
-    """A frame's invertible flag comes from lambda_min: no SVD and no
-    _invertible; a non-frame still runs the rule, which shows the spies are live."""
+    """A frame's invertible flag comes from lambda_min, and that of a pair
+    with n < m from counting: no SVD and no _invertible; a non-frame with
+    n >= m still runs the rule, which shows the spies are live."""
     calls = []
 
     def spy(name, real):
@@ -194,7 +196,9 @@ def test_verify_on_a_pd_s_runs_no_invertibility_rule(rng, monkeypatch):
         assert report.is_frame and report.invertible
     assert calls == []
     X = random_matrix(rng, 3, 2)
-    assert not fk.verify(FramePair(X, X, "real")).is_frame  # n < m: singular
+    assert not fk.verify(FramePair(X, X, "real")).invertible  # n < m: singular
+    assert calls == []
+    assert not fk.verify(FramePair(np.eye(2), np.eye(2)[::-1], "real")).is_frame
     assert calls == ["_invertible"]
     assert not fk.verify(FramePair(np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]), "real")).is_frame
     assert calls == ["_invertible", "_invertible", "svd"]
@@ -203,7 +207,9 @@ def test_verify_on_a_pd_s_runs_no_invertibility_rule(rng, monkeypatch):
 # --- the +-1 witness table -----------------------------------------------------------
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.5, np.inf])
-def test_pnorm_intervals_match_the_uncached_table_bit_for_bit(rng, p):
+def test_pnorm_intervals_match_the_uncached_table_bit_for_bit(rng, p, monkeypatch):
+    if p == 2:  # the library's p = 2 upper end comes from its full SVD
+        monkeypatch.setattr(oracles, "opnorm2", oracles.full_svd_upper)
     for cols in range(1, 14):
         for field in ("real", "complex", "integer"):
             rows = int(rng.integers(1, 9))
@@ -215,6 +221,33 @@ def test_pnorm_intervals_match_the_uncached_table_bit_for_bit(rng, p):
             got = fk.pnorm_estimate(M, p, samples, seed=cols)
             want = oracles.pnorm_estimate_by_all_signs(M, p, samples, seed=cols, half=True)
             assert (got.lower, got.upper) == want
+
+
+def test_pnorm_estimate_at_p2_runs_one_svd(rng, monkeypatch):
+    """The upper end is the first singular value of the full SVD that also
+    gives the singular-vector witness; opnorm2's values-only SVD, which
+    gave it before, differs from it by a few eps on most inputs."""
+    eps = np.finfo(float).eps
+    moved = 0
+    for k in range(200):
+        rows, cols = int(rng.integers(1, 13)), int(rng.integers(1, 13))
+        M = random_matrix(rng, rows, cols, "complex" if k % 2 else "real") * 10.0 ** rng.integers(-3, 4)
+        got, before = fk.pnorm_estimate(M, 2.0, 5, seed=k).upper, numerics.opnorm2(M)
+        assert got == oracles.full_svd_upper(M)
+        assert abs(got - before) <= 8 * eps * before
+        moved += got != before
+    assert moved == 109  # of the 200 at this seed
+
+    calls = []
+    real = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    fk.pnorm_estimate(random_matrix(rng, 12, 12), 2.0)
+    assert calls == [{}]
 
 
 def test_the_sign_table_is_built_once_and_shared(rng):
@@ -242,34 +275,37 @@ def test_the_cached_sign_table_is_read_only():
 
 def test_classify_decides_n_below_m_by_counting(rng):
     """A frame needs rank S = m <= N.  3 x 2 self-dual pairs under
-    Tolerance(0, 0) pass the frame gate through rounding; the solve against
-    their singular S raises LinAlgError on some.  Where the reference solve
-    succeeds, a verdict moves only from Riesz true (a rounded P equal to I)
-    to false, and the orthonormal verdict does not move."""
+    Tolerance(0, 0) can pass the spectral frame gate through rounding, and
+    the solve against their singular S raises LinAlgError on some.  Every
+    pair-level verdict counts instead: no such pair is a frame or
+    invertible, in either layer, and classify raises NotAFrame.  The
+    spectral flags of a bare S (frame_flags) do not move."""
     tol = Tolerance(0.0, 0.0)
-    frames_seen = solved = moved = 0
+    moved_frame = moved_invertible = raised = 0
     for _ in range(200):
         X = random_matrix(rng, 3, 2)
         fp = FramePair(X, X, "real", tol)
-        if not fk.verify(fp).is_frame:
-            with pytest.raises(NotAFrame):
-                fk.classify(fp)
-            continue
-        frames_seen += 1
-        got = fk.classify(fp)
-        assert (got.riesz_frame, got.orthonormal_frame) == (False, False)
+        S = fk.frame_operator(fp)
+        bare = frames.frame_flags(S, tol)
+        assert typed(bare) == typed(oracles.frame_flags_by_every_rule(S, tol))
+        want = oracles.pair_flags_by_every_rule(fp, S, tol)
+        assert typed(fk.verify(fp)) == typed(want) and not want.invertible
         report = fk.verify_ovf(fk.ovf_bridge(fp))
-        assert (report.riesz_ovf, report.orthonormal_ovf) == (False, False)
-        try:
-            want = oracles.classify_by_idempotent(fp)
-        except np.linalg.LinAlgError:
-            continue
-        solved += 1
-        if want[0]:
-            assert not want[1]
-            moved += 1
-    assert 0 < solved < frames_seen  # the reference solve raises on some
-    assert moved < solved
+        assert (report.is_frame, report.invertible, report.riesz_ovf) == (False, False, False)
+        with pytest.raises(NotAFrame):
+            fk.classify(fp)
+        with pytest.raises(NotAFrame):
+            fk.canonical_dual(fp)
+        moved_frame += bare.is_frame
+        moved_invertible += bare.invertible
+        if bare.is_frame:
+            try:
+                oracles.classify_by_idempotent(fp)
+            except np.linalg.LinAlgError:
+                raised += 1
+    # the counts at this seed: is_frame moved true -> false on 92 of the 200 and
+    # invertible (min |lambda| > 0) on all 200; the reference solve raised on 23 of the 92
+    assert (moved_frame, moved_invertible, raised) == (92, 200, 23)
 
 
 # one of the pairs above: the reference solve raises "Singular matrix" on it
@@ -279,16 +315,31 @@ SHORT = np.array([[0.049054613825311656, 2.002392583645255],
 
 
 def test_classify_on_a_short_pair_at_zero_tolerance(tmp_path, capsys):
-    fp = FramePair(SHORT, SHORT, "real", Tolerance(0.0, 0.0))
-    assert fk.verify(fp).is_frame
+    """The pair's bare S passes the spectral frame gate through rounding
+    (lambda_min = 3.3e-16), but no verdict on the pair calls it a frame."""
+    tol = Tolerance(0.0, 0.0)
+    fp = FramePair(SHORT, SHORT, "real", tol)
+    assert frames.frame_flags(fk.frame_operator(fp), tol).is_frame
     with pytest.raises(np.linalg.LinAlgError):
         oracles.classify_by_idempotent(fp)
-    assert not fk.classify(fp).riesz_frame
+    report = fk.verify(fp)
+    assert not report.is_frame and not report.invertible and report.lower_a == 0.0
+    with pytest.raises(NotAFrame):
+        fk.classify(fp)
     path = tmp_path / "short.json"
-    fk.io.write_frame_pair(str(path), fp)
-    assert run(["classify", str(path), "--abs-tol", "0", "--rel-tol", "0"]) == 0
+    pairfiles.write_frame_pair(str(path), fp)
+    zero = ["--abs-tol", "0", "--rel-tol", "0"]
+    assert run(["verify", str(path), *zero]) == 0
     out = capsys.readouterr().out
-    assert "riesz_frame = false" in out and "orthonormal_frame = false" in out
+    assert "is_frame = false\n" in out and "invertible = false\n" in out
+    for verb in (["classify"], ["dual"]):
+        assert run([*verb, str(path), *zero]) == 2
+        assert "error = NotAFrame\n" in capsys.readouterr().out
+    bridged = tmp_path / "short_ovf.json"
+    assert run(["ovf", "bridge", str(path), "-o", str(bridged)]) == 0
+    capsys.readouterr()
+    assert run(["ovf", "verify", str(bridged), *zero]) == 0
+    assert "is_frame = false\n" in capsys.readouterr().out
 
 
 def test_factorization_agrees_with_verify_ovf_on_a_square_frame_near_the_gate():
