@@ -107,8 +107,8 @@ class _StackedPair:
         finite and frozen.
         """
         pair = object.__new__(cls)
-        pair._store(_as_matrix(theta_A, field, copy=False), _as_matrix(theta_Psi, field, copy=False),
-                     codims, field, tol)
+        theta_A, theta_Psi = (_as_matrix(M, field, copy=False) for M in (theta_A, theta_Psi))
+        pair._store(theta_A, theta_Psi, codims, field, tol)
         return pair
 
     def _store(self, theta_A, theta_Psi, codims, field, tol):

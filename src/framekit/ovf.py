@@ -78,8 +78,8 @@ class OvfPair(_StackedPair):
             if Aj.shape[1] != m:
                 raise ShapeMismatch("all members must share the domain dimension")
         # np.vstack makes the one copy of the caller's members
-        self._store(_as_matrix(np.vstack(A), field, copy=False), _as_matrix(np.vstack(Psi), field, copy=False),
-                    tuple(Aj.shape[0] for Aj in A), field, tol)
+        theta_A, theta_Psi = (_as_matrix(np.vstack(M), field, copy=False) for M in (A, Psi))
+        self._store(theta_A, theta_Psi, tuple(Aj.shape[0] for Aj in A), field, tol)
 
     @classmethod
     def from_members(cls, A: Sequence, Psi: Sequence, field: Optional[str] = None,

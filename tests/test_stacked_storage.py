@@ -177,5 +177,6 @@ def test_the_io_round_trip_matches_the_storage_by_columns(rng, field):
         text = io.dumps(io.frame_pair_to_dict(fp))
         assert text == io.dumps(io.frame_pair_to_dict(old))
         back = io.frame_pair_from_dict(json.loads(text))
-        for a, b in ((back.X, X), (back.T, T), (back.theta_A, old.theta_A), (back.theta_Psi, old.theta_Psi)):
-            assert same_bits(a, np.asarray(b, dtype=back.X.dtype))
+        for a, b in ((back.X, X), (back.T, T), (back.theta_A, old.theta_A),
+                     (back.theta_Psi, old.theta_Psi)):
+            assert same_bits(a, b)
