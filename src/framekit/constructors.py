@@ -41,13 +41,14 @@ def _element_indices(a: np.ndarray, n: int) -> bool:
     return bool(integral and np.all(a >= 0) and np.all(a < n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupTable:
     """Multiplication table of a finite group; mul[g, h] = g*h.
 
     Entries and the identity must be integer element indices (integral
     floats count); anything else, bool and NaN included, raises
-    BadGroupTable rather than being truncated.
+    BadGroupTable rather than being truncated.  Tables compare and hash
+    by identity.
     """
 
     mul: np.ndarray
@@ -89,18 +90,19 @@ class GroupTable:
         return cls((idx[:, None] + idx[None, :]) % n, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Representation:
     """Unitary representation: a matrix per group element, validated.
 
     A representation by exact 0/1 permutation matrices keeps their index
     rows, mats[g] @ v == v[_indices[g]] for every vector v; else None.
+    Representations compare and hash by identity.
     """
 
     group: GroupTable
     mats: tuple
     tol: Tolerance = Tolerance()
-    _indices: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    _indices: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         mats = tuple(np.asarray(M) for M in self.mats)
@@ -122,6 +124,20 @@ class Representation:
             raise NotARepresentation("matrices do not respect the group law")
         object.__setattr__(self, "mats", mats)
         object.__setattr__(self, "_indices", indices)
+
+    @classmethod
+    def _adopted(cls, group: GroupTable, mats: tuple, indices: np.ndarray, tol: Tolerance):
+        """The representation of exact 0/1 permutation matrices mats, with
+        mats[g] @ v == v[indices[g]], that obey the law of group.
+
+        Its caller builds both from the validated table, so the checks of
+        __post_init__ are skipped; the index rows are kept under the same
+        margin rule.
+        """
+        rep = object.__new__(cls)
+        vars(rep).update(group=group, mats=mats, tol=tol,
+                         _indices=indices if tol.margin(1.0) < 1.0 else None)
+        return rep
 
     @property
     def dim(self) -> int:
@@ -208,12 +224,20 @@ def _identities(P: np.ndarray, tol: Tolerance) -> np.ndarray:
 
 
 def left_regular(g: GroupTable, tol: Tolerance = Tolerance()) -> Representation:
-    """Left regular representation by permutation matrices, dim = order."""
+    """Left regular representation by permutation matrices, dim = order.
+
+    L[h] e_q = e_{hq}, so L[h] @ v == v[idx[h]] with idx[h, hq] = q: the
+    index rows are read off the table in one O(n^2) scatter.  The law
+    L_g L_h = L_{gh} is the associativity GroupTable has checked, so no
+    product is formed.  The matrices are still one dense (n, n, n) array.
+    """
     n = g.order
-    idx = np.arange(n)
+    q = np.arange(n)
     L = np.zeros((n, n, n))
-    L[idx[:, None], g.mul, idx] = 1.0  # L[h] e_q = e_{hq}
-    return Representation(g, tuple(L), tol)
+    L[q[:, None], g.mul, q] = 1.0  # L[h] e_q = e_{hq}
+    idx = np.empty((n, n), dtype=np.intp)
+    idx[q[:, None], g.mul] = q
+    return Representation._adopted(g, tuple(L), idx, tol)
 
 
 @dataclass(frozen=True)

@@ -80,13 +80,14 @@ def infer_field(*arrays) -> str:
     return COMPLEX if any(np.iscomplexobj(np.asarray(a)) for a in arrays) else REAL
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class _StackedPair:
     """A pair of either layer, stored as its stacked analysis operators.
 
     theta_A and theta_Psi are read-only N x m arrays, the members' d_j x m
     blocks in order, and codims lists the d_j; a FramePair's members are
-    its rows, so its codims is always (1,) * N.
+    its rows, so its codims is always (1,) * N.  Pairs compare and hash by
+    identity.
     """
 
     theta_A: np.ndarray
@@ -134,7 +135,7 @@ def _adjoint(M: np.ndarray) -> np.ndarray:
     return Mh
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class FramePair(_StackedPair):
     """Columns of X are the x_j, columns of T are the tau_j.
 

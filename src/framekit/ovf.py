@@ -60,7 +60,7 @@ from .numerics import Tolerance, _hermitian_eig, _invertible, _pd, _psd, _requir
 _NEEDS_AN_OVF = "operation requires an operator-valued frame"
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class OvfPair(_StackedPair):
     """Members A_j, Psi_j stored as the stacked analysis operators theta_A, theta_Psi."""
 

@@ -46,7 +46,7 @@ from .numerics import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PFramePair:
     F: np.ndarray  # n x m, row j = functional f_j
     T: np.ndarray  # m x n, column j = tau_j

@@ -94,6 +94,25 @@ def test_group_table_leaves_the_callers_array_writable():
     assert mul.flags.writeable
 
 
+def test_objects_that_hold_arrays_compare_and_hash_by_identity():
+    """A field-wise == over numpy arrays raises, so these compare by identity."""
+    eye = np.eye(2)
+    makers = [
+        lambda: GroupTable.cyclic(3),
+        lambda: fk.left_regular(GroupTable.cyclic(3)),
+        lambda: Representation(GroupTable.cyclic(2), (eye, eye)),
+        lambda: FramePair(eye, eye, "real"),
+        lambda: fk.OvfPair((eye,), (eye,), "real"),
+        lambda: fk.PFramePair(eye, eye, 2.0, "real"),
+    ]
+    for make in makers:
+        a, b = make(), make()
+        assert a == a and a != b and not a == b
+        assert len({a, b, a}) == 2 and hash(a) == hash(a)
+    table = GroupTable.cyclic(3)
+    assert table in {table} and GroupTable.cyclic(3) not in {table}
+
+
 def test_left_regular_small_groups():
     assert np.allclose(fk.left_regular(GroupTable.cyclic(1)).mats[0], [[1.0]])
     z2 = fk.left_regular(GroupTable.cyclic(2))
@@ -109,7 +128,7 @@ def test_left_regular_small_groups():
 def test_left_regular_s3():
     g, _ = s3_table()
     rep = fk.left_regular(g)
-    assert rep.dim == 6  # validation happens in the constructor
+    assert rep.dim == 6  # its law is the associativity GroupTable checks
 
 
 def test_representation_rejects_non_unitary():

@@ -364,6 +364,70 @@ def test_left_regular_matches_dense_products():
         oracles.check_representation_by_products(table.mul, rep.mats, Tolerance())
 
 
+def regular_tables(rng):
+    """Cyclic tables across the block boundaries, Z_2^3, D_5, three labelings
+    of S_4 and a relabeled Z_6; D_5 and S_4 tell a translation from its inverse."""
+    for n in BLOCK_ORDERS:
+        yield GroupTable.cyclic(n)
+    yield GroupTable(np.bitwise_xor(*np.ix_(range(8), range(8))), 0)
+    yield GroupTable(dihedral(5), 0)
+    for k in range(3):
+        perm = rng.permutation(24) if k else np.arange(24)
+        yield GroupTable(relabelled(symmetric4(), perm), int(perm[0]))
+    perm = rng.permutation(6)
+    yield GroupTable(relabelled(GroupTable.cyclic(6).mul, perm), int(perm[0]))
+
+
+def test_left_regular_equals_the_checked_representation(rng):
+    """left_regular adopts the matrices and index rows it reads off the table;
+    the public constructor, which checks both, builds the same representation
+    from the same matrices, and group_frame gives the same bytes on either."""
+    for table in regular_tables(rng):
+        n = table.order
+        # abs_tol = 1 turns the index rows off, and the dense law then forms
+        # order^2 products of order x order matrices: too slow at order 182
+        for tol in [Tolerance()] + [Tolerance(abs_tol=1.0)] * (n <= 60):
+            rep = fk.left_regular(table, tol)
+            checked = Representation(table, rep.mats, tol)
+            assert rep.group is checked.group is table and rep.tol == checked.tol == tol
+            assert type(rep.mats) is type(checked.mats) is tuple and len(rep.mats) == n
+            for g, (M, C) in enumerate(zip(rep.mats, checked.mats)):
+                assert M.dtype == C.dtype == np.float64 and np.array_equal(M, C)
+                assert np.array_equal(M, oracles.left_translation_by_loop(table.mul, g))
+            if tol.margin(1.0) < 1.0:
+                assert rep._indices.dtype == checked._indices.dtype == np.intp
+                assert np.array_equal(rep._indices, checked._indices)
+            else:
+                assert rep._indices is checked._indices is None
+            for x, tau in ((rng.standard_normal(n), rng.standard_normal(n)),
+                           (rng.integers(-3, 4, n), rng.standard_normal(n) + 1j * rng.standard_normal(n))):
+                got, expected = fk.group_frame(rep, x, tau, tol), fk.group_frame(checked, x, tau, tol)
+                for A, B in ((got.fp.X, expected.fp.X), (got.fp.T, expected.fp.T)):
+                    assert (A.shape, A.dtype, A.tobytes()) == (B.shape, B.dtype, B.tobytes())
+                assert got.report == expected.report
+                assert got.generator_bound_ok is expected.generator_bound_ok
+
+
+def test_left_regular_runs_none_of_the_representation_checks(monkeypatch, rng):
+    """The law of the left regular representation is the associativity that
+    GroupTable has checked, so left_regular forms no index law or product."""
+    names = ("_permutation_indices", "_index_law", "_unitary_stack", "_dense_law")
+    calls = []
+    for name in names:
+        def spy(*args, _name=name, _real=getattr(fk.constructors, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(fk.constructors, name, spy)
+    for table in regular_tables(rng):
+        for tol in (Tolerance(), Tolerance(abs_tol=1.0)):
+            fk.left_regular(table, tol)
+    assert calls == []
+    rep = fk.left_regular(GroupTable.cyclic(3))
+    for tol in (Tolerance(), Tolerance(abs_tol=1.0)):  # the spies are live
+        Representation(rep.group, rep.mats, tol)
+    assert calls == list(names)
+
+
 # Orders whose blocks of group elements split differently: numerics._BLOCK_ENTRIES // order^2
 # rows per block is 36 at order 30 (one block), 9 at order 60 (seven blocks) and 0 at 182,
 # where a block is one row.

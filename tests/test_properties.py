@@ -151,3 +151,72 @@ def test_a_square_frame_is_riesz(seed, m, field, self_dual, depth, cut):
     report = fk.verify_ovf(fk.OvfPair(tuple(np.split(fp.theta_A, cuts)),
                                       tuple(np.split(fp.theta_Psi, cuts)), field))
     assert report.is_frame and report.riesz_ovf
+
+
+def drawn_pair(rng, m, n, kind, field):
+    """A vector pair of the drawn kind.  A frame needs n >= m, so a short
+    draw of a frame kind is Gaussian: no frame, by counting."""
+    if kind == "frame" and n >= m:
+        return random_frame(rng, m, n, field)
+    if kind == "parseval" and n >= m:
+        return random_parseval(rng, m, n, field)
+    X = random_matrix(rng, m, n, field)
+    return fk.FramePair(X, X if kind == "self_dual" else random_matrix(rng, m, n, field), field)
+
+
+KINDS = st.sampled_from(["frame", "parseval", "self_dual", "gaussian"])
+
+
+def flags_and_bounds(report):
+    """Every field of a verify or verify_ovf report but the bounds, and the bounds."""
+    flags = dict(vars(report))
+    bounds = flags.pop("lower_a"), flags.pop("upper_b")
+    return flags, bounds
+
+
+def classified(fp):
+    try:
+        result = fk.classify(fp)
+    except fk.errors.FramekitError as exc:
+        return type(exc).__name__
+    return result.riesz_frame, result.orthonormal_frame
+
+
+def assert_bounds_moved_by_round_off(got, expected, pair):
+    """Permuting members reorders the sums that form S; each bound may move by
+    8 eps ||theta_A||_F ||theta_Psi||_F (3 eps at most on 6000 seeded draws)."""
+    slack = 8 * np.finfo(float).eps * np.linalg.norm(pair.theta_A) * np.linalg.norm(pair.theta_Psi)
+    assert all(abs(g - e) <= slack for g, e in zip(got, expected)), (got, expected, slack)
+
+
+@PROPERTY
+@given(seed=SEEDS, m=st.integers(1, 8), n=st.integers(1, 16), kind=KINDS, field=FIELDS)
+def test_permuting_members_keeps_every_verdict(seed, m, n, kind, field):
+    """Columns of X and T permuted together: the same flags from verify and
+    classify, and the bounds within round-off."""
+    rng = rng_for(seed)
+    fp = drawn_pair(rng, m, n, kind, field)
+    perm = rng.permutation(n)
+    moved = fk.FramePair(fp.X[:, perm], fp.T[:, perm], field)
+    (flags, bounds), (moved_flags, moved_bounds) = (flags_and_bounds(fk.verify(p)) for p in (fp, moved))
+    assert moved_flags == flags
+    assert_bounds_moved_by_round_off(moved_bounds, bounds, fp)
+    assert classified(moved) == classified(fp)
+
+
+@PROPERTY
+@given(seed=SEEDS, m=st.integers(1, 8), codims=st.lists(st.integers(1, 3), min_size=1, max_size=6),
+       kind=KINDS, field=FIELDS)
+def test_permuting_ovf_members_keeps_every_verdict(seed, m, codims, kind, field):
+    """Member blocks A_j, Psi_j permuted together, of equal or unequal sizes:
+    the same verify_ovf flags, and the bounds within round-off."""
+    rng = rng_for(seed)
+    fp = drawn_pair(rng, m, sum(codims), kind, field)
+    cuts = np.cumsum(codims[:-1])
+    A, Psi = np.split(fp.theta_A, cuts), np.split(fp.theta_Psi, cuts)
+    perm = rng.permutation(len(codims))
+    op = fk.OvfPair(tuple(A), tuple(Psi), field)
+    moved = fk.OvfPair(tuple(A[j] for j in perm), tuple(Psi[j] for j in perm), field)
+    (flags, bounds), (moved_flags, moved_bounds) = (flags_and_bounds(fk.verify_ovf(p)) for p in (op, moved))
+    assert moved_flags == flags
+    assert_bounds_moved_by_round_off(moved_bounds, bounds, op)
