@@ -41,6 +41,31 @@ def _element_indices(a: np.ndarray, n: int) -> bool:
     return bool(integral and np.all(a >= 0) and np.all(a < n))
 
 
+def _light_generators(mul: np.ndarray, e: int) -> np.ndarray:
+    """A greedy generating set of the loop mul with identity e, each
+    generator a checked for (x a) y == x (a y) over all x, y as it is
+    picked; BadGroupTable at the first that fails."""
+    n = mul.shape[0]
+    closed = np.zeros(n, dtype=bool)
+    closed[e] = True
+    generators = []
+    size = 1
+    while size < n:
+        a = int(closed.argmin())  # the first element outside the closure
+        if not (mul.take(mul[:, a], axis=0) == mul.take(mul[a], axis=1)).all():
+            raise BadGroupTable("table is not associative")
+        generators.append(a)
+        closed[a] = True
+        # square the closure until it stops growing: log2 of its diameter passes
+        while True:
+            members = closed.nonzero()[0]
+            closed[mul.take(members, axis=0).take(members, axis=1)] = True
+            size = np.count_nonzero(closed)
+            if size == members.size or size == n:
+                break
+    return np.array(generators, dtype=np.intp)
+
+
 @dataclass(frozen=True, eq=False)
 class GroupTable:
     """Multiplication table of a finite group; mul[g, h] = g*h.
@@ -49,10 +74,23 @@ class GroupTable:
     floats count); anything else, bool and NaN included, raises
     BadGroupTable rather than being truncated.  Tables compare and hash
     by identity.
+
+    Associativity is Light's test on a greedy generating set: each
+    generator a is the first element outside the product closure of e
+    and the earlier generators, checked as soon as it is picked for
+    (x a) y == x (a y) over all x, y in O(n^2).  The elements that pass
+    are closed under products, so passing on a generating set proves
+    the law.  While every check passes the closure is a group, and each
+    new generator at least doubles it (Lagrange): at most floor(log2 n)
+    generators, floor(log2 n) + 1 checks, O(n^2 log n) in all.  The
+    generators are kept for Representation's exact index law; its law
+    within a tolerance runs over all pairs, since errors within the
+    tolerance compound along words in the generators.
     """
 
     mul: np.ndarray
     identity: int
+    _generators: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         mul = np.asarray(self.mul)
@@ -71,14 +109,12 @@ class GroupTable:
             raise BadGroupTable("rows and columns must be permutations")
         if np.any(mul[e, :] != idx) or np.any(mul[:, e] != idx):
             raise BadGroupTable("identity does not act trivially")
-        # associativity (gh)q = g(hq), for a block of rows g at a time
-        for block in _blocks(n, n * n):
-            rows = mul[block]
-            if not np.array_equal(mul[rows], np.take(rows, mul, axis=1)):
-                raise BadGroupTable("table is not associative")
+        generators = _light_generators(mul, e)
         mul.setflags(write=False)
+        generators.setflags(write=False)
         object.__setattr__(self, "mul", mul)
         object.__setattr__(self, "identity", e)
+        object.__setattr__(self, "_generators", generators)
 
     @property
     def order(self) -> int:
@@ -96,7 +132,10 @@ class Representation:
 
     A representation by exact 0/1 permutation matrices keeps their index
     rows, mats[g] @ v == v[_indices[g]] for every vector v; else None.
-    Representations compare and hash by identity.
+    Its law is checked exactly for every g and each h among the table's
+    generators and e; any other representation's law, within the
+    tolerance, for every pair.  Representations compare and hash by
+    identity.
     """
 
     group: GroupTable
@@ -117,7 +156,7 @@ class Representation:
         # matrices are tol-close iff they are equal, so the law runs on indices.
         indices = _permutation_indices(mats, m) if self.tol.margin(1.0) < 1.0 else None
         if indices is not None:
-            law = _index_law(indices, mul)
+            law = _index_law(indices, mul, (*self.group._generators, self.group.identity))
         else:
             law = _dense_law(_unitary_stack(mats, m, self.tol), mul, self.tol)
         if not law:
@@ -164,12 +203,18 @@ def _permutation_indices(mats, m: int) -> Optional[np.ndarray]:
     return None
 
 
-def _index_law(idx: np.ndarray, mul: np.ndarray) -> bool:
+def _index_law(idx: np.ndarray, mul: np.ndarray, hs) -> bool:
     """mats[g] @ mats[h] == mats[g*h] on index rows, idx[h][idx[g]] ==
-    idx[g*h], for a block of h at a time."""
+    idx[g*h], for every g and each h of hs, a block of h at a time.
+
+    The h for which the law holds at every g are closed under products
+    in an associative table, so hs = the table's generators and e (which
+    alone fixes mats[e] = I in the trivial group) decide it for every h.
+    """
     order, m = idx.shape
-    return all(np.array_equal(np.take(idx[block], idx, axis=1), idx[mul[:, block].T])
-               for block in _blocks(order, order * m))
+    hs = np.asarray(hs, dtype=np.intp)
+    return all(np.array_equal(np.take(idx[hs[block]], idx, axis=1), idx[mul[:, hs[block]].T])
+               for block in _blocks(hs.size, order * m))
 
 
 def _unitary_stack(mats, m: int, tol: Tolerance) -> np.ndarray:

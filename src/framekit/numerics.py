@@ -302,13 +302,13 @@ _BLOCK_ENTRIES = 1 << 15
 
 
 def _image_lp_norms(M: np.ndarray, C, p: float) -> np.ndarray:
-    """||M c||_p for every row c of C.
+    """||M c||_p for every row c of C, each block of images one GEMM.
 
-    The stacked matrix-vector product reproduces M @ c of each candidate
-    bit for bit, unlike a single matrix-matrix product.
+    An image may differ from M @ c in its last bits (another summation
+    order), so a witness norm moves only by rounding.
     """
     step = max(1, _BLOCK_ENTRIES // max(*M.shape, 1))
-    norms = [_lp_norms((M @ C[k:k + step, :, None])[..., 0], p) for k in range(0, len(C), step)]
+    norms = [_lp_norms(C[k:k + step] @ M.T, p) for k in range(0, len(C), step)]
     return np.concatenate(norms) if norms else np.zeros(0)
 
 
@@ -384,10 +384,11 @@ def pnorm_estimate(
     lower: best witness among all standard basis vectors, the +-1 sign
     patterns up to a global sign (when cols <= 12), the leading right
     singular vector, and `samples` seeded random directions, each
-    normalised in lp; each family of witnesses goes through one stacked
-    product.  The sign patterns are the 2^(cols-1) that end in +1, taken
-    from a read-only table cached once per cols (at most about 0.4 MB
-    over all cols <= 12) and divided by their common lp norm.
+    normalised in lp; each family of witnesses goes through one matrix
+    product per block.  The sign patterns are the 2^(cols-1) that end
+    in +1, taken from a read-only table cached once per cols (at most
+    about 0.4 MB over all cols <= 12) and divided by their common lp
+    norm.
     upper: at p = 2 the largest singular value, taken from the same full
     SVD as the singular-vector witness (a failing SVD raises), else the
     interpolation bound ||M||_1^(1/p) * ||M||_inf^(1-1/p).

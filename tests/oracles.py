@@ -55,7 +55,6 @@ from framekit.numerics import (
     _hermitian,
     _lp_norm,
     _lp_norms,
-    _normalized_image_lp_norms,
     entry_max,
     herm_sqrt,
     hermitian_part,
@@ -241,12 +240,24 @@ def pnorm_estimate_by_all_signs(M, p, samples=200, seed=0, half=False):
     if cols <= 12:
         signs = sign_patterns(cols)
         signs = signs[(1 << cols) >> 1:] if half else signs
-        witnesses.append(_normalized_image_lp_norms(M, signs, p))
-    witnesses.append(_normalized_image_lp_norms(M, np.linalg.svd(M)[2][:1].conj(), p))
+        witnesses.append(normalized_images_by_loop(M, signs, p))
+    witnesses.append(normalized_images_by_loop(M, np.linalg.svd(M)[2][:1].conj(), p))
     draws = _gaussian_rows(np.random.default_rng(seed), samples, cols, np.iscomplexobj(M))
-    witnesses.append(_normalized_image_lp_norms(M, draws, p))
+    witnesses.append(normalized_images_by_loop(M, draws, p))
     lower = max(float(w.max(initial=0.0)) for w in witnesses)
     return min(lower, upper), upper
+
+
+def normalized_images_by_loop(M, C, p):
+    """||M (c / ||c||_p)||_p for every row c of C with ||c||_p > 0, one
+    matrix-vector product per candidate; c is cast to M's dtype before it
+    is scaled, as the library does."""
+    norms = []
+    for c in C:
+        nc = _lp_norm(c, p)
+        if nc > 0.0:
+            norms.append(_lp_norm(M @ (np.asarray(c, dtype=M.dtype) / nc), p))
+    return np.asarray(norms, dtype=float)
 
 
 def p_orthonormal_by_candidates(vectors, p, trials=200, seed=0, tol=None):
@@ -335,6 +346,30 @@ def check_group_table_by_loops(mul, e):
         for h in range(n):
             if np.any(mul[mul[g, h], :] != mul[g, mul[h, :]]):
                 raise BadGroupTable("table is not associative")
+
+
+def closure_by_words(mul, e, generators):
+    """The elements reached from e by right multiplication by the
+    generators, one product at a time: every product of generators."""
+    closure, frontier = {int(e)}, [int(e)]
+    while frontier:
+        x = frontier.pop()
+        for g in generators:
+            y = int(mul[x, g])
+            if y not in closure:
+                closure.add(y)
+                frontier.append(y)
+    return closure
+
+
+def greedy_generators_by_words(mul, e):
+    """The greedy generating set of a group table: each generator is the
+    first element outside the products of the earlier ones."""
+    generators, closure = [], {int(e)}
+    while len(closure) < len(mul):
+        generators.append(min(set(range(len(mul))) - closure))
+        closure = closure_by_words(mul, e, generators)
+    return generators
 
 
 def left_translation_by_loop(mul, g):

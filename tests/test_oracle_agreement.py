@@ -139,13 +139,21 @@ def test_pnorm_matches_candidate_loop(rng, p, monkeypatch):
 @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.0])
 def test_pnorm_half_sign_family_matches_the_full_family_bit_for_bit(rng, p):
     """M(-c) = -(M c) entry for entry, so dropping the patterns that end in -1
-    leaves the witness maximum, and the interval, unchanged."""
+    leaves the witness maximum, and the interval, unchanged in the candidate
+    loop.  The library, which forms each block of images as one matrix
+    product, reaches the loop's lower end within rounding."""
+    exact = 0
     for k in range(40):
         rows, cols = int(rng.integers(1, 9)), int(rng.integers(1, 13))
         M = random_matrix(rng, rows, cols, "complex" if k % 2 else "real")
         samples = int(rng.choice([0, 5]))
+        lower, upper = oracles.pnorm_estimate_by_all_signs(M, p, samples, seed=k)
+        assert (lower, upper) == oracles.pnorm_estimate_by_all_signs(M, p, samples, seed=k, half=True)
         got = fk.pnorm_estimate(M, p, samples, seed=k)
-        assert (got.lower, got.upper) == oracles.pnorm_estimate_by_all_signs(M, p, samples, seed=k)
+        assert got.upper == upper
+        assert abs(got.lower - lower) <= 2 * cols * np.finfo(float).eps * lower
+        exact += got.lower == lower
+    assert 2 * exact >= 40  # most agree to the bit
 
 
 def test_pnorm_integer_matrix_matches_candidate_loop():
@@ -475,6 +483,133 @@ def test_symmetric_group_tables_match_loops(rng):
         mul, e = relabelled(symmetric4(), perm), int(perm[0])
         assert outcome(lambda: oracles.check_group_table_by_loops(mul, e)) is None
         assert GroupTable(mul, e).order == 24
+
+
+# --- Light's test: associativity on a greedy generating set ---------------------------
+
+def cyclic(n):
+    return (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+
+
+def xor_group(k):
+    """Z_2^k, elements as k-bit words."""
+    idx = np.arange(1 << k)
+    return np.bitwise_xor(idx[:, None], idx[None, :])
+
+
+def direct_product(A, B):
+    """A x B with (a, b) at index a + len(A) b: the elements of A first."""
+    a, b = np.divmod(np.arange(len(A) * len(B)), len(A))[::-1]
+    return A[a[:, None], a] + len(A) * B[b[:, None], b]
+
+
+def groups_of_several_generators():
+    """(name, table with identity 0): Z_2^k needs exactly k generators."""
+    for k in range(7):
+        yield f"Z2^{k}", xor_group(k)
+    yield "Z2 x Z4", direct_product(cyclic(2), cyclic(4))
+    yield "S4", symmetric4()
+    for k in range(2, 9):
+        yield f"D{k}", dihedral(k)
+
+
+def test_light_test_on_groups_of_several_generators(rng):
+    """Every table is a group to the loops; the generators are the greedy
+    set, their products are the whole table, and there are at most
+    floor(log2 n) of them (each at least doubles the closure)."""
+    for name, mul in groups_of_several_generators():
+        n = len(mul)
+        for perm in (np.arange(n), rng.permutation(n), rng.permutation(n)):
+            table_mul, e = relabelled(mul, perm), int(perm[0])
+            assert outcome(lambda: oracles.check_group_table_by_loops(table_mul, e)) is None
+            generators = GroupTable(table_mul, e)._generators.tolist()
+            assert generators == oracles.greedy_generators_by_words(table_mul, e), name
+            assert oracles.closure_by_words(table_mul, e, generators) == set(range(n))
+            assert e not in generators and 2 ** len(generators) <= n
+            if name.startswith("Z2^"):
+                assert len(generators) == int(name[3:])
+
+
+def loops_past_the_first_generator():
+    """(name, table, identity) of loops G x LOOP5, G = Z_2^k: the elements
+    (g, e) come first, are in the middle nucleus and are the first k
+    generators, so every violation of the law avoids the first generator
+    in the middle; labelled as built and rotated by one, which keeps
+    (1, e) the first element after the identity."""
+    for k in (1, 2):
+        mul = direct_product(xor_group(k), LOOP5)
+        n = len(mul)
+        yield f"Z2^{k} x LOOP5", mul, 0
+        perm = np.roll(np.arange(n), 1)
+        yield f"Z2^{k} x LOOP5 rotated", relabelled(mul, perm), int(perm[0])
+
+
+def test_light_test_rejects_loops_past_the_first_generator():
+    for name, mul, e in loops_past_the_first_generator():
+        first = 1 if e == 0 else 0
+        assert np.array_equal(mul[mul[:, first]], mul[:, mul[first]])  # it associates in the middle
+        expected = outcome(lambda: oracles.check_group_table_by_loops(mul, e))
+        assert expected == ("BadGroupTable", "table is not associative")
+        assert outcome(lambda: GroupTable(mul, e)) == expected, name
+
+
+def test_light_test_on_the_trivial_group():
+    for mul in ([[0]], [[0.0]], np.zeros((1, 1), dtype=np.int8)):
+        table = GroupTable(mul, 0)
+        assert table.order == 1 and table._generators.size == 0
+
+
+# --- the exact index law on generators and e -------------------------------------------
+
+def test_index_law_of_the_trivial_group_checks_the_identity():
+    """No generators: pi(e) pi(e) = pi(e) alone makes pi(e) = I."""
+    table = GroupTable([[0]], 0)
+    law = ("NotARepresentation", "matrices do not respect the group law")
+    for mats, want in (((np.eye(2)[::-1],), law), ((np.eye(3)[[1, 2, 0]],), law), ((np.eye(3),), None)):
+        got, expected = rep_outcome(table, mats, Tolerance())
+        assert got == expected == want
+
+
+def test_index_law_finds_a_fault_at_a_non_generator(rng):
+    """pi(g) pi(h) = pi(gh) runs over every g, so a wrong matrix at an
+    element outside the generators and e still fails the law."""
+    law = ("NotARepresentation", "matrices do not respect the group law")
+    for name, mul in (("D4", dihedral(4)), ("Z2 x Z4", direct_product(cyclic(2), cyclic(4))),
+                      ("S4", symmetric4())):
+        n = len(mul)
+        perm = rng.permutation(n)
+        table = GroupTable(relabelled(mul, perm), int(perm[0]))
+        regular = tuple(oracles.left_translation_by_loop(table.mul, g) for g in range(n))
+        assert rep_outcome(table, regular, Tolerance()) == (None, None)
+        others = sorted(set(range(n)) - set(table._generators.tolist()) - {table.identity})
+        assert others, name
+        for k in others if n <= 8 else rng.choice(others, 4, replace=False):
+            faulty = list(regular)
+            faulty[k] = regular[table.identity]
+            got, expected = rep_outcome(table, tuple(faulty), Tolerance())
+            assert got == expected == law, (name, k)
+
+
+def test_dense_law_forms_every_product(monkeypatch):
+    """Tolerance errors compound along words, so the law on matrices that
+    are no exact permutations still compares all order^2 products."""
+    compared = []
+    real = fk.constructors._close
+
+    def counted(A, B, tol, axes):
+        compared.append(len(A))
+        return real(A, B, tol, axes)
+
+    monkeypatch.setattr(fk.constructors, "_close", counted)
+    for order in (8, 182):  # 182 x 182 pairs of 2 x 2 products run in five blocks
+        compared.clear()
+        Representation(GroupTable.cyclic(order), rotations(order))
+        assert sum(compared) == order * order
+    assert len(compared) == 5
+    compared.clear()
+    table = GroupTable(symmetric4(), 0)  # permutations under a unit tolerance take the dense law
+    Representation(table, fk.left_regular(table).mats, Tolerance(abs_tol=1.0))
+    assert sum(compared) == 24 * 24
 
 
 def rotations(n):
