@@ -487,10 +487,6 @@ def test_symmetric_group_tables_match_loops(rng):
 
 # --- Light's test: associativity on a greedy generating set ---------------------------
 
-def cyclic(n):
-    return (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-
-
 def xor_group(k):
     """Z_2^k, elements as k-bit words."""
     idx = np.arange(1 << k)
@@ -507,7 +503,7 @@ def groups_of_several_generators():
     """(name, table with identity 0): Z_2^k needs exactly k generators."""
     for k in range(7):
         yield f"Z2^{k}", xor_group(k)
-    yield "Z2 x Z4", direct_product(cyclic(2), cyclic(4))
+    yield "Z2 x Z4", direct_product(GroupTable.cyclic(2).mul, GroupTable.cyclic(4).mul)
     yield "S4", symmetric4()
     for k in range(2, 9):
         yield f"D{k}", dihedral(k)
@@ -574,8 +570,8 @@ def test_index_law_finds_a_fault_at_a_non_generator(rng):
     """pi(g) pi(h) = pi(gh) runs over every g, so a wrong matrix at an
     element outside the generators and e still fails the law."""
     law = ("NotARepresentation", "matrices do not respect the group law")
-    for name, mul in (("D4", dihedral(4)), ("Z2 x Z4", direct_product(cyclic(2), cyclic(4))),
-                      ("S4", symmetric4())):
+    z2z4 = direct_product(GroupTable.cyclic(2).mul, GroupTable.cyclic(4).mul)
+    for name, mul in (("D4", dihedral(4)), ("Z2 x Z4", z2z4), ("S4", symmetric4())):
         n = len(mul)
         perm = rng.permutation(n)
         table = GroupTable(relabelled(mul, perm), int(perm[0]))
