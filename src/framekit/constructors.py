@@ -41,7 +41,7 @@ def _element_indices(a: np.ndarray, n: int) -> bool:
     return bool(integral and np.all(a >= 0) and np.all(a < n))
 
 
-def _light_generators(mul: np.ndarray, e: int) -> np.ndarray:
+def _light_generators(mul: np.ndarray, e: int) -> list:
     """A greedy generating set of the loop mul with identity e, each
     generator a checked for (x a) y == x (a y) over all x, y as it is
     picked; BadGroupTable at the first that fails."""
@@ -63,7 +63,7 @@ def _light_generators(mul: np.ndarray, e: int) -> np.ndarray:
             size = np.count_nonzero(closed)
             if size == members.size or size == n:
                 break
-    return np.array(generators, dtype=np.intp)
+    return generators
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,15 +82,11 @@ class GroupTable:
     are closed under products, so passing on a generating set proves
     the law.  While every check passes the closure is a group, and each
     new generator at least doubles it (Lagrange): at most floor(log2 n)
-    generators, floor(log2 n) + 1 checks, O(n^2 log n) in all.  The
-    generators are kept for Representation's exact index law; its law
-    within a tolerance runs over all pairs, since errors within the
-    tolerance compound along words in the generators.
+    generators, floor(log2 n) + 1 checks, O(n^2 log n) in all.
     """
 
     mul: np.ndarray
     identity: int
-    _generators: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         mul = np.asarray(self.mul)
@@ -109,12 +105,10 @@ class GroupTable:
             raise BadGroupTable("rows and columns must be permutations")
         if np.any(mul[e, :] != idx) or np.any(mul[:, e] != idx):
             raise BadGroupTable("identity does not act trivially")
-        generators = _light_generators(mul, e)
+        _light_generators(mul, e)
         mul.setflags(write=False)
-        generators.setflags(write=False)
         object.__setattr__(self, "mul", mul)
         object.__setattr__(self, "identity", e)
-        object.__setattr__(self, "_generators", generators)
 
     @property
     def order(self) -> int:
@@ -132,10 +126,7 @@ class Representation:
 
     A representation by exact 0/1 permutation matrices keeps their index
     rows, mats[g] @ v == v[_indices[g]] for every vector v; else None.
-    Its law is checked exactly for every g and each h among the table's
-    generators and e; any other representation's law, within the
-    tolerance, for every pair.  Representations compare and hash by
-    identity.
+    Representations compare and hash by identity.
     """
 
     group: GroupTable
@@ -156,7 +147,7 @@ class Representation:
         # matrices are tol-close iff they are equal, so the law runs on indices.
         indices = _permutation_indices(mats, m) if self.tol.margin(1.0) < 1.0 else None
         if indices is not None:
-            law = _index_law(indices, mul, (*self.group._generators, self.group.identity))
+            law = _index_law(indices, mul)
         else:
             law = _dense_law(_unitary_stack(mats, m, self.tol), mul, self.tol)
         if not law:
@@ -203,18 +194,12 @@ def _permutation_indices(mats, m: int) -> Optional[np.ndarray]:
     return None
 
 
-def _index_law(idx: np.ndarray, mul: np.ndarray, hs) -> bool:
+def _index_law(idx: np.ndarray, mul: np.ndarray) -> bool:
     """mats[g] @ mats[h] == mats[g*h] on index rows, idx[h][idx[g]] ==
-    idx[g*h], for every g and each h of hs, a block of h at a time.
-
-    The h for which the law holds at every g are closed under products
-    in an associative table, so hs = the table's generators and e (which
-    alone fixes mats[e] = I in the trivial group) decide it for every h.
-    """
+    idx[g*h], for a block of h at a time."""
     order, m = idx.shape
-    hs = np.asarray(hs, dtype=np.intp)
-    return all(np.array_equal(np.take(idx[hs[block]], idx, axis=1), idx[mul[:, hs[block]].T])
-               for block in _blocks(hs.size, order * m))
+    return all(np.array_equal(np.take(idx[block], idx, axis=1), idx[mul[:, block].T])
+               for block in _blocks(order, order * m))
 
 
 def _unitary_stack(mats, m: int, tol: Tolerance) -> np.ndarray:
