@@ -38,6 +38,7 @@ from .frames import (
 )
 from .numerics import (
     Tolerance,
+    _blocks,
     _gaussian_blocks,
     _hermitian,
     _psd,
@@ -134,26 +135,20 @@ def _rank(M: np.ndarray, tol: Tolerance) -> int:
     return int(np.sum(s > cutoff))
 
 
-# The outer products _first_misaligned decides at once take at most this many
-# bytes (one member at the least), so its temporaries stay a small multiple
-# of it however large m and n are.
-_OUTER_BLOCK_BYTES = 1 << 20
-
-
 def _first_misaligned(T: np.ndarray, Y: np.ndarray, tol: Tolerance) -> Optional[int]:
     """First member j whose tau_j y_j^* is not Hermitian psd, or None.
 
     The Hermitian and psd rules of numerics decide each outer product on
-    its own.  Members go in order, in blocks of at most _OUTER_BLOCK_BYTES
-    of outer products with one batched eigvalsh each, and the first block
-    that holds a misaligned member ends the search.
+    its own.  Members go in order, in numerics' blocks of m x m outer
+    products (one member at the least) with one batched eigvalsh each, so
+    the temporaries stay small however large m and n are, and the first
+    block that holds a misaligned member ends the search.
     """
     m, n = T.shape
-    step = max(1, _OUTER_BLOCK_BYTES // max(m * m * np.result_type(T, Y).itemsize, 1))
-    for start in range(0, n, step):
-        Tb, Yb = T[:, start:start + step], Y[:, start:start + step]
+    for block in _blocks(n, m * m):
+        Tb, Yb = T[:, block], Y[:, block]
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-            outer = Tb.T[:, :, None] * Yb.conj().T[:, None, :]  # [i] = tau_j y_j^*, j = start + i
+            outer = Tb.T[:, :, None] * Yb.conj().T[:, None, :]  # [i] = tau_j y_j^*, j = block.start + i
             finite = np.isfinite(outer).all(axis=(1, 2))
             checked = finite & _hermitian(outer, tol)
         psd = np.zeros(len(outer), dtype=bool)
@@ -162,7 +157,7 @@ def _first_misaligned(T: np.ndarray, Y: np.ndarray, tol: Tolerance) -> Optional[
         bad = np.flatnonzero(~psd)
         if not bad.size:
             continue
-        j = start + int(bad[0])
+        j = block.start + int(bad[0])
         if not finite[bad[0]]:
             largest = max(entry_max(T[:, j]), entry_max(Y[:, j]))
             if np.isfinite(largest):

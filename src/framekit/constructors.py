@@ -22,16 +22,8 @@ from .errors import (
     NotInvariant,
     NotParseval,
 )
-from . import numerics
 from .frames import FramePair, FrameReport, REAL, infer_field, verify
-from .numerics import Tolerance, entry_max
-
-
-def _blocks(count: int, width: int) -> list:
-    """Slices of range(count), a block of them times width within
-    numerics._BLOCK_ENTRIES entries (one item when width alone exceeds it)."""
-    step = max(1, numerics._BLOCK_ENTRIES // max(width, 1))
-    return [slice(k, k + step) for k in range(0, count, step)]
+from .numerics import Tolerance, _blocks, _identities, _members_close, entry_max
 
 
 def _element_indices(a: np.ndarray, n: int) -> bool:
@@ -224,33 +216,16 @@ def _unitary_stack(mats, m: int, tol: Tolerance) -> np.ndarray:
 
 def _dense_law(stack: np.ndarray, mul: np.ndarray, tol: Tolerance) -> bool:
     """stack[g] @ stack[h] against stack[g*h], each pair with its own
-    mat_close margin, for a block of pairs at a time."""
+    mat_close margin, for a block of pairs at a time: each pair's matrices
+    are flattened into one row, a member of two stacked operators."""
     order, m = stack.shape[:2]
     targets = mul.ravel()
     for block in _blocks(order * order, m * m):
         g, h = np.divmod(np.arange(order * order)[block], order)
-        if not np.all(_close(stack[g] @ stack[h], stack[targets[block]], tol, (1, 2))):
+        products, wanted = (stack[g] @ stack[h]).reshape(len(g), -1), stack[targets[block]]
+        if not _members_close(products, wanted.reshape(len(g), -1), (1,) * len(g), tol):
             return False
     return True
-
-
-def _close(A: np.ndarray, B: np.ndarray, tol: Tolerance, axes) -> np.ndarray:
-    """tol.mat_close of each pair of slices of A and B that `axes` spans:
-    entry_max(A - B) against the margin of the larger entry_max."""
-    def entry_maxes(S):
-        return np.abs(S).max(axis=axes, initial=0.0)
-    margins = tol.abs_tol + tol.rel_tol * np.maximum(entry_maxes(A), entry_maxes(B))
-    return entry_maxes(A - B) <= margins
-
-
-def _identities(P: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """tol.is_identity of each matrix of a stack (k, m, m)."""
-    P = P.astype(np.result_type(P.dtype, np.float64), copy=False)
-    dev = np.abs(P)
-    scale = dev.max(axis=(1, 2), initial=0.0)
-    diag = np.arange(P.shape[1])
-    dev[:, diag, diag] = np.abs(np.diagonal(P, axis1=1, axis2=2) - 1.0)
-    return dev.max(axis=(1, 2), initial=0.0) <= tol.abs_tol + tol.rel_tol * np.maximum(1.0, scale)
 
 
 def left_regular(g: GroupTable, tol: Tolerance = Tolerance()) -> Representation:
@@ -405,6 +380,7 @@ def synthesize_representation(fp: FramePair, g: GroupTable) -> RepresentationSyn
         np.matmul(fp.T[:, g.mul[block]].swapaxes(0, 1), Xh, out=pis[block])
     rep = Representation(g, tuple(pis), fp.tol)
     e = g.identity
-    images = pis @ np.stack([fp.X[:, e], fp.T[:, e]], axis=1)  # [g, :, 0] = pi_g x_e
-    targets = np.stack([fp.X.T, fp.T.T], axis=2)
-    return RepresentationSynthesis(rep, bool(np.all(_close(images, targets, fp.tol, 1))))
+    images = (pis @ np.stack([fp.X[:, e], fp.T[:, e]], axis=1)).swapaxes(1, 2)  # [g, 0] = pi_g x_e
+    targets = np.stack([fp.X.T, fp.T.T], axis=1)  # [g, 0] = x_g, [g, 1] = tau_g
+    ok = _members_close(images.reshape(2 * n, m), targets.reshape(2 * n, m), (1,) * (2 * n), fp.tol)
+    return RepresentationSynthesis(rep, ok)

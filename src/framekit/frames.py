@@ -40,12 +40,15 @@ from .errors import (
 )
 from .numerics import (
     Tolerance,
+    _block_identities_ok,
     _finite_product,
     _hermitian,
     _hermitian_eig,
     _invertible,
+    _members_close,
     _pd,
     _psd,
+    _rank_excludes_identity,
     _require_square,
     entry_max,
     herm_sqrt,
@@ -476,8 +479,7 @@ class DilationResult:
 def range_basis(A: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Orthonormal basis of the column space of A."""
     U, s, _ = np.linalg.svd(A, full_matrices=False)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol.abs_tol + tol.rel_tol * smax))
+    rank = int(np.sum(s > tol.margin(s[0] if s.size else 0.0)))
     return U[:, :rank]
 
 
@@ -518,33 +520,13 @@ def dilate(fp: FramePair) -> DilationResult:
 # view: theta_A and theta_Psi are N x m, the members' d_j x m blocks in
 # order, and codims lists the d_j.  A body that builds a pair returns the
 # caller's class through type(pair)._stacked.  The array kernels among them
-# (_idempotent, _block_identities_ok, _members_close, _dilation_rows, ...)
-# take the stacked operators themselves.
+# (_idempotent, _dilation_rows, ..., and numerics' _block_identities_ok and
+# _members_close) take the stacked operators themselves.
 
 
 def _idempotent(theta_A: np.ndarray, theta_Psi: np.ndarray, S: np.ndarray) -> np.ndarray:
     """The frame idempotent theta_A S^-1 theta_Psi^* (N x N), for an invertible S."""
     return theta_A @ np.linalg.solve(S, theta_Psi.conj().T)
-
-
-def _rank_excludes_identity(N: int, m: int, tol: Tolerance) -> bool:
-    """Whether no N x N product of N x m and m x N factors passes tol.is_identity.
-
-    Such a product M (the frame idempotent) has rank at most
-    m.  For N > m, Eckart-Young gives ||M - I||_2 >= 1, hence
-    entry_max(M - I) >= 1/N.  A matrix that passes is_identity has
-    entry_max(M) <= (1 + abs_tol) / (1 - rel_tol) when rel_tol < 1, so its
-    deviation is at most mu = abs_tol + rel_tol (1 + abs_tol) / (1 - rel_tol).
-    When 1/N > mu the Riesz verdict, and with it the orthonormal one, is
-    False, decided in exact arithmetic, without the N x N product;
-    otherwise callers form it.
-    A computed product is a rank-m one plus rounding error, so it could
-    pass only through a rounding error of 2-norm at least 1 - N mu.
-    """
-    if N <= m or tol.rel_tol >= 1.0:
-        return False
-    mu = tol.abs_tol + tol.rel_tol * (1.0 + tol.abs_tol) / (1.0 - tol.rel_tol)
-    return 1.0 / N > mu
 
 
 def _refinements(pair, S: np.ndarray, report: FrameReport):
@@ -624,37 +606,6 @@ def _canonical_dual(pair, message: str = "operation requires a frame"):
     Sinv = np.linalg.solve(S, np.eye(S.shape[0], dtype=S.dtype))
     return type(pair)._stacked(pair.theta_A @ Sinv, pair.theta_Psi @ Sinv,
                                pair.codims, pair.field, pair.tol)
-
-
-def _members_close(M: np.ndarray, N: np.ndarray, codims, tol: Tolerance) -> bool:
-    """tol.mat_close on each member's row block of two stacked operators."""
-    starts = np.cumsum((0,) + codims[:-1])
-
-    def block_max(B):  # entry_max of each block, 0 for an empty one
-        rows = np.append(np.abs(B).max(axis=1, initial=0.0), 0.0)
-        return np.where(np.asarray(codims) > 0, np.maximum.reduceat(rows, starts), 0.0)
-
-    margin = tol.abs_tol + tol.rel_tol * np.maximum(block_max(M), block_max(N))
-    return bool(np.all(block_max(M - N) <= margin))
-
-
-def _block_identities_ok(L: np.ndarray, R: np.ndarray, codims, tol: Tolerance) -> bool:
-    """max_jk || L_j R_k^* - delta_jk I || within tolerance; needs equal member sizes.
-
-    Each d x d block keeps its own margin abs_tol + rel_tol * max(block max, 1),
-    so the block reductions run only when some entry exceeds abs_tol + rel_tol.
-    """
-    if len(set(codims)) != 1:
-        return False
-    blocks = (len(codims), codims[0], len(codims), codims[0])
-    prod = L @ R.conj().T
-    dev = np.abs(prod)
-    np.fill_diagonal(dev, np.abs(np.diagonal(prod) - 1.0))
-    if dev.max(initial=0.0) <= tol.abs_tol + tol.rel_tol:
-        return True
-    deviation = dev.reshape(blocks).max(axis=(1, 3))
-    scale = np.abs(prod).reshape(blocks).max(axis=(1, 3))
-    return bool(np.all(deviation <= tol.abs_tol + tol.rel_tol * np.maximum(scale, 1.0)))
 
 
 def _complement_rows(Q: np.ndarray) -> np.ndarray:

@@ -33,14 +33,11 @@ class Tolerance:
     rel_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.abs_tol < 0 or self.rel_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
+        if not (0.0 <= self.abs_tol < np.inf and 0.0 <= self.rel_tol < np.inf):  # NaN fails both
+            raise ValueError(f"tolerances must be finite and nonnegative, got {self}")
 
     def margin(self, *scales: float) -> float:
-        return self.abs_tol + self.rel_tol * max(map(abs, map(float, scales)), default=0.0)
-
-    def close(self, a, b) -> bool:
-        return abs(complex(a) - complex(b)) <= self.margin(abs(complex(a)), abs(complex(b)))
+        return _margins(self, max(map(abs, map(float, scales)), default=0.0))
 
     def mat_close(self, A, B) -> bool:
         A = np.asarray(A)
@@ -50,19 +47,11 @@ class Tolerance:
         return entry_max(A - B) <= self.margin(entry_max(A), entry_max(B))
 
     def is_identity(self, A) -> bool:
-        """Whether A is the identity within tolerance, scaled by entry_max(A).
-
-        The deviation is entry_max(A - I), taken without building I: |A| in
-        the dtype A - I would have, with |a_ii - 1| on the diagonal.
-        """
+        """Whether A is the identity within tolerance, scaled by max(entry_max(A), 1)."""
         A = np.asarray(A)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             return False
-        B = A.astype(np.result_type(A.dtype, np.float64), copy=False)
-        dev = np.abs(B)
-        scale = float(dev.max(initial=0.0)) if B is A else entry_max(A)
-        np.fill_diagonal(dev, np.abs(np.diagonal(B) - 1.0))
-        return float(dev.max(initial=0.0)) <= self.margin(1.0, scale)
+        return bool(_identities(A, self))
 
     def is_zero(self, A, scale: float = 1.0) -> bool:
         return entry_max(np.asarray(A)) <= self.margin(scale)
@@ -113,6 +102,106 @@ def _require_square(M) -> np.ndarray:
     return M
 
 
+# --- the comparison rules ------------------------------------------------------
+#
+# Every closeness, identity and zero verdict compares a deviation with tol's
+# margin at a scale, abs_tol + rel_tol * scale (_margins): on one array
+# (Tolerance), on each matrix of a stack (..., k, k) (_identities) or on
+# each member block of a pair's stacked operators (_members_close,
+# _block_identities_ok).  The bounds that rest on the identity margin
+# (_rank_excludes_identity, the fast path of _block_identities_ok) sit
+# with them, and so does the one block budget (_blocks).
+
+
+def _margins(tol: Tolerance, scale):
+    """tol's margin abs_tol + rel_tol * scale, at a scale or at each of an array of them."""
+    return tol.abs_tol + tol.rel_tol * scale
+
+
+def _identity_deviation(P: np.ndarray):
+    """(|P - I|, max |P|) for a matrix or for each matrix of a stack (..., k, k).
+
+    |P - I| is taken without building I: |P| in the dtype P - I would
+    have, with |p_ii - 1| on the diagonal.
+    """
+    P = P.astype(np.result_type(P.dtype, np.float64), copy=False)
+    dev = np.abs(P)
+    scale = dev.max(axis=(-2, -1), initial=0.0)
+    diag = np.arange(P.shape[-1])
+    dev[..., diag, diag] = np.abs(np.diagonal(P, axis1=-2, axis2=-1) - 1.0)
+    return dev, scale
+
+
+def _identities(P: np.ndarray, tol: Tolerance):
+    """Whether P, or each matrix of a stack (..., k, k), is the identity within
+    tol: max |P - I| against the margin at max(max |P|, 1)."""
+    dev, scale = _identity_deviation(P)
+    return dev.max(axis=(-2, -1), initial=0.0) <= _margins(tol, np.maximum(scale, 1.0))
+
+
+def _rank_excludes_identity(N: int, m: int, tol: Tolerance) -> bool:
+    """Whether no N x N product of N x m and m x N factors passes tol.is_identity.
+
+    Such a product M (the frame idempotent) has rank at most
+    m.  For N > m, Eckart-Young gives ||M - I||_2 >= 1, hence
+    entry_max(M - I) >= 1/N.  A matrix that passes is_identity has
+    entry_max(M) <= (1 + abs_tol) / (1 - rel_tol) when rel_tol < 1, so its
+    deviation is at most mu = abs_tol + rel_tol (1 + abs_tol) / (1 - rel_tol).
+    When 1/N > mu the Riesz verdict, and with it the orthonormal one, is
+    False, decided in exact arithmetic, without the N x N product;
+    otherwise callers form it.
+    A computed product is a rank-m one plus rounding error, so it could
+    pass only through a rounding error of 2-norm at least 1 - N mu.
+    """
+    if N <= m or tol.rel_tol >= 1.0:
+        return False
+    mu = tol.abs_tol + tol.rel_tol * (1.0 + tol.abs_tol) / (1.0 - tol.rel_tol)
+    return 1.0 / N > mu
+
+
+def _members_close(M: np.ndarray, N: np.ndarray, codims, tol: Tolerance) -> bool:
+    """tol.mat_close on each member's row block of two stacked operators."""
+    sizes = np.asarray(codims, dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+
+    def block_max(B):  # entry_max of each block, 0 for an empty one
+        rows = np.append(np.abs(B).max(axis=1, initial=0.0), 0.0)
+        return np.where(sizes > 0, np.maximum.reduceat(rows, starts), 0.0)
+
+    return bool(np.all(block_max(M - N) <= _margins(tol, np.maximum(block_max(M), block_max(N)))))
+
+
+def _block_identities_ok(L: np.ndarray, R: np.ndarray, codims, tol: Tolerance) -> bool:
+    """max_jk || L_j R_k^* - delta_jk I || within tolerance; needs equal member sizes.
+
+    Each d x d block keeps its own margin at max(block max, 1), never below
+    the margin at 1, so the block reductions run only when some entry
+    exceeds that.
+    """
+    if len(set(codims)) != 1:
+        return False
+    prod = L @ R.conj().T
+    dev = _identity_deviation(prod)[0]
+    if dev.max(initial=0.0) <= _margins(tol, 1.0):
+        return True
+    blocks = (len(codims), codims[0], len(codims), codims[0])
+    deviation = dev.reshape(blocks).max(axis=(1, 3))
+    scale = np.abs(prod).reshape(blocks).max(axis=(1, 3))
+    return bool(np.all(deviation <= _margins(tol, np.maximum(scale, 1.0))))
+
+
+# Items per block times their width stays below this many entries, so the
+# temporaries of a blocked pass stay small however many items there are.
+_BLOCK_ENTRIES = 1 << 15
+
+
+def _blocks(count: int, width: int) -> list:
+    """Slices of range(count), a block of them times width within
+    _BLOCK_ENTRIES entries (one item when width alone exceeds it)."""
+    step = max(1, _BLOCK_ENTRIES // max(width, 1))
+    return [slice(k, min(k + step, count)) for k in range(0, count, step)]
+
+
 # --- the spectral rules ---------------------------------------------------------
 #
 # Every verdict on a frame operator, an operator-valued or a p-frame
@@ -128,7 +217,7 @@ def _hermitian(M, tol: Tolerance, Mh=None):
     """
     Mh = M.swapaxes(-1, -2).conj() if Mh is None else Mh
     dev = np.abs(M - Mh).max(axis=(-2, -1), initial=0.0)
-    return dev <= tol.abs_tol + tol.rel_tol * np.abs(M).max(axis=(-2, -1), initial=0.0)
+    return dev <= _margins(tol, np.abs(M).max(axis=(-2, -1), initial=0.0))
 
 
 # In the psd and pd rules, w[..., 0][()] is lambda_min of each matrix: a
@@ -296,19 +385,13 @@ def _lp_norm(v, p: float) -> float:
     return float(_lp_norms(np.ravel(v), p))
 
 
-# Candidates per block times max(rows, cols) stays below this, so the
-# temporaries of a witness sweep stay small however tall M is.
-_BLOCK_ENTRIES = 1 << 15
-
-
 def _image_lp_norms(M: np.ndarray, C, p: float) -> np.ndarray:
     """||M c||_p for every row c of C, each block of images one GEMM.
 
     An image may differ from M @ c in its last bits (another summation
     order), so a witness norm moves only by rounding.
     """
-    step = max(1, _BLOCK_ENTRIES // max(*M.shape, 1))
-    norms = [_lp_norms(C[k:k + step] @ M.T, p) for k in range(0, len(C), step)]
+    norms = [_lp_norms(C[block] @ M.T, p) for block in _blocks(len(C), max(M.shape))]
     return np.concatenate(norms) if norms else np.zeros(0)
 
 
@@ -367,9 +450,8 @@ def _gaussian_blocks(rng: np.random.Generator, count: int, n: int, complex_field
     A falsifier that stops at its first failing block then needs bounded
     memory however many samples it is asked for.
     """
-    step = max(1, _BLOCK_ENTRIES // max(width, 1))
-    for start in range(0, max(count, 0), step):
-        yield _gaussian_rows(rng, min(step, count - start), n, complex_field)
+    for block in _blocks(count, width):
+        yield _gaussian_rows(rng, block.stop - block.start, n, complex_field)
 
 
 def pnorm_estimate(
@@ -377,7 +459,6 @@ def pnorm_estimate(
     p: float,
     samples: int = 200,
     seed: int = 0,
-    tol: Tolerance = Tolerance(),
 ) -> PNormInterval:
     """Certified interval for the lp -> lp operator norm of M.
 

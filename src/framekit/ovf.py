@@ -55,7 +55,7 @@ from .frames import (
     frame_operator,
     infer_field,
 )
-from .numerics import Tolerance, _hermitian_eig, _invertible, _pd, _psd, _require_square
+from .numerics import Tolerance, _hermitian_eig, _invertible, _margins, _pd, _psd, _require_square
 
 _NEEDS_AN_OVF = "operation requires an operator-valued frame"
 
@@ -235,7 +235,7 @@ def factorize_against_onb(op: OvfPair, F: OvfPair) -> FactorizationResult:
     onb_pair = False
     if unitary and np.all(denom > tol.abs_tol):  # Psi_j = c_j A_j with every c_j > 0
         c = np.einsum("jk,jk->j", A_rows.conj(), op.theta_Psi.reshape(op.n, -1)) / denom
-        onb_pair = (np.all(np.abs(c.imag) <= tol.abs_tol + tol.rel_tol * np.abs(c))
+        onb_pair = (np.all(np.abs(c.imag) <= _margins(tol, np.abs(c)))
                     and np.all(c.real > tol.abs_tol)
                     and _members_close(op.theta_Psi, np.repeat(c.real, op.d)[:, None] * op.theta_A,
                                        op.codims, tol))

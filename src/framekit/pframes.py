@@ -39,6 +39,7 @@ from .numerics import (
     _invertible,
     _lp_norm,
     _lp_norms,
+    _margins,
     _normalized_image_lp_norms,
     entry_max,
     pnorm_estimate,
@@ -113,8 +114,8 @@ def p_verify(pf: PFramePair, samples: int = 200, seed: int = 0) -> PReport:
     except SpectrumOnCut:
         return PReport(False, tight, parseval, None, None)
     Rinv = np.linalg.inv(R)
-    up = pnorm_estimate(R, pf.p, samples, seed, tol)
-    down = pnorm_estimate(Rinv, pf.p, samples, seed + 1, tol)
+    up = pnorm_estimate(R, pf.p, samples, seed)
+    down = pnorm_estimate(Rinv, pf.p, samples, seed + 1)
     upper = PNormInterval(up.lower**pf.p, up.upper**pf.p)
     lower = PNormInterval(1.0 / down.upper**pf.p, 1.0 / down.lower**pf.p)
     return PReport(True, tight, parseval, lower, upper)
@@ -151,8 +152,8 @@ def p_orthonormal_check(vectors, p: float, trials: int = 200, seed: int = 0,
     for C in itertools.chain(signs, draws):
         lhs = _image_lp_norms(M, np.asarray(C, dtype=M.dtype), p) ** p
         rhs = (np.abs(C) ** p).sum(axis=1)
-        margin = tol.abs_tol + tol.rel_tol * np.maximum(np.abs(lhs), np.abs(rhs))
-        bad = np.flatnonzero(np.abs(lhs - rhs) > margin)
+        scale = np.maximum(np.abs(lhs), np.abs(rhs))
+        bad = np.flatnonzero(np.abs(lhs - rhs) > _margins(tol, scale))
         if bad.size:
             return POrthonormalResult(False, C[bad[0]].copy())
     return POrthonormalResult(True, None)
@@ -181,10 +182,10 @@ def riesz_p_bounds(vectors, p: float, trials: int = 200, seed: int = 0,
         a = PNormInterval(float(s[-1]) ** 2, float(s[-1]) ** 2)
         b = PNormInterval(float(s[0]) ** 2, float(s[0]) ** 2)
         return RieszPBounds(a, b)
-    up = pnorm_estimate(M, p, trials, seed, tol)
+    up = pnorm_estimate(M, p, trials, seed)
     b = PNormInterval(up.lower**p, up.upper**p)
     L = np.linalg.pinv(M)
-    linv = pnorm_estimate(L, p, trials, seed + 1, tol)
+    linv = pnorm_estimate(L, p, trials, seed + 1)
     certified = 1.0 / linv.upper**p
     rng = np.random.default_rng(seed + 2)
     draws = _gaussian_rows(rng, trials, n, np.iscomplexobj(M))
@@ -218,7 +219,7 @@ def paley_wiener_check(base, Y, p: float, trials: int = 200, seed: int = 0,
         raise BaseNotOrthonormal("a p-orthonormal basis of K^m needs exactly m members")
     if not p_orthonormal_check(B, p, trials, seed, tol).consistent:
         raise BaseNotOrthonormal("base family fails the p-orthonormal falsifier")
-    est = pnorm_estimate(B - Y, p, trials, seed, tol)
+    est = pnorm_estimate(B - Y, p, trials, seed)
     concluded = bool(est.upper < 1.0)
     riesz = None
     if concluded:
@@ -293,8 +294,11 @@ def project_line_l4(x, y, tol: Tolerance = Tolerance()) -> LineProjection:
 
     phi(t) = ||x - t y||_4 is strictly convex and coercive, so golden
     section on a bracket guaranteed to contain the minimiser suffices.
-    The bracket shrinks to abs_tol; where phi is quartically flat the
-    returned argmin is only meaningful to about eps^(1/4).
+    The bracket shrinks to abs_tol, or until rounding stops it: the search
+    also stops when it comes back to a state (the bracket and both interior
+    points) it has been in, from which it would repeat forever.  Where phi
+    is quartically flat the returned argmin is only meaningful to about
+    eps^(1/4).
     """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
@@ -310,7 +314,9 @@ def project_line_l4(x, y, tol: Tolerance = Tolerance()) -> LineProjection:
     c = hi - invphi * (hi - lo)
     d = lo + invphi * (hi - lo)
     fc, fd = phi(c), phi(d)
-    while hi - lo > tol.abs_tol:
+    seen = set()
+    while hi - lo > tol.abs_tol and (lo, hi, c, d) not in seen:
+        seen.add((lo, hi, c, d))
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - invphi * (hi - lo)

@@ -841,6 +841,65 @@ def first_misaligned_by_spectral(T, Y, tol):
     return None
 
 
+# --- the comparison kernels numerics' stack and member forms replaced -------------
+#
+# constructors kept its own stack forms of mat_close and is_identity; numerics
+# now holds every comparison once (_members_close on reshaped stacks, and one
+# |P - I| kernel behind _identities and Tolerance.is_identity).
+
+
+def close_by_axes(A, B, tol, axes):
+    """tol.mat_close of each pair of slices of A and B that `axes` spans:
+    entry_max(A - B) against the margin of the larger entry_max."""
+    def entry_maxes(S):
+        return np.abs(S).max(axis=axes, initial=0.0)
+    margins = tol.abs_tol + tol.rel_tol * np.maximum(entry_maxes(A), entry_maxes(B))
+    return entry_maxes(A - B) <= margins
+
+
+def identities_by_stack(P, tol):
+    """tol.is_identity of each matrix of a stack (k, m, m)."""
+    P = P.astype(np.result_type(P.dtype, np.float64), copy=False)
+    dev = np.abs(P)
+    scale = dev.max(axis=(1, 2), initial=0.0)
+    diag = np.arange(P.shape[1])
+    dev[:, diag, diag] = np.abs(np.diagonal(P, axis1=1, axis2=2) - 1.0)
+    return dev.max(axis=(1, 2), initial=0.0) <= tol.abs_tol + tol.rel_tol * np.maximum(1.0, scale)
+
+
+def members_close_by_loop(M, N, codims, tol):
+    """tol.mat_close on each member's row block, one member at a time."""
+    starts = np.cumsum((0,) + tuple(codims))
+    return all(tol.mat_close(M[a:b], N[a:b]) for a, b in zip(starts[:-1], starts[1:]))
+
+
+def project_line_l4_by_golden_section(x, y, tol, max_iterations):
+    """project_line_l4's golden-section loop as it was, with no stop but the
+    bracket width: (t_star, dist), or None after max_iterations iterations."""
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    phi = lambda t: _lp_norm(x - t * y, 4.0)
+    bracket = 1.0 + 2.0 * _lp_norm(x, 4.0) / _lp_norm(y, 4.0)
+    lo, hi = -bracket, bracket
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    c = hi - invphi * (hi - lo)
+    d = lo + invphi * (hi - lo)
+    fc, fd = phi(c), phi(d)
+    for _ in range(max_iterations):
+        if hi - lo <= tol.abs_tol:
+            t_star = 0.5 * (lo + hi)
+            return float(t_star), float(phi(t_star))
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - invphi * (hi - lo)
+            fc = phi(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + invphi * (hi - lo)
+            fd = phi(d)
+    return None
+
+
 class FramePairByColumns:
     """A vector pair stored as X and T, as frames.FramePair was before it
     stored the stacked view: each a frozen copy of the caller's array,

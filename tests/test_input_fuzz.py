@@ -110,6 +110,21 @@ def test_document_maps_to_its_exit_code(tmp_path, capsys, case):
         assert "largest input magnitude 1e+200" in out
 
 
+@pytest.mark.parametrize("flag", ["--abs-tol", "--rel-tol"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_tolerance_is_a_parse_error(tmp_path, capsys, flag, value):
+    """On the self-dual 3-member frame, a NaN abs_tol used to report
+    self_adjoint = false and an infinite one is_frame = false, both exit 0."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(FRAME))
+    got = run(["verify", str(path), f"{flag}={value}"])
+    out, err = capsys.readouterr()
+    assert got == 1
+    assert out.startswith("kind = parse_error\nerror = ValueError\n")
+    assert "tolerances must be finite and nonnegative" in out
+    assert err == ""
+
+
 def test_overflow_error_carries_the_largest_magnitude():
     X = np.array([[3e200, 0.0], [0.0, 1.0]])
     fp = fk.FramePair(X, X, "real")

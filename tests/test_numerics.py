@@ -167,3 +167,29 @@ def test_pnorm_estimate_clamps_round_off_overshoot(monkeypatch):
     plant_largest_singular_value(monkeypatch, below)
     iv = pnorm_estimate(M, 2.0)
     assert iv.lower == iv.upper == below
+
+
+# --- the tolerance -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1e-9])
+def test_tolerance_fields_must_be_finite_and_nonnegative(field, value):
+    with pytest.raises(ValueError, match="tolerances must be finite and nonnegative"):
+        Tolerance(**{field: value})
+
+
+def test_tolerance_accepts_zero_and_large_finite_fields():
+    assert Tolerance(0.0, 0.0).margin(5.0) == 0.0
+    assert Tolerance(1e300, 1e300).margin(1.0) == 2e300
+
+
+def test_is_identity_and_mat_close_return_bool_on_a_matrix():
+    near = np.eye(3) + 1e-3
+    matrices = (np.eye(3), near, np.eye(2, dtype=int), np.eye(2, dtype=complex),
+                [[1.0, 0.0], [0.0, 1.0]], np.zeros((0, 0)))
+    for A in matrices:
+        for got in (TOL.is_identity(A), TOL.mat_close(A, A), TOL.mat_close(A, np.asarray(A) + 1.0)):
+            assert type(got) is bool
+    assert TOL.is_identity(np.eye(3)) is True and TOL.is_identity(near) is False
+    assert TOL.mat_close(near, near) is True and TOL.mat_close(near, np.eye(3)) is False

@@ -16,7 +16,7 @@ import pytest
 
 import framekit as fk
 import framekit.io as fio
-from framekit import FramePair, GroupTable, OvfPair, Representation, Tolerance, frames
+from framekit import FramePair, GroupTable, OvfPair, Representation, Tolerance, frames, numerics
 from framekit.analysis import _falsifying_samples
 from framekit.constructors import _light_generators
 from framekit.errors import FramekitError
@@ -258,6 +258,94 @@ def test_weighted_onb_check_matches_outer_product_loop(rng):
         fp = FramePair(Q, Q * c, field)
         expected = oracles.weighted_onb_matrix_by_members(Q, c, field == "complex")
         assert fk.weighted_onb_check(fp, c).holds == fk.spectral(expected).is_psd
+
+
+# --- the comparison rules, one form each in numerics ---------------------------------
+#
+# Each case moves one entry by tol's margin times 1 +- 1e-6; the other
+# entries leave the scale of the margin as it is.
+
+COMPARISON_TOLERANCES = [Tolerance(), Tolerance(1e-6, 1e-4), Tolerance(0.0, 0.5)]
+
+
+def unit_entries(rng, shape, field):
+    """Entries of modulus in [0.5, 2] with random signs (phases)."""
+    size = rng.uniform(0.5, 2.0, shape)
+    if field == "complex":
+        return size * np.exp(2j * np.pi * rng.uniform(size=shape))
+    return size * rng.choice([-1.0, 1.0], shape)
+
+
+def moved_toward_zero(rng, B, tol, side):
+    """B with one entry moved toward 0 by tol.margin(entry_max(B)) (1 + side 1e-6).
+    The moved entry stays below entry_max(B), so the scale does not change."""
+    B = B.copy()
+    r, c = int(rng.integers(B.shape[0])), int(rng.integers(B.shape[1]))
+    B[r, c] *= 1.0 - tol.margin(entry_max(B)) * (1.0 + side * 1e-6) / abs(B[r, c])
+    return B
+
+
+def near_identity(rng, m, tol, side, field):
+    """I with one entry off by the identity margin (1 + side 1e-6): a diagonal
+    entry moved down (scale 1) or up (scale 1 + x, x solving x = margin at
+    1 + x), or an off-diagonal entry."""
+    P = np.eye(m, dtype=complex if field == "complex" else float)
+    factor = 1.0 + side * 1e-6
+    r, c = int(rng.integers(m)), int(rng.integers(m))
+    if r != c:
+        unit = unit_entries(rng, (), field)
+        P[r, c] = tol.margin(1.0) * factor * unit / abs(unit)
+    elif rng.integers(2):
+        P[r, r] = 1.0 - tol.margin(1.0) * factor
+    else:
+        P[r, r] = 1.0 + tol.margin(1.0) * factor / (1.0 - tol.rel_tol * factor)
+    return P
+
+
+def test_comparison_rules_match_the_forms_they_replaced(rng):
+    """numerics' _identities (behind Tolerance.is_identity) and _members_close
+    against constructors' former stack forms and a loop of mat_close, verdict
+    for verdict, on seeded stacks and on ragged member blocks with a
+    zero-size member and the odd m x m block of a tight extension."""
+    seen = collections.Counter()
+    for k in range(600):
+        tol = COMPARISON_TOLERANCES[k % 3]
+        field = "complex" if k % 2 else "real"
+        count, r, c = (int(v) for v in rng.integers(1, 5, 3))
+        sides = rng.choice([-1.0, 1.0], count)
+
+        P = np.stack([near_identity(rng, r, tol, side, field) for side in sides])
+        want = oracles.identities_by_stack(P, tol)
+        assert np.array_equal(numerics._identities(P, tol), want)
+        assert [tol.is_identity(Pj) for Pj in P] == list(want)
+        assert list(want) == list(sides < 0)
+        seen["identity", bool(want.all())] += 1
+
+        A = unit_entries(rng, (count, r, c), field)
+        B = np.stack([moved_toward_zero(rng, Aj, tol, side) for Aj, side in zip(A, sides)])
+        want = bool(np.all(oracles.close_by_axes(A, B, tol, (1, 2))))
+        assert want == bool(np.all(sides < 0))
+        for rows, codims in (((count * r, c), (r,) * count), ((count, r * c), (1,) * count)):
+            assert numerics._members_close(A.reshape(rows), B.reshape(rows), codims, tol) == want
+        seen["stack", want] += 1
+
+        m, n, d = c, count, r
+        codims = [d] * n
+        if k % 3 == 0:
+            codims.insert(int(rng.integers(n + 1)), 0)
+        if k % 4 < 2:
+            codims.append(m)
+        blocks = [unit_entries(rng, (dj, m), field) for dj in codims]
+        moved = int(rng.choice([j for j, dj in enumerate(codims) if dj]))
+        side = rng.choice([-1.0, 1.0])
+        near = [moved_toward_zero(rng, Bj, tol, side if j == moved else -1.0) if Bj.size else Bj
+                for j, Bj in enumerate(blocks)]
+        M, N = np.vstack(blocks), np.vstack(near)
+        want = oracles.members_close_by_loop(M, N, codims, tol)
+        assert want == (side < 0)
+        assert numerics._members_close(M, N, tuple(codims), tol) == want
+        seen["members", want] += 1
+    assert min(seen.values()) > 40, seen
 
 
 # --- group tables and representations ------------------------------------------------------
@@ -588,13 +676,13 @@ def test_dense_law_forms_every_product(monkeypatch):
     """Tolerance errors compound along words, so the law on matrices that
     are no exact permutations still compares all order^2 products."""
     compared = []
-    real = fk.constructors._close
+    real = fk.numerics._members_close
 
-    def counted(A, B, tol, axes):
-        compared.append(len(A))
-        return real(A, B, tol, axes)
+    def counted(M, N, codims, tol):
+        compared.append(len(codims))
+        return real(M, N, codims, tol)
 
-    monkeypatch.setattr(fk.constructors, "_close", counted)
+    monkeypatch.setattr(fk.constructors, "_members_close", counted)
     for order in (8, 182):  # 182 x 182 pairs of 2 x 2 products run in five blocks
         compared.clear()
         Representation(GroupTable.cyclic(order), rotations(order))

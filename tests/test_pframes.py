@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,7 +16,16 @@ from framekit.errors import (
     ZeroDirection,
 )
 
+import oracles
 from conftest import random_matrix, random_parseval_pframe, random_spd
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _child_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
 
 
 def diag_pair(p):
@@ -288,6 +302,51 @@ def test_projection_minimises(rng):
         ts = np.linspace(result.t_star - 1.0, result.t_star + 1.0, 41)
         values = [float(np.sum(np.abs(x - t * y) ** 4) ** 0.25) for t in ts]
         assert result.dist <= min(values) + 1e-9
+
+
+# Brackets that rounding keeps above abs_tol: about 2e8 wide at the default
+# tolerance, whose ulp near 1e8 (1.5e-8) exceeds 1e-9, and abs_tol = 0.
+STALLED = [([1e8, 0.0], [1.0, 0.0], None, 1e8, 4 * np.spacing(1e8)),
+           ([1.0, 2.0], [1.0, 1.0], (0.0, 0.0), 1.5, 1e-6)]  # (t - 1)^3 + (t - 2)^3 = 0
+
+
+def test_projection_stops_when_rounding_stops_the_bracket():
+    """Each call runs in a child with a timeout, so that a search that never
+    stops fails this test instead of hanging the suite."""
+    code = ("import sys, framekit as fk; x, y, tol = eval(sys.argv[1]); "
+            "r = fk.project_line_l4(x, y, *([fk.Tolerance(*tol)] if tol else [])); "
+            "print(repr(r.t_star), repr(r.dist))")
+    for x, y, tol, t_exact, within in STALLED:
+        out = subprocess.run([sys.executable, "-c", code, repr((x, y, tol))], env=_child_env(),
+                             capture_output=True, text=True, timeout=60, check=True)
+        t_star, dist = map(float, out.stdout.split())
+        assert abs(t_star - t_exact) <= within
+        expected = float(np.sum((np.asarray(x) - t_exact * np.asarray(y)) ** 4) ** 0.25)
+        assert dist == pytest.approx(expected, rel=1e-9, abs=1e-6)
+
+
+def test_projection_keeps_every_result_the_golden_section_loop_returns(rng):
+    """Where the loop without the stall stop returns, the result is the same
+    to the bit.  The pinned inputs stall once (an iteration leaves the
+    bracket unchanged) and then narrow it to abs_tol; stopping at the stall
+    would return another t_star for the first."""
+    cases = [([-50.78761342671919, 19.655953920975193], [-0.46500203228245557, 0.9913117071592484],
+              Tolerance(1e-14)),
+             ([0.3936436568096576, -0.5666345160254288], [-1.7332822229223872, 0.4309342230190271],
+              Tolerance(1e-16))]
+    for k in range(60):
+        n = int(rng.integers(1, 5))
+        x = rng.standard_normal(n) * 10.0 ** int(rng.integers(-3, 6))
+        cases.append((x, rng.standard_normal(n), Tolerance((1e-9, 1e-12, 1e-14)[k % 3])))
+    returned = 0
+    for x, y, tol in cases:
+        expected = oracles.project_line_l4_by_golden_section(x, y, tol, 2000)
+        if expected is not None:
+            returned += 1
+            got = fk.project_line_l4(x, y, tol)
+            assert (got.t_star, got.dist) == expected
+    assert returned >= 40
+    assert fk.project_line_l4(*cases[0]).t_star == 43.706044618863004
 
 
 # --- Banach formulas -------------------------------------------------------------------------

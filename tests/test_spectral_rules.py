@@ -177,9 +177,9 @@ def test_first_misaligned_matches_the_per_member_spectral_loop(rng):
     assert min(seen[(True, True)], seen[(True, False)], seen[(False, False)]) > 50
 
 
-@pytest.mark.parametrize("block_bytes", [1, 100])  # one member per block; up to three per block
-def test_first_misaligned_in_blocks_matches_the_per_member_spectral_loop(rng, monkeypatch, block_bytes):
-    monkeypatch.setattr("framekit.analysis._OUTER_BLOCK_BYTES", block_bytes)
+@pytest.mark.parametrize("block_entries", [1, 12])  # 1 member per block; 12 of K^1, 3 of K^2, 1 above
+def test_first_misaligned_in_blocks_matches_the_per_member_spectral_loop(rng, monkeypatch, block_entries):
+    monkeypatch.setattr("framekit.numerics._BLOCK_ENTRIES", block_entries)
     tol = Tolerance()
     for k in range(300):
         field = "complex" if k % 2 else "real"
