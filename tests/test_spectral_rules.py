@@ -177,9 +177,9 @@ def test_first_misaligned_matches_the_per_member_spectral_loop(rng):
     assert min(seen[(True, True)], seen[(True, False)], seen[(False, False)]) > 50
 
 
-@pytest.mark.parametrize("block_entries", [1, 12])  # 1 member per block; 12 of K^1, 3 of K^2, 1 above
-def test_first_misaligned_in_blocks_matches_the_per_member_spectral_loop(rng, monkeypatch, block_entries):
-    monkeypatch.setattr("framekit.numerics._BLOCK_ENTRIES", block_entries)
+@pytest.mark.parametrize("block_bytes", [1, 100])  # one member per block; 12 of K^1, 3 of K^2, 1 above
+def test_first_misaligned_in_blocks_matches_the_per_member_spectral_loop(rng, monkeypatch, block_bytes):
+    monkeypatch.setattr("framekit.numerics._BLOCK_ENTRIES", block_bytes // 8)  # entries of 8 bytes
     tol = Tolerance()
     for k in range(300):
         field = "complex" if k % 2 else "real"
