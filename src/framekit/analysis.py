@@ -5,6 +5,13 @@ The quadratic and norm-sum perturbation certificates are sound: when the
 hypothesis holds the produced bound window is guaranteed.  The linear and
 Bessel forms quantify over all vectors, which no finite procedure can
 decide, so those run as seeded falsifiers and say only "not falsified".
+
+Every body reads a pair's stacked operators theta_A = X^* and
+theta_Psi = T^* and builds its result through FramePair._stacked,
+adopting the arrays it has just computed; X and T are caller-side
+adjoints, a fresh conjugate copy on each read of a complex pair.  The
+perturbed family Y, which callers pass as m x n columns, is copied once
+into its rows Y^*.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from .frames import (
     _pair_flags,
     _require_frame,
     _require_frame_flags,
+    _times_adjoint,
     _weighted_onb,
     frame_operator,
     verify,
@@ -106,19 +114,16 @@ def extend_tight_minimal(fp: FramePair) -> FramePair:
     within tolerance are skipped, so a tight input is returned unchanged.
     One eigh of S gives both the frame verdict and the eigenpairs.
     """
-    if not fp.tol.mat_close(fp.X, fp.T):
+    if not fp.tol.mat_close(fp.theta_A, fp.theta_Psi):
         raise NotSelfPair("minimal extension needs x_j = tau_j")
     w, V = _frame_eigh(fp, "minimal extension starts from a frame")
-    top = float(w[-1])
-    cols = []
-    for lam_j, v in zip(w, V.T):
-        gap = top - float(lam_j)
-        if gap > fp.tol.margin(top):
-            cols.append(np.sqrt(gap) * v)
-    if not cols:
+    gaps = float(w[-1]) - w
+    deficient = gaps > fp.tol.margin(float(w[-1]))
+    if not deficient.any():
         return fp
-    extra = np.column_stack(cols)
-    return FramePair(np.hstack([fp.X, extra]), np.hstack([fp.T, extra]), fp.field, fp.tol)
+    extra = (V[:, deficient] * np.sqrt(gaps[deficient])).conj().T  # rows (sqrt(gap_j) v_j)^*
+    return type(fp)._stacked(np.vstack([fp.theta_A, extra]), np.vstack([fp.theta_Psi, extra]),
+                             (), fp.field, fp.tol)
 
 
 @dataclass(frozen=True)
@@ -135,20 +140,21 @@ def _rank(M: np.ndarray, tol: Tolerance) -> int:
     return int(np.sum(s > cutoff))
 
 
-def _first_misaligned(T: np.ndarray, Y: np.ndarray, tol: Tolerance) -> Optional[int]:
+def _first_misaligned(theta_T: np.ndarray, theta_Y: np.ndarray, tol: Tolerance) -> Optional[int]:
     """First member j whose tau_j y_j^* is not Hermitian psd, or None.
 
-    The Hermitian and psd rules of numerics decide each outer product on
-    its own.  Members go in order, in numerics' blocks of m x m outer
-    products (one member at the least) with one batched eigvalsh each, so
-    the temporaries stay small however large m and n are, and the first
-    block that holds a misaligned member ends the search.
+    theta_T and theta_Y hold the rows tau_j^* and y_j^*.  The Hermitian and
+    psd rules of numerics decide each outer product on its own.  Members
+    go in order, in numerics' blocks of m x m outer products (one member
+    at the least) with one batched eigvalsh each, so the temporaries stay
+    small however large m and n are, and the first block that holds a
+    misaligned member ends the search.
     """
-    m, n = T.shape
+    n, m = theta_T.shape
     for block in _blocks(n, m * m):
-        Tb, Yb = T[:, block], Y[:, block]
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-            outer = Tb.T[:, :, None] * Yb.conj().T[:, None, :]  # [i] = tau_j y_j^*, j = block.start + i
+            # [i] = tau_j y_j^*, j = block.start + i: column theta_T[j]^* times row theta_Y[j]
+            outer = theta_T[block].conj()[:, :, None] * theta_Y[block][:, None, :]
             finite = np.isfinite(outer).all(axis=(1, 2))
             checked = finite & _hermitian(outer, tol)
         psd = np.zeros(len(outer), dtype=bool)
@@ -159,7 +165,7 @@ def _first_misaligned(T: np.ndarray, Y: np.ndarray, tol: Tolerance) -> Optional[
             continue
         j = block.start + int(bad[0])
         if not finite[bad[0]]:
-            largest = max(entry_max(T[:, j]), entry_max(Y[:, j]))
+            largest = max(entry_max(theta_T[j]), entry_max(theta_Y[j]))
             if np.isfinite(largest):
                 raise NumericalOverflow(
                     f"tau_j y_j^* of member {j} overflows: largest input magnitude {largest:.6g}")
@@ -181,20 +187,20 @@ def span_characterization(fp: FramePair) -> SpanCharacterization:
     tests: keep "x" at j when it still has a failing completion.
     """
     tol = fp.tol
-    j = _first_misaligned(fp.T, fp.X, tol)
+    j = _first_misaligned(fp.theta_Psi, fp.theta_A, tol)
     if j is not None:
         raise HypothesisFails(f"member {j} violates the alignment/positivity hypothesis")
-    tau_smaller = np.linalg.norm(fp.T, axis=0) < np.linalg.norm(fp.X, axis=0)
-    cols = np.where(tau_smaller, fp.T, fp.X)
-    if _rank(cols, tol) >= fp.m:
+    tau_smaller = np.linalg.norm(fp.theta_Psi, axis=1) < np.linalg.norm(fp.theta_A, axis=1)
+    rows = np.where(tau_smaller[:, None], fp.theta_Psi, fp.theta_A)  # the adjoints of a selection
+    if _rank(rows.T, tol) >= fp.m:
         return SpanCharacterization(True, None)
     choice = []
     for j in range(fp.n):  # invariant: the prefix chosen so far plus the worst completion fails
-        cols[:, j] = fp.X[:, j]
-        if _rank(cols, tol) < fp.m:
+        rows[j] = fp.theta_A[j]
+        if _rank(rows.T, tol) < fp.m:
             choice.append("x")
         else:
-            cols[:, j] = fp.T[:, j]
+            rows[j] = fp.theta_Psi[j]
             choice.append("tau")
     return SpanCharacterization(False, tuple(choice))
 
@@ -221,16 +227,13 @@ def formulas_report(fp: FramePair) -> FormulasReport:
     from the n x n Gram X^* T; no conjugate enters, so this holds over C.
     """
     S, report = _pair_flags(fp)
-    diag = np.einsum("ij,ij->j", fp.theta_Psi.T, fp.X)  # [j] = <x_j, tau_j>
+    diag = np.einsum("ji,ji->j", fp.theta_Psi, fp.theta_A.conj())  # [j] = <x_j, tau_j>
     sum_inner = complex(diag.sum())
     trace_S = complex(np.trace(S))
     trace_S2 = complex(np.einsum("ab,ba->", S, S))
     double_sum = complex(np.sum(S * S.T))
     tol = fp.tol
-    variation_ok = None
-    dim_ok = None
-    equal_b = None
-    equal_ok = None
+    variation_ok = dim_ok = equal_b = equal_ok = None
     if report.tight:
         target = sum_inner**2 / fp.m
         variation_ok = bool(abs(double_sum - target) <= tol.margin(abs(double_sum), abs(target)))
@@ -260,8 +263,8 @@ def trace_formula(fp: FramePair, M) -> TraceFormulaResult:
     if M.shape != (fp.m, fp.m):
         raise ShapeMismatch("M must be m x m")
     lhs = complex(np.trace(M))
-    rhs = complex(np.einsum("ij,ik,kj->", fp.theta_Psi.T, M, fp.X))
-    mirrored = complex(np.einsum("ij,ik,kj->", fp.theta_A.T, M, fp.T))
+    rhs = complex(np.einsum("ji,ik,jk->", fp.theta_Psi, M, fp.theta_A.conj()))
+    mirrored = complex(np.einsum("ji,ik,jk->", fp.theta_A, M, fp.theta_Psi.conj()))
     tol = fp.tol
     scale = max(1.0, entry_max(M) * fp.m)
     ok = bool(abs(lhs - rhs) <= tol.margin(scale) and abs(lhs - mirrored) <= tol.margin(scale))
@@ -294,50 +297,48 @@ class PerturbCertificate:
 _CERTIFICATES_NEED_A_FRAME = "perturbation certificates start from a frame"
 
 
-def _as_columns(fp: FramePair, Y) -> np.ndarray:
+def _perturbed_rows(fp: FramePair, Y) -> np.ndarray:
+    """The rows y_j^* of the m x n columns Y: a copy, which the caller's Y never shares."""
     Y = np.asarray(Y)
     if Y.shape != (fp.m, fp.n):
         raise ShapeMismatch("perturbed family must be m x n")
-    return Y
+    return np.conjugate(Y).T
 
 
-def _alignment_ok(fp: FramePair, Y) -> bool:
-    # per member: tau_j y_j^* = y_j tau_j^* and tau_j y_j^* Hermitian psd
-    return _first_misaligned(fp.T, Y, fp.tol) is None
-
-
-def _actual_bounds(fp: FramePair, Y):
-    field = COMPLEX if (fp.field == COMPLEX or np.iscomplexobj(Y)) else REAL
-    report = verify(FramePair(Y, fp.T, field, fp.tol))
+def _actual_bounds(fp: FramePair, theta_Y):
+    """The optimal bounds of the pair (Y, T); it adopts theta_Y, which no one writes after."""
+    field = COMPLEX if (fp.field == COMPLEX or np.iscomplexobj(theta_Y)) else REAL
+    report = verify(type(fp)._stacked(theta_Y, fp.theta_Psi, (), field, fp.tol))
     return report.lower_a, report.upper_b
 
 
 def perturb_quadratic(fp: FramePair, Y) -> PerturbCertificate:
     """Certificate from sum ||x_j - y_j|| ||S^-1 tau_j|| < 1."""
     S = _require_frame(fp, _CERTIFICATES_NEED_A_FRAME)
-    Y = _as_columns(fp, Y)
+    theta_Y = _perturbed_rows(fp, Y)
     Sinv = np.linalg.inv(S)
-    diffs = np.linalg.norm(fp.X - Y, axis=0)
-    weights = np.linalg.norm(Sinv @ fp.T, axis=0)
+    diffs = np.linalg.norm(fp.theta_A - theta_Y, axis=1)
+    weights = np.linalg.norm(_times_adjoint(fp.theta_Psi, Sinv), axis=1)  # ||S^-1 tau_j||
     total = float(diffs @ weights)
-    hypothesis = _alignment_ok(fp, Y) and total < 1.0
+    hypothesis = _first_misaligned(fp.theta_Psi, theta_Y, fp.tol) is None and total < 1.0
     lower = (1.0 - total) / opnorm2(Sinv)
-    upper = opnorm2(fp.T) * (np.sqrt(float(np.sum(diffs**2))) + opnorm2(fp.X))
-    actual_a, actual_b = _actual_bounds(fp, Y)
+    upper = opnorm2(fp.theta_Psi) * (np.sqrt(float(np.sum(diffs**2))) + opnorm2(fp.theta_A))
+    actual_a, actual_b = _actual_bounds(fp, theta_Y)
     return PerturbCertificate(QUADRATIC, bool(hypothesis), lower, upper, actual_a, actual_b)
 
 
 def perturb_normsum(fp: FramePair, Y) -> PerturbCertificate:
     """Certificate from r = sum ||x_j - y_j||^2 < 1 / ||theta_tau S^-1||^2."""
     S = _require_frame(fp, _CERTIFICATES_NEED_A_FRAME)
-    Y = _as_columns(fp, Y)
+    theta_Y = _perturbed_rows(fp, Y)
     Sinv = np.linalg.inv(S)
-    r = float(np.sum(np.linalg.norm(fp.X - Y, axis=0) ** 2))
+    r = float(np.sum(np.linalg.norm(fp.theta_A - theta_Y, axis=1) ** 2))
     theta_tau_Sinv = opnorm2(fp.theta_Psi @ Sinv)
-    hypothesis = _alignment_ok(fp, Y) and r < 1.0 / theta_tau_Sinv**2
+    aligned = _first_misaligned(fp.theta_Psi, theta_Y, fp.tol) is None
+    hypothesis = aligned and r < 1.0 / theta_tau_Sinv**2
     lower = (1.0 - np.sqrt(r) * theta_tau_Sinv) / opnorm2(Sinv)
-    upper = opnorm2(fp.T) * (opnorm2(fp.X) + np.sqrt(r))
-    actual_a, actual_b = _actual_bounds(fp, Y)
+    upper = opnorm2(fp.theta_Psi) * (opnorm2(fp.theta_A) + np.sqrt(r))
+    actual_a, actual_b = _actual_bounds(fp, theta_Y)
     return PerturbCertificate(NORMSUM, bool(hypothesis), lower, upper, actual_a, actual_b)
 
 
@@ -355,7 +356,7 @@ def perturb_sampled(fp: FramePair, Y, alpha: float, beta: float, gamma: float,
     falsified by any sample" - it is not a proof.
     """
     S, report = _require_frame_flags(fp, _CERTIFICATES_NEED_A_FRAME)
-    Y = _as_columns(fp, Y)
+    theta_Y = _perturbed_rows(fp, Y)
     if min(alpha, beta, gamma) < 0:
         raise BadParams("coefficients must be nonnegative")
     Sinv = np.linalg.inv(S)
@@ -366,7 +367,7 @@ def perturb_sampled(fp: FramePair, Y, alpha: float, beta: float, gamma: float,
         if max(gate, beta) >= 1.0:
             raise BadParams("need max(alpha + gamma ||theta_tau S^-1||, beta) < 1")
         lower = (1.0 - gate) / ((1.0 + beta) * opnorm2(Sinv))
-        upper = opnorm2(fp.T) * ((1.0 + alpha) * opnorm2(fp.X) + gamma) / (1.0 - beta)
+        upper = opnorm2(fp.theta_Psi) * ((1.0 + alpha) * opnorm2(fp.theta_A) + gamma) / (1.0 - beta)
     elif kind == SAMPLED_BESSEL:
         if max(alpha + gamma / np.sqrt(a), beta) >= 1.0:
             raise BadParams("need max(alpha + gamma / sqrt(a), beta) < 1")
@@ -378,26 +379,29 @@ def perturb_sampled(fp: FramePair, Y, alpha: float, beta: float, gamma: float,
     rng = np.random.default_rng(seed)
     blocks = _gaussian_blocks(rng, samples, fp.n if kind == SAMPLED_LINEAR else fp.m,
                               fp.field == COMPLEX, max(fp.m, fp.n))
-    falsified = any(_falsifying_samples(fp, Y, V, alpha, beta, gamma, kind).any() for V in blocks)
+    falsified = any(_falsifying_samples(fp, theta_Y, V, alpha, beta, gamma, kind).any()
+                    for V in blocks)
 
-    actual_a, actual_b = _actual_bounds(fp, Y)
+    actual_a, actual_b = _actual_bounds(fp, theta_Y)
     return PerturbCertificate(kind, not falsified, float(lower), float(upper),
                               actual_a, actual_b)
 
 
-def _falsifying_samples(fp: FramePair, Y, V, alpha, beta, gamma, kind) -> np.ndarray:
+def _falsifying_samples(fp: FramePair, theta_Y, V, alpha, beta, gamma, kind) -> np.ndarray:
     """Mask of the rows v of V that break perturb_sampled's inequality."""
     tol = fp.tol
     vnorm = np.linalg.norm(V, axis=1)
     slack = tol.margin(1.0) * np.maximum(1.0, vnorm)
     if kind == SAMPLED_LINEAR:
-        lhs = np.linalg.norm(V @ (fp.X - Y).T, axis=1)
-        rhs = (alpha * np.linalg.norm(V @ fp.X.T, axis=1) + gamma * vnorm
-               + beta * np.linalg.norm(V @ Y.T, axis=1))
+        # ||sum_j v_j x_j|| is the norm of the row conj(v) theta_x: no conjugate of theta_x is made
+        Vbar = V.conj()
+        lhs = np.linalg.norm(Vbar @ (fp.theta_A - theta_Y), axis=1)
+        rhs = (alpha * np.linalg.norm(Vbar @ fp.theta_A, axis=1) + gamma * vnorm
+               + beta * np.linalg.norm(Vbar @ theta_Y, axis=1))
         return lhs > rhs + slack
     coeff_t = (V @ fp.theta_Psi.T).conj()  # row k = conj(T^* v_k), ready for <., .>
     s_x = (coeff_t * (V @ fp.theta_A.T)).sum(axis=1)
-    s_y = (coeff_t * (V @ Y.conj())).sum(axis=1)
+    s_y = (coeff_t * (V @ theta_Y.T)).sum(axis=1)
     negative = (s_y.real < -slack) | (np.abs(s_y.imag) > slack)
     lhs = np.sqrt(np.abs(s_x - s_y))  # principal modulus
     rhs = (alpha * np.sqrt(np.maximum(s_x.real, 0.0))
@@ -413,16 +417,19 @@ def real_to_complex(fp: FramePair) -> FramePair:
     S = frame_operator(fp)
     if not fp.tol.mat_close(S, S.T):
         raise HypothesisFails("sum tau_j x_j^T must be symmetric")
-    return FramePair(fp.X.astype(complex), fp.T.astype(complex), COMPLEX, fp.tol)
+    # over C the rows are conj(x_j + 0i), imaginary parts -0.0, as a complex FramePair stores them
+    return type(fp)._stacked(np.conjugate(fp.theta_A, dtype=complex),
+                             np.conjugate(fp.theta_Psi, dtype=complex), (), COMPLEX, fp.tol)
 
 
 def complex_to_real(fp: FramePair) -> FramePair:
     """Split into real and imaginary parts: 2n real members, same bounds.
 
-    Needs sum Im(tau_j) Re(x_j)^T = sum Re(tau_j) Im(x_j)^T.
+    Needs sum Im(tau_j) Re(x_j)^T = sum Re(tau_j) Im(x_j)^T.  The members
+    are Re(x_j) for every j, then Im(x_j).
     """
-    Xr, Xi = fp.X.real, fp.X.imag
-    Tr, Ti = fp.T.real, fp.T.imag
-    if not fp.tol.mat_close(Ti @ Xr.T, Tr @ Xi.T):
+    Ar, Ai = fp.theta_A.real, fp.theta_A.conj().imag  # rows Re(x_j)^T and Im(x_j)^T
+    Pr, Pi = fp.theta_Psi.real, fp.theta_Psi.conj().imag
+    if not fp.tol.mat_close(Pi.T @ Ar, Pr.T @ Ai):
         raise HypothesisFails("mixed real/imaginary part sums must agree")
-    return FramePair(np.hstack([Xr, Xi]), np.hstack([Tr, Ti]), REAL, fp.tol)
+    return type(fp)._stacked(np.vstack([Ar, Ai]), np.vstack([Pr, Pi]), (), REAL, fp.tol)

@@ -2,7 +2,11 @@
 
 Group elements are indexed 0..order-1 with the identity at its declared
 index; the left regular representation acts by lambda_g chi_q = chi_{gq},
-i.e. permutation matrices built from the multiplication table.
+i.e. permutation matrices built from the multiplication table.  Every
+body reads a pair's stacked operators theta_A = X^* and theta_Psi = T^*
+and builds its pair through FramePair._stacked, adopting the arrays it
+has just computed; X and T are caller-side adjoints, a fresh conjugate
+copy on each read of a complex pair.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .errors import (
     NotParseval,
 )
 from .frames import FramePair, FrameReport, REAL, infer_field, verify
-from .numerics import Tolerance, _blocks, _identities, _members_close, entry_max
+from .numerics import Tolerance, _blocks, _finite_product, _identities, _members_close, entry_max
 
 
 def _element_indices(a: np.ndarray, n: int) -> bool:
@@ -261,17 +265,14 @@ def circular_general(a, theta, b, phi, tol: Tolerance = Tolerance()) -> Circular
     (1/2) sum a_j b_j cos(t_j - p_j); a vanishing constant means S = 0 and
     is reported as not tight.
     """
-    a = np.asarray(a, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    b = np.asarray(b, dtype=float)
-    phi = np.asarray(phi, dtype=float)
+    a, theta, b, phi = (np.asarray(v, dtype=float) for v in (a, theta, b, phi))
     if not (a.shape == theta.shape == b.shape == phi.shape) or a.ndim != 1 or a.size < 1:
         raise ValueError("a, theta, b, phi must be equal-length nonempty vectors")
     if np.any(a < 0) or np.any(b < 0):
         raise NegativeRadius("radii must be nonnegative")
-    X = np.vstack([a * np.cos(theta), a * np.sin(theta)])
-    T = np.vstack([b * np.cos(phi), b * np.sin(phi)])
-    fp = FramePair(X, T, REAL, tol)
+    theta_x = np.column_stack([a * np.cos(theta), a * np.sin(theta)])  # rows x_j^T
+    theta_tau = np.column_stack([b * np.cos(phi), b * np.sin(phi)])
+    fp = FramePair._stacked(theta_x, theta_tau, (), REAL, tol)
     w = a * b
     residual = np.array([
         float(np.sum(w * np.cos(theta + phi))),
@@ -279,7 +280,7 @@ def circular_general(a, theta, b, phi, tol: Tolerance = Tolerance()) -> Circular
         float(np.sum(w * np.sin(theta - phi))),
     ])
     constant = 0.5 * float(np.sum(w * np.cos(theta - phi)))
-    scale = float(np.sum(w)) if a.size else 0.0
+    scale = float(np.sum(w))
     tight = bool(np.linalg.norm(residual) <= tol.margin(scale) and constant > tol.margin(scale))
     return CircularResult(fp, tight, constant, residual)
 
@@ -310,9 +311,8 @@ def group_frame(rep: Representation, x, tau, tol: Tolerance = Tolerance()) -> Gr
     tau = np.asarray(tau).ravel()
     if x.shape != (rep.dim,) or tau.shape != (rep.dim,):
         raise DimMismatch("generator vectors must match the representation dimension")
-    X = _orbit(rep, x)
-    T = _orbit(rep, tau)
-    fp = FramePair(X, T, infer_field(X, T), tol)
+    theta_x, theta_tau = _orbit(rep, x), _orbit(rep, tau)
+    fp = FramePair._stacked(theta_x, theta_tau, (), infer_field(theta_x, theta_tau), tol)
     report = verify(fp)
     if not report.is_frame:
         return GroupFrameResult(fp, report, True)
@@ -326,25 +326,29 @@ def group_frame(rep: Representation, x, tau, tol: Tolerance = Tolerance()) -> Gr
 
 
 def _orbit(rep: Representation, v: np.ndarray) -> np.ndarray:
-    """The dim x order matrix whose column g is pi_g v."""
+    """The order x dim stacked operator whose row g is (pi_g v)^*, a fresh array."""
     if rep._indices is not None:
         images = v[rep._indices].astype(np.result_type(v, *rep.mats), copy=False)
     else:
         images = np.concatenate([np.stack(rep.mats[block]) @ v
                                  for block in _blocks(rep.group.order, rep.dim ** 2)])
-    return np.ascontiguousarray(images.T)
+    return images.conj()  # row g is pi_g v: the array itself when real
 
 
 def check_group_invariance(fp: FramePair, g: GroupTable) -> bool:
-    """All three Gram invariances <v_{gp}, w_{gq}> = <v_p, w_q>."""
+    """All three Gram invariances <v_{gp}, w_{gq}> = <v_p, w_q>.
+
+    A Gram matrix that overflows raises NumericalOverflow, as the frame
+    operator does.
+    """
     if fp.n != g.order:
         raise CountMismatch("pair count must equal the group order")
     tol = fp.tol
-    grams = (
-        fp.theta_A @ fp.X,  # [p, q] = <x_q, x_p>
-        fp.theta_Psi @ fp.X,  # [p, q] = <x_q, tau_p>
-        fp.theta_Psi @ fp.T,
-    )
+    x_cols = fp.theta_A.conj().T
+    # [p, q] = <x_q, x_p>, <x_q, tau_p> and <tau_q, tau_p>
+    grams = [_finite_product(rows, cols, "Gram matrix")
+             for rows, cols in ((fp.theta_A, x_cols), (fp.theta_Psi, x_cols),
+                                (fp.theta_Psi, fp.theta_Psi.conj().T))]
     margins = [tol.margin(entry_max(G)) for G in grams]
     n = g.order
     for block in _blocks(n, n * n):
@@ -365,7 +369,7 @@ class RepresentationSynthesis:
 def synthesize_representation(fp: FramePair, g: GroupTable) -> RepresentationSynthesis:
     """Recover pi_g = T lambda_g X^* from a Parseval group-invariant pair.
 
-    lambda_g e_q = e_{gq}, so T lambda_g is T[:, mul[g]]; pi_reproduces
+    lambda_g e_q = e_{gq}, so T lambda_g = theta_Psi[mul[g]]^*; pi_reproduces
     records whether x_g = pi_g x_e and tau_g = pi_g tau_e hold for every
     element.
     """
@@ -374,13 +378,14 @@ def synthesize_representation(fp: FramePair, g: GroupTable) -> RepresentationSyn
     if not check_group_invariance(fp, g):
         raise NotInvariant("pair is not group invariant")
     n, m = g.order, fp.m
-    Xh = fp.theta_A
-    pis = np.empty((n, m, m), dtype=np.result_type(fp.T, Xh))
+    tau_rows = fp.theta_Psi.conj()  # row q is tau_q
+    pis = np.empty((n, m, m), dtype=np.result_type(tau_rows, fp.theta_A))
     for block in _blocks(n, m * n):
-        np.matmul(fp.T[:, g.mul[block]].swapaxes(0, 1), Xh, out=pis[block])
+        np.matmul(tau_rows[g.mul[block]].swapaxes(1, 2), fp.theta_A, out=pis[block])
     rep = Representation(g, tuple(pis), fp.tol)
     e = g.identity
-    images = (pis @ np.stack([fp.X[:, e], fp.T[:, e]], axis=1)).swapaxes(1, 2)  # [g, 0] = pi_g x_e
-    targets = np.stack([fp.X.T, fp.T.T], axis=1)  # [g, 0] = x_g, [g, 1] = tau_g
+    generators = np.stack([fp.theta_A[e], fp.theta_Psi[e]], axis=1).conj()  # columns x_e, tau_e
+    images = (pis @ generators).swapaxes(1, 2)  # [g, 0] = pi_g x_e
+    targets = np.stack([fp.theta_A, fp.theta_Psi], axis=1).conj()  # [g, 0] = x_g, [g, 1] = tau_g
     ok = _members_close(images.reshape(2 * n, m), targets.reshape(2 * n, m), (1,) * (2 * n), fp.tol)
     return RepresentationSynthesis(rep, ok)

@@ -9,10 +9,12 @@ idempotent P = X^* S^-1 T acts on coefficient space.
 A vector pair is the rank-one operator-valued pair (Kaftal-Larson-Zhang),
 and both pair classes share one storage (_StackedPair): the read-only
 analysis operators theta_A and theta_Psi, here theta_x = X^* and
-theta_tau = T^* with codims = (1,) * n; X and T are their adjoints.  Each
-operation both layers share has one body below, which takes a pair of
-either class and returns the caller's class through type(pair)._stacked,
-adopting the arrays the body has just built.
+theta_tau = T^* with codims = (1,) * n.  Every body reads those stacked
+operators and builds its pair through type(pair)._stacked, adopting the
+arrays it has just computed.  X and T are caller-side adjoints, a fresh
+conjugate copy on each read of a complex pair, and only FramePair and io
+know that layout.  Each operation both layers share has one body below,
+which takes a pair of either class and returns the caller's class.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ class _StackedPair:
     field: str
     tol: Tolerance
 
-    _rank_one = False  # True: every row is a member, and _store sets codims = (1,) * N
+    _rank_one = False  # True: every row is a member; _store sets codims = (1,) * N, N and m >= 1
 
     @classmethod
     def _stacked(cls, theta_A, theta_Psi, codims: tuple, field: str, tol: Tolerance):
@@ -116,10 +118,12 @@ class _StackedPair:
         return pair
 
     def _store(self, theta_A, theta_Psi, codims, field, tol):
+        if self._rank_one:
+            if 0 in theta_A.shape:
+                raise ValueError("dimension and count must be positive")
+            codims = (1,) * theta_A.shape[0]
         theta_A.setflags(write=False)
         theta_Psi.setflags(write=False)
-        if self._rank_one:
-            codims = (1,) * theta_A.shape[0]
         vars(self).update(theta_A=theta_A, theta_Psi=theta_Psi, codims=codims, field=field, tol=tol)
 
     @property
@@ -154,8 +158,6 @@ class FramePair(_StackedPair):
         T = _as_matrix(T, field, copy=False)
         if X.shape != T.shape:
             raise ShapeMismatch(f"X {X.shape} and T {T.shape} must share shape")
-        if X.shape[0] < 1 or X.shape[1] < 1:
-            raise ValueError("dimension and count must be positive")
         self._store(np.conjugate(X).T, np.conjugate(T).T, (), field, tol)
 
     @classmethod
@@ -330,7 +332,7 @@ def make_dual_from_params(fp: FramePair, U, V) -> FramePair:
     admissible exactly when S^-1 + U V^* - U theta_x S^-1 theta_tau^* V^*
     is Hermitian positive definite (this matrix is the frame operator of
     the produced pair).  Products are grouped through m x m factors
-    (V T^*, U X^*), so the cost is O(m^2 n), never O(m n^2).
+    (V theta_tau, U theta_x), so the cost is O(m^2 n), never O(m n^2).
     """
     S = _require_frame(fp)
     U = np.asarray(U)
@@ -338,16 +340,16 @@ def make_dual_from_params(fp: FramePair, U, V) -> FramePair:
     if U.shape != (fp.m, fp.n) or V.shape != (fp.m, fp.n):
         raise ShapeMismatch("U and V must be m x n")
     Sinv = np.linalg.inv(S)
-    SiX = Sinv @ fp.X
-    SiT = Sinv @ fp.T
-    UXSiT = (U @ fp.theta_A) @ SiT
-    Y = SiX + V - (V @ fp.theta_Psi) @ SiX
-    Om = SiT + U - UXSiT
-    W = _require_square(Sinv + U @ V.conj().T - UXSiT @ V.conj().T)
+    XSi = _times_adjoint(fp.theta_A, Sinv)  # rows (S^-1 x_j)^*
+    TSi = _times_adjoint(fp.theta_Psi, Sinv)
+    TSiXU = _times_adjoint(TSi, U @ fp.theta_A)  # the adjoint of U theta_x S^-1 T
+    theta_Y = XSi + V.conj().T - _times_adjoint(XSi, V @ fp.theta_Psi)
+    theta_Om = TSi + U.conj().T - TSiXU
+    W = _require_square(Sinv + U @ V.conj().T - (V @ TSiXU).conj().T)
     if not _pd(_hermitian_eig(W, fp.tol), fp.tol):
         raise ParamNotAdmissible("parameters fail the positivity/invertibility condition")
-    field = infer_field(Y, Om) if fp.field == REAL else fp.field
-    return FramePair(Y, Om, field, fp.tol)
+    field = infer_field(theta_Y, theta_Om) if fp.field == REAL else fp.field
+    return type(fp)._stacked(theta_Y, theta_Om, (), field, fp.tol)
 
 
 def common_dual(fp: FramePair, gq: FramePair) -> FramePair:
@@ -356,9 +358,10 @@ def common_dual(fp: FramePair, gq: FramePair) -> FramePair:
     S2 = _require_frame(gq)
     if not is_orthogonal(fp, gq):
         raise NotOrthogonal("common dual needs orthogonal frames")
-    Z = np.linalg.solve(S1, fp.X) + np.linalg.solve(S2, gq.X)
-    R = np.linalg.solve(S1, fp.T) + np.linalg.solve(S2, gq.T)
-    return FramePair(Z, R, fp.field if fp.field == gq.field else COMPLEX, fp.tol)
+    theta_Z = _solve_adjoint(fp.theta_A, S1) + _solve_adjoint(gq.theta_A, S2)
+    theta_R = _solve_adjoint(fp.theta_Psi, S1) + _solve_adjoint(gq.theta_Psi, S2)
+    return type(fp)._stacked(theta_Z, theta_R, (), fp.field if fp.field == gq.field else COMPLEX,
+                             fp.tol)
 
 
 def frame_idempotent(fp: FramePair) -> np.ndarray:
@@ -376,7 +379,7 @@ class ClassifyResult:
     @cached_property
     def cross_gram(self) -> np.ndarray:
         """Entry [k, j] = <x_j, tau_k>; computed on first access, since no verdict reads it."""
-        return self._pair.theta_Psi @ self._pair.X
+        return self._pair.theta_Psi @ self._pair.theta_A.conj().T
 
 
 def classify(fp: FramePair) -> ClassifyResult:
@@ -400,7 +403,8 @@ def direct_sum(fp: FramePair, gq: FramePair) -> FramePair:
     if fp.n != gq.n:
         raise CountMismatch(f"counts differ: {fp.n} vs {gq.n}")
     field = fp.field if fp.field == gq.field else COMPLEX
-    return FramePair(np.vstack([fp.X, gq.X]), np.vstack([fp.T, gq.T]), field, fp.tol)
+    return type(fp)._stacked(np.hstack([fp.theta_A, gq.theta_A]),
+                             np.hstack([fp.theta_Psi, gq.theta_Psi]), (), field, fp.tol)
 
 
 def tensor_product(fp: FramePair, gq: FramePair) -> FramePair:
@@ -422,9 +426,12 @@ def interpolate_parseval(fp: FramePair, gq: FramePair, A, B, C, D) -> FramePair:
     A, B, C, D = (np.asarray(M) for M in (A, B, C, D))
     if not fp.tol.is_identity(A @ C.conj().T + B @ D.conj().T):
         raise BadCoefficients("A C^* + B D^* must be the identity")
-    X = A @ fp.X + B @ gq.X
-    T = C @ fp.T + D @ gq.T
-    return FramePair(X, T, infer_field(X, T) if fp.field == REAL == gq.field else COMPLEX, fp.tol)
+    # (A X_fp + B X_gq)^*, formed conjugated as in _times_adjoint and summed before the
+    # transpose, so that it broadcasts as A X_fp + B X_gq does
+    theta_X = (A.conj() @ fp.theta_A.T + B.conj() @ gq.theta_A.T).T
+    theta_T = (C.conj() @ fp.theta_Psi.T + D.conj() @ gq.theta_Psi.T).T
+    field = infer_field(theta_X, theta_T) if fp.field == REAL == gq.field else COMPLEX
+    return type(fp)._stacked(theta_X, theta_T, (), field, fp.tol)
 
 
 @dataclass(frozen=True)
@@ -461,13 +468,14 @@ def parsevalize(fp: FramePair, mode: str = SPLIT) -> FramePair:
     if mode == SPLIT:
         w, V = _frame_eigh(fp)
         Rinv = (V / np.sqrt(w)) @ V.conj().T
-        return FramePair(Rinv @ fp.X, Rinv @ fp.T, fp.field, fp.tol)
-    S = _require_frame(fp)
-    if mode == LEFT_ON_X:
-        return FramePair(np.linalg.solve(S, fp.X), fp.T, fp.field, fp.tol)
-    if mode == LEFT_ON_T:
-        return FramePair(fp.X, np.linalg.solve(S, fp.T), fp.field, fp.tol)
-    raise ValueError(f"unknown mode {mode!r}")
+        theta_A, theta_Psi = _times_adjoint(fp.theta_A, Rinv), _times_adjoint(fp.theta_Psi, Rinv)
+    else:
+        S = _require_frame(fp)
+        if mode not in (LEFT_ON_X, LEFT_ON_T):
+            raise ValueError(f"unknown mode {mode!r}")
+        theta_A = _solve_adjoint(fp.theta_A, S) if mode == LEFT_ON_X else fp.theta_A
+        theta_Psi = _solve_adjoint(fp.theta_Psi, S) if mode == LEFT_ON_T else fp.theta_Psi
+    return type(fp)._stacked(theta_A, theta_Psi, fp.codims, fp.field, fp.tol)
 
 
 @dataclass(frozen=True)
@@ -522,6 +530,22 @@ def dilate(fp: FramePair) -> DilationResult:
 # caller's class through type(pair)._stacked.  The array kernels among them
 # (_idempotent, _dilation_rows, ..., and numerics' _block_identities_ok and
 # _members_close) take the stacked operators themselves.
+
+
+def _times_adjoint(theta: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """theta M^*: each stacked row times M^*, so a vector pair's x_j becomes M x_j.
+
+    It is formed as (conj(M) theta^T)^T, which holds each entry of M X
+    conjugated, bit for bit, without conjugating theta: the same product
+    in the same order, and a misshapen M fails in the same matmul.
+    """
+    return (M.conj() @ theta.T).T
+
+
+def _solve_adjoint(theta: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """theta S^-*, so a vector pair's x_j becomes S^-1 x_j: one solve against
+    conj(S) on theta^T, the conjugate of solve(S, X), as _times_adjoint."""
+    return np.linalg.solve(S.conj(), theta.T).T
 
 
 def _idempotent(theta_A: np.ndarray, theta_Psi: np.ndarray, S: np.ndarray) -> np.ndarray:

@@ -147,14 +147,6 @@ def pframe_pair_from_dict(doc: dict, tol: Tolerance = Tolerance()) -> PFramePair
     return pf
 
 
-def group_table_to_dict(g: GroupTable) -> dict:
-    return {
-        "order": g.order,
-        "identity": g.identity,
-        "mul": [[int(v) for v in row] for row in g.mul],
-    }
-
-
 def group_table_from_dict(doc: dict) -> GroupTable:
     from .constructors import GroupTable
 

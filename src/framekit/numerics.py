@@ -93,13 +93,19 @@ def hermitian_part(M) -> np.ndarray:
     return 0.5 * (M + M.swapaxes(-1, -2).conj())
 
 
+def _require_finite(M) -> np.ndarray:
+    """M as an array, or ValueError when an entry is NaN or infinite."""
+    M = np.asarray(M)
+    if not np.all(np.isfinite(M)):
+        raise ValueError("matrix entries must be finite")
+    return M
+
+
 def _require_square(M) -> np.ndarray:
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NonSquare(f"expected a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix entries must be finite")
-    return M
+    return _require_finite(M)
 
 
 # --- the comparison rules ------------------------------------------------------
@@ -477,14 +483,15 @@ def pnorm_estimate(
     A witness above the upper end by more than round-off
     (8 cols eps relative) means the upper bound is wrong and raises
     InconsistentInterval; smaller overshoot is clamped.  p = inf is the
-    max-norm; a p below 1 or NaN raises BadExponent.
+    max-norm; a p below 1 or NaN raises BadExponent, and a non-finite
+    entry ValueError.
     """
     if not p >= 1:
         raise BadExponent(f"p must be >= 1, got {p}")
     M = np.asarray(M)
     if M.ndim != 2:
         raise ValueError("pnorm_estimate expects a matrix")
-    rows, cols = M.shape
+    rows, cols = _require_finite(M).shape
 
     try:
         _, sigma, Vh = np.linalg.svd(M)

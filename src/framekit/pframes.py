@@ -5,7 +5,11 @@ A PFramePair couples n functionals f_j (rows of F) with n vectors tau_j
 spectrum near the closed negative real axis.  Bounds are measured through
 the principal power S_hat^(1/p) and reported as certified intervals: the
 lp operator norm is only computed exactly at p = 2 (and 1), everywhere
-else a witness/interpolation interval is produced.
+else a witness/interpolation interval is produced.  A raw array with a
+NaN or infinite entry (the vectors of p_orthonormal_check and
+riesz_p_bounds, both families of paley_wiener_check, the x and y of
+four_laws_check and project_line_l4, banach_formulas' M) raises
+ValueError("matrix entries must be finite"), as pnorm_estimate does.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .numerics import (
     _lp_norms,
     _margins,
     _normalized_image_lp_norms,
+    _require_finite,
     entry_max,
     pnorm_estimate,
     principal_power,
@@ -142,7 +147,7 @@ def p_orthonormal_check(vectors, p: float, trials: int = 200, seed: int = 0,
     M = np.asarray(vectors)
     if M.ndim != 2:
         raise ValueError("vectors must be the columns of a matrix")
-    n = M.shape[1]
+    n = _require_finite(M).shape[1]
     off = np.flatnonzero(np.abs(_lp_norms(M.T, p) - 1.0) > tol.margin(1.0))
     if off.size:
         return POrthonormalResult(False, np.eye(n)[:, off[0]])
@@ -173,7 +178,7 @@ def riesz_p_bounds(vectors, p: float, trials: int = 200, seed: int = 0,
     is certified through a left inverse (1 / ||L||^p) with a sampled
     minimum as its upper end.  Exact at p = 2 via singular values.
     """
-    M = np.asarray(vectors)
+    M = _require_finite(vectors)
     n = M.shape[1]
     if M.shape[1] > M.shape[0] or not _invertible(M, tol):
         raise RankDeficient("columns do not admit a left inverse (a = 0)")
@@ -211,8 +216,8 @@ def paley_wiener_check(base, Y, p: float, trials: int = 200, seed: int = 0,
     it stays below 1 the coefficient-space difference map has I - D
     invertible and {y_j} is a Riesz p-basis.
     """
-    B = np.asarray(base)
-    Y = np.asarray(Y)
+    B = _require_finite(base)
+    Y = _require_finite(Y)
     if B.shape != Y.shape:
         raise ShapeMismatch("base and perturbed families must share shape")
     if B.shape[0] != B.shape[1]:
@@ -262,8 +267,8 @@ def four_laws_check(x, y, tol: Tolerance = Tolerance()) -> FourLawsResult:
 
     NumericalOverflow when a fourth power of a norm leaves the float range.
     """
-    x = np.asarray(x).ravel()
-    y = np.asarray(y).ravel()
+    x = _require_finite(x).ravel()
+    y = _require_finite(y).ravel()
     if x.shape != y.shape:
         raise ShapeMismatch("vectors must share length")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -300,8 +305,8 @@ def project_line_l4(x, y, tol: Tolerance = Tolerance()) -> LineProjection:
     is quartically flat the returned argmin is only meaningful to about
     eps^(1/4).
     """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
+    x = _require_finite(np.asarray(x, dtype=float)).ravel()
+    y = _require_finite(np.asarray(y, dtype=float)).ravel()
     if x.shape != y.shape:
         raise ShapeMismatch("vectors must share length")
     ny = _lp_norm(y, 4.0)
@@ -344,7 +349,7 @@ def banach_formulas(pf: PFramePair, M=None) -> BanachFormulasResult:
     dim_sum = complex(np.trace(pf.F @ pf.T))
     lhs = rhs = None
     if M is not None:
-        M = np.asarray(M)
+        M = _require_finite(M)
         if M.shape != (pf.m, pf.m):
             raise ShapeMismatch("M must be m x m")
         lhs = complex(np.trace(M))

@@ -10,10 +10,12 @@ import itertools
 
 import numpy as np
 
-from framekit.analysis import SpanCharacterization, _rank
+from framekit.analysis import PerturbCertificate, SpanCharacterization, _rank
 from framekit.constructors import Representation, RepresentationSynthesis
 from framekit.errors import (
+    BadCoefficients,
     BadGroupTable,
+    BadParams,
     CountMismatch,
     HypothesisFails,
     IdempotentNotProjection,
@@ -22,6 +24,7 @@ from framekit.errors import (
     NotARepresentation,
     NotBessel,
     NotInvariant,
+    NotOrthogonal,
     NotParseval,
     NotPsd,
     NotSelfPair,
@@ -46,6 +49,7 @@ from framekit.frames import (
     frame_flags,
     frame_operator,
     infer_field,
+    is_orthogonal,
     range_basis,
     verify,
 )
@@ -53,8 +57,10 @@ from framekit.numerics import (
     Tolerance,
     _gaussian_rows,
     _hermitian,
+    _hermitian_eig,
     _lp_norm,
     _lp_norms,
+    _pd,
     entry_max,
     herm_sqrt,
     hermitian_part,
@@ -784,6 +790,122 @@ def make_dual_from_params_by_cross(fp, U, V):
     W = Sinv + U @ V.conj().T - U @ cross @ V.conj().T
     rep = spectral(W, fp.tol)
     if not (rep.is_hermitian and rep.is_pd):
+        raise ParamNotAdmissible("parameters fail the positivity/invertibility condition")
+    field = infer_field(Y, Om) if fp.field == REAL else fp.field
+    return FramePair(Y, Om, field, fp.tol)
+
+
+# --- the column forms of bodies that now read the stacked operators ------------------
+#
+# Each is the library's body as it read X, T and the columns Y before it
+# read theta_A = X^* and theta_Psi = T^*.  Where the stacked form takes a
+# norm or an SVD in the other orientation, or promotes a real part to
+# complex before the conjugate instead of after, these keep the former bits.
+
+
+def perturbation_certificate_by_columns(fp, Y, kind, alpha=0.0, beta=0.0, gamma=0.0,
+                                        samples=1000, seed=0):
+    """The four perturbation certificates on X, T and Y as m x n columns.
+
+    ||X|| and ||T|| come from the SVDs of the m x n columns, the alignment
+    from first_misaligned_by_spectral and the sampled verdicts from
+    first_falsifying_sample.
+    """
+    S = _require_frame(fp, "perturbation certificates start from a frame")
+    X, T, tol = fp.X, fp.T, fp.tol
+    Y = np.asarray(Y)
+    if Y.shape != (fp.m, fp.n):
+        raise ShapeMismatch("perturbed family must be m x n")
+    Sinv = np.linalg.inv(S)
+    if kind in ("quadratic", "normsum"):
+        aligned = first_misaligned_by_spectral(T, Y, tol) is None
+        diffs = np.linalg.norm(X - Y, axis=0)
+        if kind == "quadratic":
+            total = float(diffs @ np.linalg.norm(Sinv @ T, axis=0))
+            hypothesis = aligned and total < 1.0
+            lower = (1.0 - total) / opnorm2(Sinv)
+            upper = opnorm2(T) * (np.sqrt(float(np.sum(diffs**2))) + opnorm2(X))
+        else:
+            r = float(np.sum(diffs**2))
+            theta_tau_Sinv = opnorm2(T.conj().T @ Sinv)
+            hypothesis = aligned and r < 1.0 / theta_tau_Sinv**2
+            lower = (1.0 - np.sqrt(r) * theta_tau_Sinv) / opnorm2(Sinv)
+            upper = opnorm2(T) * (opnorm2(X) + np.sqrt(r))
+    else:
+        if min(alpha, beta, gamma) < 0:
+            raise BadParams("coefficients must be nonnegative")
+        report = verify(fp)
+        a, b = report.lower_a, report.upper_b
+        if kind == "sampled_linear":
+            gate = alpha + gamma * opnorm2(T.conj().T @ Sinv)
+            if max(gate, beta) >= 1.0:
+                raise BadParams("need max(alpha + gamma ||theta_tau S^-1||, beta) < 1")
+            lower = (1.0 - gate) / ((1.0 + beta) * opnorm2(Sinv))
+            upper = opnorm2(T) * ((1.0 + alpha) * opnorm2(X) + gamma) / (1.0 - beta)
+        elif kind == "sampled_bessel":
+            if max(alpha + gamma / np.sqrt(a), beta) >= 1.0:
+                raise BadParams("need max(alpha + gamma / sqrt(a), beta) < 1")
+            lower = a * (1.0 - (alpha + beta + gamma / np.sqrt(a)) / (1.0 + beta)) ** 2
+            upper = b * (1.0 + (alpha + beta + gamma / np.sqrt(b)) / (1.0 - beta)) ** 2
+        else:
+            raise ValueError(f"unknown sampling kind {kind!r}")
+        hypothesis = first_falsifying_sample(X, T, Y, alpha, beta, gamma, samples, seed,
+                                             kind == "sampled_linear", fp.field == COMPLEX,
+                                             tol) is None
+    field = COMPLEX if (fp.field == COMPLEX or np.iscomplexobj(Y)) else REAL
+    actual = verify(FramePair(Y, T, field, tol))
+    return PerturbCertificate(kind, bool(hypothesis), float(lower), float(upper),
+                              actual.lower_a, actual.upper_b)
+
+
+def direct_sum_by_columns(fp, gq):
+    """(x_j + y_j, tau_j + omega_j): the columns stacked, then conjugated into a new pair."""
+    if fp.n != gq.n:
+        raise CountMismatch(f"counts differ: {fp.n} vs {gq.n}")
+    field = fp.field if fp.field == gq.field else COMPLEX
+    return FramePair(np.vstack([fp.X, gq.X]), np.vstack([fp.T, gq.T]), field, fp.tol)
+
+
+def common_dual_by_columns(fp, gq):
+    """(S_fp^-1 x_j + S_gq^-1 y_j), by solves against the columns."""
+    S1, S2 = _require_frame(fp), _require_frame(gq)
+    if not is_orthogonal(fp, gq):
+        raise NotOrthogonal("common dual needs orthogonal frames")
+    Z = np.linalg.solve(S1, fp.X) + np.linalg.solve(S2, gq.X)
+    R = np.linalg.solve(S1, fp.T) + np.linalg.solve(S2, gq.T)
+    return FramePair(Z, R, fp.field if fp.field == gq.field else COMPLEX, fp.tol)
+
+
+def interpolate_parseval_by_columns(fp, gq, A, B, C, D):
+    """({A x_j + B y_j}, {C tau_j + D omega_j}), the coefficients applied to the columns."""
+    _check_shapes(fp, gq)
+    if not (verify(fp).parseval and verify(gq).parseval):
+        raise NotParseval("both pairs must be Parseval")
+    if not is_orthogonal(fp, gq):
+        raise NotOrthogonal("pairs must be orthogonal")
+    A, B, C, D = (np.asarray(M) for M in (A, B, C, D))
+    if not fp.tol.is_identity(A @ C.conj().T + B @ D.conj().T):
+        raise BadCoefficients("A C^* + B D^* must be the identity")
+    X = A @ fp.X + B @ gq.X
+    T = C @ fp.T + D @ gq.T
+    return FramePair(X, T, infer_field(X, T) if fp.field == REAL == gq.field else COMPLEX, fp.tol)
+
+
+def make_dual_from_params_by_columns(fp, U, V):
+    """make_dual_from_params on the columns X and T, with its m x m groupings."""
+    S = _require_frame(fp)
+    U = np.asarray(U)
+    V = np.asarray(V)
+    if U.shape != (fp.m, fp.n) or V.shape != (fp.m, fp.n):
+        raise ShapeMismatch("U and V must be m x n")
+    Sinv = np.linalg.inv(S)
+    SiX = Sinv @ fp.X
+    SiT = Sinv @ fp.T
+    UXSiT = (U @ fp.theta_A) @ SiT
+    Y = SiX + V - (V @ fp.theta_Psi) @ SiX
+    Om = SiT + U - UXSiT
+    W = Sinv + U @ V.conj().T - UXSiT @ V.conj().T
+    if not _pd(_hermitian_eig(W, fp.tol), fp.tol):
         raise ParamNotAdmissible("parameters fail the positivity/invertibility condition")
     field = infer_field(Y, Om) if fp.field == REAL else fp.field
     return FramePair(Y, Om, field, fp.tol)

@@ -1,7 +1,9 @@
 """Read and write one pair or group table per file, for tests.
 
 Each helper is framekit.io's dict form of the object, saved with io.save
-or read back with io.load; the CLI calls those two directly.
+or read back with io.load; the CLI calls those two directly.  The CLI
+reads group documents but never writes one, so the dict form of a group
+table lives here.
 """
 
 from framekit import io
@@ -32,8 +34,16 @@ def read_pframe_pair(path, tol=Tolerance()):
     return io.pframe_pair_from_dict(io.load(path), tol)
 
 
+def group_table_to_dict(g) -> dict:
+    return {
+        "order": g.order,
+        "identity": g.identity,
+        "mul": [[int(v) for v in row] for row in g.mul],
+    }
+
+
 def write_group_table(path, g):
-    io.save(path, io.group_table_to_dict(g))
+    io.save(path, group_table_to_dict(g))
 
 
 def read_group_table(path):

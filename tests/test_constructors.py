@@ -12,6 +12,7 @@ from framekit.errors import (
     NotARepresentation,
     NotInvariant,
     NotParseval,
+    NumericalOverflow,
 )
 
 from conftest import mercedes_benz
@@ -278,6 +279,17 @@ def test_invariance_trivial_group():
 def test_invariance_count_mismatch():
     with pytest.raises(CountMismatch):
         fk.check_group_invariance(mercedes_benz(), GroupTable.cyclic(2))
+
+
+def test_invariance_of_an_overflowing_gram_is_a_numerical_failure():
+    # swapping the two members moves <x_0, x_0> onto <x_1, x_1>, so neither pair is invariant
+    g = GroupTable.cyclic(2)
+    for field in ("real", "complex"):
+        huge = np.diag([1e200, 1e100])  # <x_0, x_0> = 1e400 overflows
+        with pytest.raises(NumericalOverflow, match="^Gram matrix overflows: largest input magnitude 1e\\+200$"):
+            fk.check_group_invariance(FramePair(huge, huge, field), g)
+        large = np.diag([1e100, 1e50])
+        assert fk.check_group_invariance(FramePair(large, large, field), g) is False
 
 
 # --- synthesis ------------------------------------------------------------------------

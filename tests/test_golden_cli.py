@@ -26,6 +26,8 @@ import framekit.io as fio
 from framekit import FramePair, GroupTable, OvfPair, PFramePair
 from framekit.cli import run
 
+import pairfiles
+
 GOLDEN = Path(__file__).parent / "golden" / "cli.txt"
 
 
@@ -94,7 +96,7 @@ def write_inputs(rng):
     save("pw_perturbed.json", fio.pframe_pair_to_dict(PFramePair(P.T, P - E, 3.0, "real")))
     save("pw_planted.json", fio.pframe_pair_to_dict(PFramePair(P.T, -0.2 * P, 3.0, "real")))
 
-    save("z6.json", fio.group_table_to_dict(GroupTable.cyclic(6)))
+    save("z6.json", pairfiles.group_table_to_dict(GroupTable.cyclic(6)))
 
     bad = fio.frame_pair_to_dict(FramePair(X, T, "real"))
     bad["count"] = 8

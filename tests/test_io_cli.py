@@ -76,7 +76,7 @@ def test_detect_kind():
     assert fio.detect_kind(fio.ovf_pair_to_dict(fk.ovf_bridge(fp))) == "ovf"
     pf = PFramePair(np.eye(2), np.eye(2), 2.0, "real")
     assert fio.detect_kind(fio.pframe_pair_to_dict(pf)) == "pframe"
-    assert fio.detect_kind(fio.group_table_to_dict(GroupTable.cyclic(2))) == "group"
+    assert fio.detect_kind(pairfiles.group_table_to_dict(GroupTable.cyclic(2))) == "group"
     with pytest.raises(ValueError):
         fio.detect_kind({"bogus": 1})
 
@@ -237,7 +237,7 @@ def test_cli_infinite_target_is_rejected_as_non_finite(tmp_path, capsys):
 
 
 def test_group_table_entries_must_be_integers_in_documents(tmp_path, capsys):
-    doc = fio.group_table_to_dict(GroupTable.cyclic(2))
+    doc = pairfiles.group_table_to_dict(GroupTable.cyclic(2))
     doc["mul"] = [[0.5, 1], [1, 0]]
     with pytest.raises(BadGroupTable, match="table entries must be element indices"):
         fio.group_table_from_dict(doc)
@@ -250,7 +250,7 @@ def test_group_table_entries_must_be_integers_in_documents(tmp_path, capsys):
 
 
 def test_group_identity_is_read_unconverted(tmp_path, capsys):
-    doc = fio.group_table_to_dict(GroupTable.cyclic(3))
+    doc = pairfiles.group_table_to_dict(GroupTable.cyclic(3))
     doc["identity"] = 0.7
     with pytest.raises(BadGroupTable, match="identity must be an element index below the order 3"):
         fio.group_table_from_dict(doc)
@@ -265,7 +265,7 @@ def test_group_identity_is_read_unconverted(tmp_path, capsys):
 
 
 def test_group_order_must_match_the_table(tmp_path, capsys):
-    doc = fio.group_table_to_dict(GroupTable.cyclic(3))
+    doc = pairfiles.group_table_to_dict(GroupTable.cyclic(3))
     doc["order"] = 5
     with pytest.raises(ValueError, match="^mul does not match the declared order$"):
         fio.group_table_from_dict(doc)

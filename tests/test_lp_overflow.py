@@ -1,11 +1,13 @@
 """lp norms scaled by powers of two: finite norms of huge or tiny vectors,
-and a four-laws report whose fourth powers overflow is a numerical failure."""
+a four-laws report whose fourth powers overflow is a numerical failure,
+and a raw array with a NaN or infinite entry is a domain error."""
 
 import warnings
 
 import numpy as np
 import pytest
 
+import framekit as fk
 from framekit import PFramePair
 from framekit.cli import run
 from framekit.numerics import _lp_norm, _lp_norms
@@ -63,3 +65,33 @@ def test_paley_wiener_on_a_huge_base_is_not_orthonormal(tmp_path, capsys):
     assert code == 2
     assert "error = BaseNotOrthonormal\n" in out
     assert err == ""
+
+
+def non_finite_calls(bad):
+    """Each public lp entry point that takes a raw array, given one entry bad."""
+    M = np.array([[bad, 0.0], [0.0, 1.0]])
+    v = np.array([1.0, bad])
+    parseval = PFramePair(np.eye(2), np.eye(2), 3.0, "real")
+    return {
+        "pnorm_estimate": lambda: fk.pnorm_estimate(M, 3.0),
+        "p_orthonormal_check": lambda: fk.p_orthonormal_check(M, 3.0),
+        "riesz_p_bounds": lambda: fk.riesz_p_bounds(M, 3.0),
+        "paley_wiener_check base": lambda: fk.paley_wiener_check(M, np.eye(2), 3.0),
+        "paley_wiener_check Y": lambda: fk.paley_wiener_check(np.eye(2), M, 3.0),
+        "four_laws_check x": lambda: fk.four_laws_check(v, [0.0, 1.0]),
+        "four_laws_check y": lambda: fk.four_laws_check([0.0, 1.0], v),
+        "project_line_l4 x": lambda: fk.project_line_l4(v, [0.0, 1.0]),
+        "project_line_l4 y": lambda: fk.project_line_l4([0.0, 1.0], v),
+        "banach_formulas M": lambda: fk.banach_formulas(parseval, M),
+    }
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_raw_array_is_a_domain_error(bad):
+    for call in non_finite_calls(bad).values():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                call()
+    for call in non_finite_calls(1.0).values():  # the same calls on finite input return
+        call()

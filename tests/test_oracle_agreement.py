@@ -827,7 +827,7 @@ def test_group_frame_orbits_equal_the_per_element_products(rng, order):
         result = fk.group_frame(r, x, tau)
         X, T = oracles.orbit_by_products(r.mats, x), oracles.orbit_by_products(r.mats, tau)
         assert np.array_equal(result.fp.X, X) and np.array_equal(result.fp.T, T)
-        assert result.fp.X.flags.c_contiguous and result.fp.T.flags.c_contiguous
+        assert result.fp.theta_A.flags.c_contiguous and result.fp.theta_Psi.flags.c_contiguous
         assert result.fp.field == frames.infer_field(X, T)
         assert result.report == frames.verify(FramePair(X, T, result.fp.field))
 
@@ -943,7 +943,7 @@ def test_falsifier_reports_the_first_falsifying_sample(rng, monkeypatch, kind, b
         index = oracles.first_falsifying_sample(fp.X, fp.T, Y, alpha, beta, gamma, 300, k,
                                                 linear, field == "complex", fp.tol)
         V = _gaussian_rows(np.random.default_rng(k), 300, 5 if linear else 3, field == "complex")
-        mask = _falsifying_samples(fp, Y, V, alpha, beta, gamma, kind)
+        mask = _falsifying_samples(fp, Y.conj().T, V, alpha, beta, gamma, kind)  # the rows y_j^*
         assert (np.flatnonzero(mask)[0] if mask.any() else None) == index
         cert = fk.perturb_sampled(fp, Y, alpha, beta, gamma, 300, k, kind)
         assert cert.hypothesis_ok == (index is None)
@@ -962,7 +962,7 @@ def test_falsifier_negativity_of_s_y_matches_loop(rng):
         index = oracles.first_falsifying_sample(fp.X, fp.T, Y, 0.0, 0.0, 50.0, 200, k,
                                                 False, field == "complex", fp.tol)
         V = _gaussian_rows(np.random.default_rng(k), 200, 3, field == "complex")
-        mask = _falsifying_samples(fp, Y, V, 0.0, 0.0, 50.0, fk.analysis.SAMPLED_BESSEL)
+        mask = _falsifying_samples(fp, Y.conj().T, V, 0.0, 0.0, 50.0, fk.analysis.SAMPLED_BESSEL)
         assert (np.flatnonzero(mask)[0] if mask.any() else None) == index
         falsified += index is not None
     assert 0 < falsified < 12

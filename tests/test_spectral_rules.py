@@ -168,7 +168,7 @@ def test_first_misaligned_matches_the_per_member_spectral_loop(rng):
         field = "complex" if k % 2 else "real"
         m, n = int(rng.integers(1, 5)), int(rng.integers(1, 6))
         T, Y = straddling_members(rng, m, n, field, tol)
-        got = _first_misaligned(T, Y, tol)
+        got = _first_misaligned(T.conj().T, Y.conj().T, tol)  # the rows tau_j^*, y_j^*
         assert got == oracles.first_misaligned_by_spectral(T, Y, tol)
         for j in range(n):
             rep = fk.spectral(np.outer(T[:, j], Y[:, j].conj()), tol)
@@ -185,7 +185,7 @@ def test_first_misaligned_in_blocks_matches_the_per_member_spectral_loop(rng, mo
         field = "complex" if k % 2 else "real"
         m, n = int(rng.integers(1, 5)), int(rng.integers(1, 10))
         T, Y = straddling_members(rng, m, n, field, tol)
-        assert _first_misaligned(T, Y, tol) == oracles.first_misaligned_by_spectral(T, Y, tol)
+        assert _first_misaligned(T.conj().T, Y.conj().T, tol) == oracles.first_misaligned_by_spectral(T, Y, tol)
 
 
 def test_first_misaligned_holds_one_block_of_outer_products_at_a_time(rng):
@@ -199,7 +199,7 @@ def test_first_misaligned_holds_one_block_of_outer_products_at_a_time(rng):
     for T_in, want in ((T_bad, 0), (T, None)):
         tracemalloc.start()
         try:
-            got = _first_misaligned(T_in, Y, Tolerance())
+            got = _first_misaligned(T_in.T, Y.T, Tolerance())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
