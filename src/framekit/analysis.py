@@ -46,10 +46,12 @@ from .frames import (
 )
 from .numerics import (
     Tolerance,
+    _Record,
     _blocks,
     _gaussian_blocks,
     _hermitian,
     _psd,
+    _require_finite,
     entry_max,
     hermitian_part,
     opnorm2,
@@ -61,8 +63,10 @@ SAMPLED_LINEAR = "sampled_linear"
 SAMPLED_BESSEL = "sampled_bessel"
 
 
-@dataclass(frozen=True)
-class IterationTrace:
+@dataclass(frozen=True, eq=False, repr=False)
+class IterationTrace(_Record):
+    """Iterates of the frame reconstruction, their errors and the error bounds."""
+
     iterates: list
     errors: np.ndarray
     bound_curve: np.ndarray  # ((b - a) / (b + a))^k * ||h||
@@ -126,8 +130,10 @@ def extend_tight_minimal(fp: FramePair) -> FramePair:
                              (), fp.field, fp.tol)
 
 
-@dataclass(frozen=True)
-class SpanCharacterization:
+@dataclass(frozen=True, eq=False, repr=False)
+class SpanCharacterization(_Record):
+    """Frame verdict through the mixed selections, with a non-spanning witness."""
+
     is_frame: bool
     witness: Optional[tuple]  # per-index choices ("x" or "tau") of a non-spanning selection
 
@@ -205,8 +211,10 @@ def span_characterization(fp: FramePair) -> SpanCharacterization:
     return SpanCharacterization(False, tuple(choice))
 
 
-@dataclass(frozen=True)
-class FormulasReport:
+@dataclass(frozen=True, eq=False, repr=False)
+class FormulasReport(_Record):
+    """Trace, variation and dimension identities evaluated on a pair."""
+
     trace_S: complex
     sum_inner: complex
     trace_S2: complex
@@ -247,8 +255,10 @@ def formulas_report(fp: FramePair) -> FormulasReport:
                           variation_ok, dim_ok, equal_b, equal_ok)
 
 
-@dataclass(frozen=True)
-class TraceFormulaResult:
+@dataclass(frozen=True, eq=False, repr=False)
+class TraceFormulaResult(_Record):
+    """Trace(M) against sum_j tau_j^* M x_j and its mirror on a Parseval pair."""
+
     lhs: complex
     rhs: complex
     mirrored: complex
@@ -271,8 +281,10 @@ def trace_formula(fp: FramePair, M) -> TraceFormulaResult:
     return TraceFormulaResult(lhs, rhs, mirrored, ok)
 
 
-@dataclass(frozen=True)
-class WeightedOnbResult:
+@dataclass(frozen=True, eq=False, repr=False)
+class WeightedOnbResult(_Record):
+    """Whether a weighted orthonormal family is Bessel with bound 1."""
+
     holds: bool
 
 
@@ -284,8 +296,10 @@ def weighted_onb_check(fp: FramePair, c) -> WeightedOnbResult:
     return WeightedOnbResult(_weighted_onb(fp, c)[0])
 
 
-@dataclass(frozen=True)
-class PerturbCertificate:
+@dataclass(frozen=True, eq=False, repr=False)
+class PerturbCertificate(_Record):
+    """Predicted bound window of a perturbed family against its actual bounds."""
+
     kind: str
     hypothesis_ok: bool
     predicted_lower: float
@@ -298,11 +312,14 @@ _CERTIFICATES_NEED_A_FRAME = "perturbation certificates start from a frame"
 
 
 def _perturbed_rows(fp: FramePair, Y) -> np.ndarray:
-    """The rows y_j^* of the m x n columns Y: a copy, which the caller's Y never shares."""
+    """The rows y_j^* of the m x n columns Y: a copy, which the caller's Y never shares.
+
+    A NaN or infinite entry of Y raises ValueError, before any product is formed.
+    """
     Y = np.asarray(Y)
     if Y.shape != (fp.m, fp.n):
         raise ShapeMismatch("perturbed family must be m x n")
-    return np.conjugate(Y).T
+    return np.conjugate(_require_finite(Y)).T
 
 
 def _actual_bounds(fp: FramePair, theta_Y):

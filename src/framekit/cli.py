@@ -294,15 +294,54 @@ def _fourlaws(args):
 
 
 # --- the verb table ---------------------------------------------------------------
+#
+# Each verb is registered by name with a builder of its parser.  argparse checks
+# a name against the registered ones (the order of every "invalid choice" list),
+# and only the verb it selects has its parser and arguments built.
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are exit code 1, not 2
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _file(sub: argparse.ArgumentParser, help=None) -> argparse.ArgumentParser:
+class _Verbs(argparse._SubParsersAction):
+    """Sub-verbs whose parsers are built when argparse selects them."""
+
+    def parser(self, name: str) -> argparse.ArgumentParser:
+        """The parser of a registered verb, built on first use as add_parser would."""
+        sub = self._name_parser_map[name]
+        if not isinstance(sub, argparse.ArgumentParser):
+            built = self._parser_class(prog=f"{self._prog_prefix} {name}")
+            sub(built)
+            sub = self._name_parser_map[name] = built
+        return sub
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        self.parser(values[0])  # argparse has checked the name against the choices
+        super().__call__(parser, namespace, values, option_string)
+
+
+def _verbs(dest: str, builders: dict):
+    """Builder of a parser whose sub-verbs, stored under dest, are the names of builders
+    in order; each sub-verb's parser is built by its builder when argparse selects it."""
+    def build(parser: argparse.ArgumentParser) -> None:
+        verbs = parser.add_subparsers(dest=dest, required=True, action=_Verbs)
+        verbs._name_parser_map.update(builders)
+    return build
+
+
+def _leaf(handler, *own):
+    """Builder of a verb: its own arguments, added in order by each of own, then the
+    options every verb takes and its handler."""
+    def build(sub: argparse.ArgumentParser) -> None:
+        for add in own:
+            add(sub)
+        _common(sub, handler)
+    return build
+
+
+def _file(sub: argparse.ArgumentParser, help=None) -> None:
     sub.add_argument("file", help=help)
-    return sub
 
 
 def _common(sub: argparse.ArgumentParser, handler):
@@ -315,68 +354,84 @@ def _common(sub: argparse.ArgumentParser, handler):
     sub.set_defaults(handler=handler)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="framekit", description=__doc__)
-    top = parser.add_subparsers(dest="verb", required=True)
-    _common(_file(top.add_parser("verify")), _verify)
-    _common(_file(top.add_parser("dual")), _dual)
-    _common(_file(top.add_parser("classify")), _classify)
+def _circular_args(sub):
+    sub.add_argument("--k", type=int, required=True)
+    sub.add_argument("--l", type=int, required=True)
 
-    construct = top.add_parser("construct").add_subparsers(dest="what", required=True)
-    circ = construct.add_parser("circular")
-    circ.add_argument("--k", type=int, required=True)
-    circ.add_argument("--l", type=int, required=True)
-    _common(circ, _circular)
-    grp = construct.add_parser("group")
-    grp.add_argument("--table", required=True, help="group table file")
-    grp.add_argument("--x", required=True, help="comma separated generator")
-    grp.add_argument("--tau", required=True, help="comma separated generator")
-    _common(grp, _group)
 
-    analyze = top.add_parser("analyze").add_subparsers(dest="what", required=True)
-    rec = _file(analyze.add_parser("reconstruct"))
-    rec.add_argument("--target", required=True, help="comma separated vector")
-    rec.add_argument("--steps", type=int, default=20)
-    _common(rec, _reconstruct)
-    ext = _file(analyze.add_parser("extend"))
-    ext.add_argument("--lambda", dest="lam", type=float, default=None)
-    ext.add_argument("--minimal", action="store_true")
-    _common(ext, _extend)
-    _common(_file(analyze.add_parser("span")), _span)
-    _common(_file(analyze.add_parser("formulas")), _formulas)
-    pert = _file(analyze.add_parser("perturb"))
-    pert.add_argument("--perturbed", required=True,
-                      help="frame pair file; its x family is the perturbation")
-    pert.add_argument("--kind", default="quadratic",
-                      choices=["quadratic", "normsum", "sampled-linear", "sampled-bessel"])
-    pert.add_argument("--alpha", type=float, default=0.0)
-    pert.add_argument("--beta", type=float, default=0.0)
-    pert.add_argument("--gamma", type=float, default=0.0)
-    _common(pert, _perturb)
-    conv = _file(analyze.add_parser("convert"))
-    direction = conv.add_mutually_exclusive_group(required=True)
+def _group_args(sub):
+    sub.add_argument("--table", required=True, help="group table file")
+    sub.add_argument("--x", required=True, help="comma separated generator")
+    sub.add_argument("--tau", required=True, help="comma separated generator")
+
+
+def _reconstruct_args(sub):
+    sub.add_argument("--target", required=True, help="comma separated vector")
+    sub.add_argument("--steps", type=int, default=20)
+
+
+def _extend_args(sub):
+    sub.add_argument("--lambda", dest="lam", type=float, default=None)
+    sub.add_argument("--minimal", action="store_true")
+
+
+def _perturb_args(sub):
+    sub.add_argument("--perturbed", required=True,
+                     help="frame pair file; its x family is the perturbation")
+    sub.add_argument("--kind", default="quadratic",
+                     choices=["quadratic", "normsum", "sampled-linear", "sampled-bessel"])
+    sub.add_argument("--alpha", type=float, default=0.0)
+    sub.add_argument("--beta", type=float, default=0.0)
+    sub.add_argument("--gamma", type=float, default=0.0)
+
+
+def _convert_args(sub):
+    direction = sub.add_mutually_exclusive_group(required=True)
     direction.add_argument("--to-complex", action="store_true")
     direction.add_argument("--to-real", action="store_true")
-    _common(conv, _convert)
 
-    ovf_cmd = top.add_parser("ovf").add_subparsers(dest="what", required=True)
-    _common(_file(ovf_cmd.add_parser("verify")), _ovf_verify)
-    _common(_file(ovf_cmd.add_parser("dual")), _ovf_dual)
-    _common(_file(ovf_cmd.add_parser("bridge"),
-                  "frame pair file (forward) or ovf file with d = 1 (inverse)"), _ovf_bridge)
 
-    pframe = top.add_parser("pframe").add_subparsers(dest="what", required=True)
-    _common(_file(pframe.add_parser("verify")), _pframe_verify)
-    _common(_file(pframe.add_parser("dual")), _pframe_dual)
-    pw = pframe.add_parser("paley-wiener")
-    pw.add_argument("base", help="p-frame file; its tau columns are the basis")
-    pw.add_argument("perturbed", help="p-frame file; its tau columns are the perturbation")
-    _common(pw, _paley_wiener)
-    fl = pframe.add_parser("fourlaws")
-    fl.add_argument("--x", required=True)
-    fl.add_argument("--y", required=True)
-    _common(fl, _fourlaws)
+def _paley_wiener_args(sub):
+    sub.add_argument("base", help="p-frame file; its tau columns are the basis")
+    sub.add_argument("perturbed", help="p-frame file; its tau columns are the perturbation")
 
+
+def _fourlaws_args(sub):
+    sub.add_argument("--x", required=True)
+    sub.add_argument("--y", required=True)
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="framekit", description=__doc__)
+    _verbs("verb", {
+        "verify": _leaf(_verify, _file),
+        "dual": _leaf(_dual, _file),
+        "classify": _leaf(_classify, _file),
+        "construct": _verbs("what", {
+            "circular": _leaf(_circular, _circular_args),
+            "group": _leaf(_group, _group_args),
+        }),
+        "analyze": _verbs("what", {
+            "reconstruct": _leaf(_reconstruct, _file, _reconstruct_args),
+            "extend": _leaf(_extend, _file, _extend_args),
+            "span": _leaf(_span, _file),
+            "formulas": _leaf(_formulas, _file),
+            "perturb": _leaf(_perturb, _file, _perturb_args),
+            "convert": _leaf(_convert, _file, _convert_args),
+        }),
+        "ovf": _verbs("what", {
+            "verify": _leaf(_ovf_verify, _file),
+            "dual": _leaf(_ovf_dual, _file),
+            "bridge": _leaf(_ovf_bridge, partial(_file, help="frame pair file (forward) or "
+                                                               "ovf file with d = 1 (inverse)")),
+        }),
+        "pframe": _verbs("what", {
+            "verify": _leaf(_pframe_verify, _file),
+            "dual": _leaf(_pframe_dual, _file),
+            "paley-wiener": _leaf(_paley_wiener, _paley_wiener_args),
+            "fourlaws": _leaf(_fourlaws, _fourlaws_args),
+        }),
+    })(parser)
     return parser
 
 

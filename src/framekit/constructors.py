@@ -27,7 +27,8 @@ from .errors import (
     NotParseval,
 )
 from .frames import FramePair, FrameReport, REAL, infer_field, verify
-from .numerics import Tolerance, _blocks, _finite_product, _identities, _members_close, entry_max
+from .numerics import (Tolerance, _Record, _blocks, _finite_product, _identities, _members_close,
+                       entry_max)
 
 
 def _element_indices(a: np.ndarray, n: int) -> bool:
@@ -249,8 +250,10 @@ def left_regular(g: GroupTable, tol: Tolerance = Tolerance()) -> Representation:
     return Representation._adopted(g, tuple(L), idx, tol)
 
 
-@dataclass(frozen=True)
-class CircularResult:
+@dataclass(frozen=True, eq=False, repr=False)
+class CircularResult(_Record):
+    """Planar circular pair, its tightness verdict, constant and residual."""
+
     fp: FramePair
     tight: bool
     constant: float
@@ -294,8 +297,10 @@ def circular_kl(k: int, l: int, tol: Tolerance = Tolerance()) -> CircularResult:
     return circular_general(ones, 2.0 * np.pi * j / k, ones, 2.0 * np.pi * j / l, tol)
 
 
-@dataclass(frozen=True)
-class GroupFrameResult:
+@dataclass(frozen=True, eq=False, repr=False)
+class GroupFrameResult(_Record):
+    """Orbit pair of a representation, its report and the generator bound check."""
+
     fp: FramePair
     report: FrameReport
     generator_bound_ok: Optional[bool]  # None when <x, tau> is not real
@@ -360,8 +365,10 @@ def check_group_invariance(fp: FramePair, g: GroupTable) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class RepresentationSynthesis:
+@dataclass(frozen=True, eq=False, repr=False)
+class RepresentationSynthesis(_Record):
+    """Representation recovered from a group-invariant Parseval pair."""
+
     rep: Representation
     pi_reproduces: bool
 

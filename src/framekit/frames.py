@@ -42,6 +42,7 @@ from .errors import (
 )
 from .numerics import (
     Tolerance,
+    _Record,
     _block_identities_ok,
     _finite_product,
     _hermitian,
@@ -187,8 +188,10 @@ class FramePair(_StackedPair):
         return self._stacked(self.theta_A, self.theta_Psi, self.codims, self.field, tol)
 
 
-@dataclass(frozen=True)
-class FrameReport:
+@dataclass(frozen=True, eq=False, repr=False)
+class FrameReport(_Record):
+    """Verdicts on a pair's frame operator S, with its optimal bounds a and b."""
+
     self_adjoint: bool
     psd: bool
     invertible: bool
@@ -370,8 +373,10 @@ def frame_idempotent(fp: FramePair) -> np.ndarray:
     return _idempotent(fp.theta_A, fp.theta_Psi, S)
 
 
-@dataclass(frozen=True)
-class ClassifyResult:
+@dataclass(frozen=True, eq=False, repr=False)
+class ClassifyResult(_Record):
+    """Riesz-frame and orthonormal-frame verdicts on a frame pair."""
+
     riesz_frame: bool
     orthonormal_frame: bool
     _pair: FramePair = dataclass_field(repr=False, compare=False)
@@ -434,8 +439,10 @@ def interpolate_parseval(fp: FramePair, gq: FramePair, A, B, C, D) -> FramePair:
     return type(fp)._stacked(theta_X, theta_T, (), field, fp.tol)
 
 
-@dataclass(frozen=True)
-class SimilarityTransforms:
+@dataclass(frozen=True, eq=False, repr=False)
+class SimilarityTransforms(_Record):
+    """Invertible Txy, Ttw with y_j = Txy x_j and omega_j = Ttw tau_j."""
+
     Txy: np.ndarray
     Ttw: np.ndarray
 
@@ -478,8 +485,10 @@ def parsevalize(fp: FramePair, mode: str = SPLIT) -> FramePair:
     return type(fp)._stacked(theta_A, theta_Psi, fp.codims, fp.field, fp.tol)
 
 
-@dataclass(frozen=True)
-class DilationResult:
+@dataclass(frozen=True, eq=False, repr=False)
+class DilationResult(_Record):
+    """Orthonormal frame of K^embed_dim that dilates a Parseval pair."""
+
     big: FramePair
     embed_dim: int
 

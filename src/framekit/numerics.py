@@ -11,7 +11,8 @@ applied entrywise with the max-magnitude of the operands as scale.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import reprlib
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,8 +28,40 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class _Record:
+    """Value ==, hash and repr of a frozen result dataclass, written once over its fields.
+
+    Each record is declared @dataclass(frozen=True, eq=False, repr=False) on
+    this base, so dataclass generates only __init__ and the frozen guards.
+    The methods below are the ones dataclass would generate: == compares the
+    tuples of the fields with compare=True between instances of one class
+    (else NotImplemented), hash is that of the fields it hashes, and repr is
+    qualname(name=value!r, ...) over the fields with repr=True.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            names = [f.name for f in fields(self) if f.compare]
+            return (tuple(getattr(self, n) for n in names)
+                    == tuple(getattr(other, n) for n in names))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, f.name) for f in fields(self)
+                          if (f.compare if f.hash is None else f.hash)))
+
+    @reprlib.recursive_repr()
+    def __repr__(self):
+        shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self) if f.repr)
+        return f"{self.__class__.__qualname__}({shown})"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Tolerance(_Record):
+    """Absolute and relative tolerance of every verdict (see the module docstring)."""
+
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
 
@@ -286,8 +319,10 @@ def _hermitian_eig(M, tol: Tolerance, vectors: bool = False):
     return _decompose(np.linalg.eigh if vectors else np.linalg.eigvalsh, 0.5 * (M + Mh))
 
 
-@dataclass(frozen=True)
-class SpectralReport:
+@dataclass(frozen=True, eq=False, repr=False)
+class SpectralReport(_Record):
+    """Eigenvalues of a square matrix and spectral's verdicts on them."""
+
     is_hermitian: bool
     eigenvalues: np.ndarray  # sorted by real part, ascending
     min_real_eig: float
@@ -350,8 +385,10 @@ def principal_power(M, alpha: float, tol: Tolerance = Tolerance()) -> np.ndarray
     return R
 
 
-@dataclass(frozen=True)
-class PNormInterval:
+@dataclass(frozen=True, eq=False, repr=False)
+class PNormInterval(_Record):
+    """Interval [lower, upper] that pnorm_estimate gives for an lp operator norm."""
+
     lower: float
     upper: float
 

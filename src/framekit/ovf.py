@@ -55,7 +55,8 @@ from .frames import (
     frame_operator,
     infer_field,
 )
-from .numerics import Tolerance, _hermitian_eig, _invertible, _margins, _pd, _psd, _require_square
+from .numerics import (Tolerance, _Record, _hermitian_eig, _invertible, _margins, _pd, _psd,
+                       _require_square)
 
 _NEEDS_AN_OVF = "operation requires an operator-valued frame"
 
@@ -102,8 +103,10 @@ class OvfPair(_StackedPair):
         return dims.pop() if len(dims) == 1 else None
 
 
-@dataclass(frozen=True)
-class OvfOperators:
+@dataclass(frozen=True, eq=False, repr=False)
+class OvfOperators(_Record):
+    """Frame operator S of an OVF pair, its stacked operators and, lazily, P."""
+
     S: np.ndarray
     thetaA: np.ndarray
     thetaPsi: np.ndarray
@@ -133,8 +136,10 @@ def ovf_operators(op: OvfPair) -> OvfOperators:
     return OvfOperators(frame_operator(op), op.theta_A, op.theta_Psi, op.tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class OvfReport(FrameReport):
+    """Frame verdicts on an OVF pair with its Riesz and orthonormal refinements."""
+
     riesz_ovf: bool = False
     orthonormal_ovf: bool = False
 
@@ -159,8 +164,10 @@ def canonical_dual_ovf(op: OvfPair) -> OvfPair:
     return _canonical_dual(op, _NEEDS_AN_OVF)
 
 
-@dataclass(frozen=True)
-class DualityRelation:
+@dataclass(frozen=True, eq=False, repr=False)
+class DualityRelation(_Record):
+    """Whether two OVF pairs are dual and whether they are orthogonal."""
+
     dual: bool
     orthogonal: bool
 
@@ -196,8 +203,10 @@ _LABEL_ORDER = ("none", "bessel", "frame", "riesz_ovf", "riesz_basis",
                 "orthonormal_ovf", "onb_pair")
 
 
-@dataclass(frozen=True)
-class FactorizationResult:
+@dataclass(frozen=True, eq=False, repr=False)
+class FactorizationResult(_Record):
+    """Factors U, V of an OVF pair against an orthonormal basis, and its label."""
+
     U: np.ndarray
     V: np.ndarray
     label: str
@@ -252,8 +261,10 @@ def factorize_against_onb(op: OvfPair, F: OvfPair) -> FactorizationResult:
     return FactorizationResult(U, V, label, flags)
 
 
-@dataclass(frozen=True)
-class WeightedBesselResult:
+@dataclass(frozen=True, eq=False, repr=False)
+class WeightedBesselResult(_Record):
+    """Whether the weighted OVF pair is Bessel, and its deficiency operator."""
+
     holds: bool
     deficiency: np.ndarray
 
@@ -267,8 +278,10 @@ def weighted_onb_bessel_check(op: OvfPair, c) -> WeightedBesselResult:
     return WeightedBesselResult(*_weighted_onb(op, c))
 
 
-@dataclass(frozen=True)
-class RightSimilarityTransforms:
+@dataclass(frozen=True, eq=False, repr=False)
+class RightSimilarityTransforms(_Record):
+    """Invertible right factors with B_j = A_j RAB and Phi_j = Psi_j RPsiPhi."""
+
     RAB: np.ndarray
     RPsiPhi: np.ndarray
 

@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    BadExponent,
     BaseNotOrthonormal,
     NotParseval,
     NotPFrame,
@@ -34,6 +35,7 @@ from .frames import _as_matrix, infer_field
 from .numerics import (
     PNormInterval,
     Tolerance,
+    _Record,
     _clear_of_cut,
     _finite_product,
     _gaussian_blocks,
@@ -54,6 +56,8 @@ from .numerics import (
 
 @dataclass(frozen=True, eq=False)
 class PFramePair:
+    """Functionals f_j (rows of F) and vectors tau_j (columns of T) of an lp pair."""
+
     F: np.ndarray  # n x m, row j = functional f_j
     T: np.ndarray  # m x n, column j = tau_j
     p: float
@@ -93,8 +97,10 @@ def p_frame_operator(pf: PFramePair) -> np.ndarray:
     return _finite_product(pf.T, pf.F, "p-frame operator")
 
 
-@dataclass(frozen=True)
-class PReport:
+@dataclass(frozen=True, eq=False, repr=False)
+class PReport(_Record):
+    """Resolvent gate, tightness verdicts and bound intervals of a p-frame pair."""
+
     resolvent_ok: bool
     tight: bool
     parseval: bool
@@ -126,8 +132,10 @@ def p_verify(pf: PFramePair, samples: int = 200, seed: int = 0) -> PReport:
     return PReport(True, tight, parseval, lower, upper)
 
 
-@dataclass(frozen=True)
-class POrthonormalResult:
+@dataclass(frozen=True, eq=False, repr=False)
+class POrthonormalResult(_Record):
+    """p-orthonormality falsifier's verdict and a falsifying coefficient vector."""
+
     consistent: bool
     witness: Optional[np.ndarray]
 
@@ -142,8 +150,11 @@ def p_orthonormal_check(vectors, p: float, trials: int = 200, seed: int = 0,
     patterns (lexicographic, +1 before -1) then draws, is the witness.
     c and -c have equal sides, and in that order c comes first when it
     begins with +1, so only the 2^(n-1) patterns that begin with +1 run:
-    the same verdict and the same witness.
+    the same verdict and the same witness.  p must be >= 1, as for
+    pnorm_estimate, else BadExponent.
     """
+    if not p >= 1:  # NaN fails it
+        raise BadExponent(f"p must be >= 1, got {p}")
     M = np.asarray(vectors)
     if M.ndim != 2:
         raise ValueError("vectors must be the columns of a matrix")
@@ -164,8 +175,10 @@ def p_orthonormal_check(vectors, p: float, trials: int = 200, seed: int = 0,
     return POrthonormalResult(True, None)
 
 
-@dataclass(frozen=True)
-class RieszPBounds:
+@dataclass(frozen=True, eq=False, repr=False)
+class RieszPBounds(_Record):
+    """Intervals for the lower and upper Riesz p-bounds of a family."""
+
     a: PNormInterval
     b: PNormInterval
 
@@ -201,8 +214,10 @@ def riesz_p_bounds(vectors, p: float, trials: int = 200, seed: int = 0,
     return RieszPBounds(PNormInterval(certified, max(sampled_min, certified)), b)
 
 
-@dataclass(frozen=True)
-class PaleyWienerResult:
+@dataclass(frozen=True, eq=False, repr=False)
+class PaleyWienerResult(_Record):
+    """Paley-Wiener perturbation verdict and the bound it rests on."""
+
     lambda_upper: float
     concluded: bool
     riesz: Optional[bool]
@@ -234,8 +249,10 @@ def paley_wiener_check(base, Y, p: float, trials: int = 200, seed: int = 0,
     return PaleyWienerResult(float(est.upper), concluded, riesz)
 
 
-@dataclass(frozen=True)
-class PDualResult:
+@dataclass(frozen=True, eq=False, repr=False)
+class PDualResult(_Record):
+    """Canonical dual of a p-frame pair and whether the duality holds."""
+
     dual: PFramePair
     is_dual: bool
 
@@ -252,8 +269,10 @@ def p_canonical_dual(pf: PFramePair) -> PDualResult:
     return PDualResult(dual, bool(ok))
 
 
-@dataclass(frozen=True)
-class FourLawsResult:
+@dataclass(frozen=True, eq=False, repr=False)
+class FourLawsResult(_Record):
+    """The l4 Cauchy-Schwarz and parallelogram verdicts with both sides of each."""
+
     ineq4_ok: bool
     pl4_ok: bool
     ineq4_lhs: float
@@ -288,8 +307,10 @@ def four_laws_check(x, y, tol: Tolerance = Tolerance()) -> FourLawsResult:
     )
 
 
-@dataclass(frozen=True)
-class LineProjection:
+@dataclass(frozen=True, eq=False, repr=False)
+class LineProjection(_Record):
+    """Closest point t_star y to x in the l4 norm, and its distance."""
+
     t_star: float
     dist: float
 
@@ -334,8 +355,10 @@ def project_line_l4(x, y, tol: Tolerance = Tolerance()) -> LineProjection:
     return LineProjection(float(t_star), float(phi(t_star)))
 
 
-@dataclass(frozen=True)
-class BanachFormulasResult:
+@dataclass(frozen=True, eq=False, repr=False)
+class BanachFormulasResult(_Record):
+    """Dimension and trace formulas of a Parseval p-frame pair."""
+
     dim_sum: complex
     trace_lhs: Optional[complex]
     trace_rhs: Optional[complex]

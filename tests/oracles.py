@@ -6,6 +6,7 @@ disjoint from the library's eigendecompositions.  The second half keeps
 the per-element loops that the library's batched routines replaced.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -1063,3 +1064,20 @@ class FramePairByColumns:
     def _stacked(cls, theta_A, theta_Psi, codims, field, tol):
         return cls(theta_A.conj().T, theta_Psi.conj().T, field, tol)
 
+
+
+def stock_twin(cls):
+    """A record class's fields under a stock @dataclass(frozen=True).
+
+    The twin has the same qualname and the same fields, with their defaults
+    and their init, repr, hash and compare flags, and dataclass generates
+    its __eq__, __hash__ and __repr__, as it did for every record before
+    they shared numerics._Record.
+    """
+    spec = [(f.name, f.type, dataclasses.field(default=f.default, default_factory=f.default_factory,
+                                               init=f.init, repr=f.repr, hash=f.hash,
+                                               compare=f.compare))
+            for f in dataclasses.fields(cls)]
+    twin = dataclasses.make_dataclass(cls.__name__, spec, frozen=True)
+    twin.__qualname__ = cls.__qualname__
+    return twin

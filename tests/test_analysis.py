@@ -367,6 +367,24 @@ def test_perturb_sampled_linear_falsified():
     assert not cert.hypothesis_ok
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_perturbed_family_is_a_domain_error(bad):
+    # the NaN case used to pass the finite path of the overflow check and read as an overflow
+    X = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    fp = FramePair(X, X, "real")
+    Y = X.copy()
+    Y[0, 0] = bad
+    calls = [lambda: fk.perturb_quadratic(fp, Y), lambda: fk.perturb_normsum(fp, Y),
+             lambda: fk.perturb_sampled(fp, Y, 0.1, 0.1, 0.1, samples=20),
+             lambda: fk.perturb_sampled(fp, Y, 0.1, 0.1, 0.0, samples=20,
+                                        kind=fk.analysis.SAMPLED_BESSEL)]
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                call()
+
+
 def test_perturb_sampled_bad_params():
     with pytest.raises(BadParams):
         fk.perturb_sampled(STD2, STD2.X, 1.5, 0.0, 0.0)

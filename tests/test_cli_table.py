@@ -83,8 +83,8 @@ def subcommands(parser, path=()):
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             assert action.required
-            for name, sub in action.choices.items():
-                yield from subcommands(sub, path + (name,))
+            for name in action.choices:  # a verb's parser is built when it is selected
+                yield from subcommands(action.parser(name), path + (name,))
             return
     yield " ".join(path), parser
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 import framekit as fk
 from framekit import PFramePair, Tolerance
 from framekit.errors import (
+    BadExponent,
     BaseNotOrthonormal,
     NotParseval,
     NotPFrame,
@@ -159,6 +161,17 @@ def test_paley_wiener_contraction():
     result = fk.paley_wiener_check(np.eye(3), 0.7 * np.eye(3), 3.0)
     assert result.lambda_upper == pytest.approx(0.3, abs=1e-12)
     assert result.concluded and result.riesz
+
+
+@pytest.mark.parametrize("p", [0.5, 0.0, -2.0, np.nan])
+def test_p_orthonormal_check_rejects_p_below_one(p):
+    # p = 0.5 used to overflow in the lp norms of the sign patterns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadExponent, match=r"^p must be >= 1, got "):
+            fk.p_orthonormal_check(np.eye(2), p)
+        with pytest.raises(BadExponent, match=r"^p must be >= 1, got "):
+            fk.paley_wiener_check(np.eye(2), np.eye(2), p)
 
 
 def test_paley_wiener_sign_flip_not_concluded():
