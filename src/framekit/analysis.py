@@ -16,7 +16,6 @@ into its rows Y^*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -48,6 +47,7 @@ from .numerics import (
     Tolerance,
     _Record,
     _blocks,
+    _frozen,
     _gaussian_blocks,
     _hermitian,
     _psd,
@@ -63,7 +63,7 @@ SAMPLED_LINEAR = "sampled_linear"
 SAMPLED_BESSEL = "sampled_bessel"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_frozen
 class IterationTrace(_Record):
     """Iterates of the frame reconstruction, their errors and the error bounds."""
 
@@ -130,7 +130,7 @@ def extend_tight_minimal(fp: FramePair) -> FramePair:
                              (), fp.field, fp.tol)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_frozen
 class SpanCharacterization(_Record):
     """Frame verdict through the mixed selections, with a non-spanning witness."""
 
@@ -211,7 +211,7 @@ def span_characterization(fp: FramePair) -> SpanCharacterization:
     return SpanCharacterization(False, tuple(choice))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_frozen
 class FormulasReport(_Record):
     """Trace, variation and dimension identities evaluated on a pair."""
 
@@ -255,7 +255,7 @@ def formulas_report(fp: FramePair) -> FormulasReport:
                           variation_ok, dim_ok, equal_b, equal_ok)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_frozen
 class TraceFormulaResult(_Record):
     """Trace(M) against sum_j tau_j^* M x_j and its mirror on a Parseval pair."""
 
@@ -281,7 +281,7 @@ def trace_formula(fp: FramePair, M) -> TraceFormulaResult:
     return TraceFormulaResult(lhs, rhs, mirrored, ok)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_frozen
 class WeightedOnbResult(_Record):
     """Whether a weighted orthonormal family is Bessel with bound 1."""
 
@@ -296,7 +296,7 @@ def weighted_onb_check(fp: FramePair, c) -> WeightedOnbResult:
     return WeightedOnbResult(_weighted_onb(fp, c)[0])
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_frozen
 class PerturbCertificate(_Record):
     """Predicted bound window of a perturbed family against its actual bounds."""
 

@@ -11,7 +11,7 @@ copy on each read of a complex pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional
 
 import numpy as np
@@ -27,8 +27,8 @@ from .errors import (
     NotParseval,
 )
 from .frames import FramePair, FrameReport, REAL, infer_field, verify
-from .numerics import (Tolerance, _Record, _blocks, _finite_product, _identities, _members_close,
-                       entry_max)
+from .numerics import (Tolerance, _Frozen, _Record, _blocks, _finite_product, _frozen, _identities,
+                       _members_close, entry_max)
 
 
 def _element_indices(a: np.ndarray, n: int) -> bool:
@@ -63,8 +63,8 @@ def _light_generators(mul: np.ndarray, e: int) -> list:
     return generators
 
 
-@dataclass(frozen=True, eq=False)
-class GroupTable:
+@_frozen
+class GroupTable(_Frozen):
     """Multiplication table of a finite group; mul[g, h] = g*h.
 
     Entries and the identity must be integer element indices (integral
@@ -117,8 +117,8 @@ class GroupTable:
         return cls((idx[:, None] + idx[None, :]) % n, 0)
 
 
-@dataclass(frozen=True, eq=False)
-class Representation:
+@_frozen
+class Representation(_Frozen):
     """Unitary representation: a matrix per group element, validated.
 
     A representation by exact 0/1 permutation matrices keeps their index
@@ -250,7 +250,7 @@ def left_regular(g: GroupTable, tol: Tolerance = Tolerance()) -> Representation:
     return Representation._adopted(g, tuple(L), idx, tol)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_frozen
 class CircularResult(_Record):
     """Planar circular pair, its tightness verdict, constant and residual."""
 
@@ -297,7 +297,7 @@ def circular_kl(k: int, l: int, tol: Tolerance = Tolerance()) -> CircularResult:
     return circular_general(ones, 2.0 * np.pi * j / k, ones, 2.0 * np.pi * j / l, tol)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_frozen
 class GroupFrameResult(_Record):
     """Orbit pair of a representation, its report and the generator bound check."""
 
@@ -365,7 +365,7 @@ def check_group_invariance(fp: FramePair, g: GroupTable) -> bool:
     return True
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_frozen
 class RepresentationSynthesis(_Record):
     """Representation recovered from a group-invariant Parseval pair."""
 

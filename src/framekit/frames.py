@@ -19,7 +19,7 @@ which takes a pair of either class and returns the caller's class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import field as dataclass_field
 from functools import cached_property
 from typing import Optional
 
@@ -42,7 +42,9 @@ from .errors import (
 )
 from .numerics import (
     Tolerance,
+    _Frozen,
     _Record,
+    _frozen,
     _block_identities_ok,
     _finite_product,
     _hermitian,
@@ -86,8 +88,8 @@ def infer_field(*arrays) -> str:
     return COMPLEX if any(np.iscomplexobj(np.asarray(a)) for a in arrays) else REAL
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class _StackedPair:
+@_frozen
+class _StackedPair(_Frozen):
     """A pair of either layer, stored as its stacked analysis operators.
 
     theta_A and theta_Psi are read-only N x m arrays, the members' d_j x m
@@ -143,7 +145,7 @@ def _adjoint(M: np.ndarray) -> np.ndarray:
     return Mh
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_frozen
 class FramePair(_StackedPair):
     """Columns of X are the x_j, columns of T are the tau_j.
 
@@ -188,7 +190,7 @@ class FramePair(_StackedPair):
         return self._stacked(self.theta_A, self.theta_Psi, self.codims, self.field, tol)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_frozen
 class FrameReport(_Record):
     """Verdicts on a pair's frame operator S, with its optimal bounds a and b."""
 
@@ -373,7 +375,7 @@ def frame_idempotent(fp: FramePair) -> np.ndarray:
     return _idempotent(fp.theta_A, fp.theta_Psi, S)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_frozen
 class ClassifyResult(_Record):
     """Riesz-frame and orthonormal-frame verdicts on a frame pair."""
 
@@ -422,13 +424,17 @@ def tensor_product(fp: FramePair, gq: FramePair) -> FramePair:
 
 
 def interpolate_parseval(fp: FramePair, gq: FramePair, A, B, C, D) -> FramePair:
-    """({A x_j + B y_j}, {C tau_j + D omega_j}) for A C^* + B D^* = I."""
+    """({A x_j + B y_j}, {C tau_j + D omega_j}) for k x m coefficients with A C^* + B D^* = I."""
     _check_shapes(fp, gq)
+    A, B, C, D = (np.asarray(M) for M in (A, B, C, D))
+    shapes = [M.shape for M in (A, B, C, D)]
+    if A.ndim != 2 or A.shape[1] != fp.m or shapes.count(A.shape) != 4:
+        raise ShapeMismatch(f"A, B, C and D must be k x {fp.m} matrices of one shape, "
+                            f"got {', '.join(map(str, shapes))}")
     if not (verify(fp).parseval and verify(gq).parseval):
         raise NotParseval("both pairs must be Parseval")
     if not is_orthogonal(fp, gq):
         raise NotOrthogonal("pairs must be orthogonal")
-    A, B, C, D = (np.asarray(M) for M in (A, B, C, D))
     if not fp.tol.is_identity(A @ C.conj().T + B @ D.conj().T):
         raise BadCoefficients("A C^* + B D^* must be the identity")
     # (A X_fp + B X_gq)^*, formed conjugated as in _times_adjoint and summed before the
@@ -439,7 +445,7 @@ def interpolate_parseval(fp: FramePair, gq: FramePair, A, B, C, D) -> FramePair:
     return type(fp)._stacked(theta_X, theta_T, (), field, fp.tol)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_frozen
 class SimilarityTransforms(_Record):
     """Invertible Txy, Ttw with y_j = Txy x_j and omega_j = Ttw tau_j."""
 
@@ -485,7 +491,7 @@ def parsevalize(fp: FramePair, mode: str = SPLIT) -> FramePair:
     return type(fp)._stacked(theta_A, theta_Psi, fp.codims, fp.field, fp.tol)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_frozen
 class DilationResult(_Record):
     """Orthonormal frame of K^embed_dim that dilates a Parseval pair."""
 

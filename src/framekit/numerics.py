@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import reprlib
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 
 import numpy as np
 
@@ -28,15 +28,117 @@ from .errors import (
 )
 
 
-class _Record:
-    """Value ==, hash and repr of a frozen result dataclass, written once over its fields.
+_set = object.__setattr__
 
-    Each record is declared @dataclass(frozen=True, eq=False, repr=False) on
-    this base, so dataclass generates only __init__ and the frozen guards.
-    The methods below are the ones dataclass would generate: == compares the
+
+class _Frozen:
+    """__init__, the frozen guards and repr of a framekit dataclass, written once over its fields.
+
+    Every framekit dataclass is declared with @_frozen on this base (on
+    _Record for a value record), so dataclass generates no code.  The
+    methods below behave as those @dataclass(frozen=True) would generate:
+
+    - __init__ binds positional and keyword arguments to the init fields,
+      fills defaults and default_factory, calls the default_factory of a
+      non-init field and then __post_init__ where the class defines one.
+      Missing, extra, duplicate and unknown arguments raise TypeError.
+    - __setattr__ and __delattr__ raise FrozenInstanceError.
+    - repr is qualname(name=value!r, ...) over the fields with repr=True.
+
+    __init__ adopts one fresh dict of the values, in field order, as the
+    instance's __dict__.  Under CPython 3.11 that costs less than a store
+    per field once a record has five fields, and reads of the attributes
+    stay as fast; after vars(self).update(zip(...)) they would not.
+
+    @_frozen reads each class's fields once, when the class is declared.
+    _init_spec holds what every call reads: the names of the fields
+    __init__ stores, the arity and whether __post_init__ exists.  The
+    arity is the number of stored fields when all of them are init
+    fields, else -1; a call with exactly that many positional arguments
+    takes them in order, and any other call goes through _bind.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names, arity, post_init = self._init_spec
+        if kwargs or len(args) != arity:
+            values = self._bind(args, kwargs)
+        else:
+            values = {}
+            k = 0
+            for name in names:  # cheaper than dict(zip(names, args)) under CPython 3.11
+                values[name] = args[k]
+                k += 1
+        _set(self, "__dict__", values)
+        if post_init:
+            self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> dict:
+        """The stored fields' values, in field order, of a call other than the positional one."""
+        cls = type(self)
+        names, arity, _ = cls._init_spec
+        stored, init, required, tail = cls._init_bind
+        if not kwargs and required <= len(args) <= arity:  # a prefix, then the trailing defaults
+            return dict(zip(names, args + tail[len(args) - required:]))
+        if not args and arity >= 0 and tuple(kwargs) == names:  # every field by name, in order
+            return kwargs
+        if len(args) > len(init):
+            raise TypeError(f"{cls.__qualname__}() takes at most {len(init)} positional "
+                            f"arguments ({len(args)} given)")
+        given = dict(zip(init, args))
+        for name in kwargs:
+            if name in given:
+                raise TypeError(f"{cls.__qualname__}() got multiple values for argument {name!r}")
+            if name not in init:
+                raise TypeError(f"{cls.__qualname__}() got an unexpected keyword argument {name!r}")
+        given.update(kwargs)
+        missing = [f.name for f in stored if f.name not in given
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise TypeError(f"{cls.__qualname__}() missing required arguments: "
+                            + ", ".join(map(repr, missing)))
+        return {f.name: given[f.name] if f.name in given
+                else f.default if f.default is not MISSING else f.default_factory()
+                for f in stored}
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @reprlib.recursive_repr()
+    def __repr__(self):
+        shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self) if f.repr)
+        return f"{self.__class__.__qualname__}({shown})"
+
+
+def _frozen(cls):
+    """cls, a _Frozen subclass, as a dataclass that keeps _Frozen's methods (see there)."""
+    cls = dataclass(init=False, eq=False, repr=False)(cls)
+    # as in dataclass, a non-init field with a plain default is read from the class attribute
+    stored = tuple(f for f in fields(cls) if f.init or f.default_factory is not MISSING)
+    names = tuple(f.name for f in stored)
+    arity = len(stored) if all(f.init for f in stored) else -1
+    required = len(stored)
+    while required and stored[required - 1].default is not MISSING:
+        required -= 1
+    cls._init_spec = (names, arity, hasattr(cls, "__post_init__"))
+    cls._init_bind = (stored, tuple(f.name for f in stored if f.init), required,
+                      tuple(f.default for f in stored[required:]))
+    return cls
+
+
+class _Record(_Frozen):
+    """Value == and hash of a frozen result record, written once over its fields.
+
+    Each record is declared with @_frozen on this base.  The methods below
+    are the ones @dataclass(frozen=True) would generate: == compares the
     tuples of the fields with compare=True between instances of one class
-    (else NotImplemented), hash is that of the fields it hashes, and repr is
-    qualname(name=value!r, ...) over the fields with repr=True.
+    (else NotImplemented), and hash is that of the fields it hashes.  The
+    other framekit dataclasses, the pairs, tables and representations,
+    derive from _Frozen alone and compare and hash by identity.
     """
 
     __slots__ = ()
@@ -52,13 +154,8 @@ class _Record:
         return hash(tuple(getattr(self, f.name) for f in fields(self)
                           if (f.compare if f.hash is None else f.hash)))
 
-    @reprlib.recursive_repr()
-    def __repr__(self):
-        shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self) if f.repr)
-        return f"{self.__class__.__qualname__}({shown})"
 
-
-@dataclass(frozen=True, eq=False, repr=False)
+@_frozen
 class Tolerance(_Record):
     """Absolute and relative tolerance of every verdict (see the module docstring)."""
 
@@ -319,7 +416,7 @@ def _hermitian_eig(M, tol: Tolerance, vectors: bool = False):
     return _decompose(np.linalg.eigh if vectors else np.linalg.eigvalsh, 0.5 * (M + Mh))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_frozen
 class SpectralReport(_Record):
     """Eigenvalues of a square matrix and spectral's verdicts on them."""
 
@@ -385,7 +482,7 @@ def principal_power(M, alpha: float, tol: Tolerance = Tolerance()) -> np.ndarray
     return R
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_frozen
 class PNormInterval(_Record):
     """Interval [lower, upper] that pnorm_estimate gives for an lp operator norm."""
 

@@ -24,7 +24,6 @@ for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -55,13 +54,13 @@ from .frames import (
     frame_operator,
     infer_field,
 )
-from .numerics import (Tolerance, _Record, _hermitian_eig, _invertible, _margins, _pd, _psd,
+from .numerics import (Tolerance, _Record, _frozen, _hermitian_eig, _invertible, _margins, _pd, _psd,
                        _require_square)
 
 _NEEDS_AN_OVF = "operation requires an operator-valued frame"
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_frozen
 class OvfPair(_StackedPair):
     """Members A_j, Psi_j stored as the stacked analysis operators theta_A, theta_Psi."""
 
@@ -103,7 +102,7 @@ class OvfPair(_StackedPair):
         return dims.pop() if len(dims) == 1 else None
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_frozen
 class OvfOperators(_Record):
     """Frame operator S of an OVF pair, its stacked operators and, lazily, P."""
 
@@ -136,7 +135,7 @@ def ovf_operators(op: OvfPair) -> OvfOperators:
     return OvfOperators(frame_operator(op), op.theta_A, op.theta_Psi, op.tol)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_frozen
 class OvfReport(FrameReport):
     """Frame verdicts on an OVF pair with its Riesz and orthonormal refinements."""
 
@@ -164,7 +163,7 @@ def canonical_dual_ovf(op: OvfPair) -> OvfPair:
     return _canonical_dual(op, _NEEDS_AN_OVF)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_frozen
 class DualityRelation(_Record):
     """Whether two OVF pairs are dual and whether they are orthogonal."""
 
@@ -203,7 +202,7 @@ _LABEL_ORDER = ("none", "bessel", "frame", "riesz_ovf", "riesz_basis",
                 "orthonormal_ovf", "onb_pair")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_frozen
 class FactorizationResult(_Record):
     """Factors U, V of an OVF pair against an orthonormal basis, and its label."""
 
@@ -261,7 +260,7 @@ def factorize_against_onb(op: OvfPair, F: OvfPair) -> FactorizationResult:
     return FactorizationResult(U, V, label, flags)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_frozen
 class WeightedBesselResult(_Record):
     """Whether the weighted OVF pair is Bessel, and its deficiency operator."""
 
@@ -278,7 +277,7 @@ def weighted_onb_bessel_check(op: OvfPair, c) -> WeightedBesselResult:
     return WeightedBesselResult(*_weighted_onb(op, c))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_frozen
 class RightSimilarityTransforms(_Record):
     """Invertible right factors with B_j = A_j RAB and Phi_j = Psi_j RPsiPhi."""
 

@@ -15,7 +15,6 @@ ValueError("matrix entries must be finite"), as pnorm_estimate does.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -35,9 +34,11 @@ from .frames import _as_matrix, infer_field
 from .numerics import (
     PNormInterval,
     Tolerance,
+    _Frozen,
     _Record,
     _clear_of_cut,
     _finite_product,
+    _frozen,
     _gaussian_blocks,
     _gaussian_rows,
     _half_sign_patterns,
@@ -54,8 +55,8 @@ from .numerics import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class PFramePair:
+@_frozen
+class PFramePair(_Frozen):
     """Functionals f_j (rows of F) and vectors tau_j (columns of T) of an lp pair."""
 
     F: np.ndarray  # n x m, row j = functional f_j
@@ -97,7 +98,7 @@ def p_frame_operator(pf: PFramePair) -> np.ndarray:
     return _finite_product(pf.T, pf.F, "p-frame operator")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_frozen
 class PReport(_Record):
     """Resolvent gate, tightness verdicts and bound intervals of a p-frame pair."""
 
@@ -132,7 +133,7 @@ def p_verify(pf: PFramePair, samples: int = 200, seed: int = 0) -> PReport:
     return PReport(True, tight, parseval, lower, upper)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_frozen
 class POrthonormalResult(_Record):
     """p-orthonormality falsifier's verdict and a falsifying coefficient vector."""
 
@@ -151,10 +152,13 @@ def p_orthonormal_check(vectors, p: float, trials: int = 200, seed: int = 0,
     c and -c have equal sides, and in that order c comes first when it
     begins with +1, so only the 2^(n-1) patterns that begin with +1 run:
     the same verdict and the same witness.  p must be >= 1, as for
-    pnorm_estimate, else BadExponent.
+    pnorm_estimate, and finite, as for PFramePair (at p = inf both sides
+    of the identity overflow); else BadExponent.
     """
     if not p >= 1:  # NaN fails it
         raise BadExponent(f"p must be >= 1, got {p}")
+    if p == np.inf:
+        raise BadExponent(f"p must be a finite number >= 1, got {p}")
     M = np.asarray(vectors)
     if M.ndim != 2:
         raise ValueError("vectors must be the columns of a matrix")
@@ -175,7 +179,7 @@ def p_orthonormal_check(vectors, p: float, trials: int = 200, seed: int = 0,
     return POrthonormalResult(True, None)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_frozen
 class RieszPBounds(_Record):
     """Intervals for the lower and upper Riesz p-bounds of a family."""
 
@@ -214,7 +218,7 @@ def riesz_p_bounds(vectors, p: float, trials: int = 200, seed: int = 0,
     return RieszPBounds(PNormInterval(certified, max(sampled_min, certified)), b)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_frozen
 class PaleyWienerResult(_Record):
     """Paley-Wiener perturbation verdict and the bound it rests on."""
 
@@ -249,7 +253,7 @@ def paley_wiener_check(base, Y, p: float, trials: int = 200, seed: int = 0,
     return PaleyWienerResult(float(est.upper), concluded, riesz)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_frozen
 class PDualResult(_Record):
     """Canonical dual of a p-frame pair and whether the duality holds."""
 
@@ -269,7 +273,7 @@ def p_canonical_dual(pf: PFramePair) -> PDualResult:
     return PDualResult(dual, bool(ok))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_frozen
 class FourLawsResult(_Record):
     """The l4 Cauchy-Schwarz and parallelogram verdicts with both sides of each."""
 
@@ -307,7 +311,7 @@ def four_laws_check(x, y, tol: Tolerance = Tolerance()) -> FourLawsResult:
     )
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_frozen
 class LineProjection(_Record):
     """Closest point t_star y to x in the l4 norm, and its distance."""
 
@@ -355,7 +359,7 @@ def project_line_l4(x, y, tol: Tolerance = Tolerance()) -> LineProjection:
     return LineProjection(float(t_star), float(phi(t_star)))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_frozen
 class BanachFormulasResult(_Record):
     """Dimension and trace formulas of a Parseval p-frame pair."""
 

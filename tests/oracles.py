@@ -1067,12 +1067,12 @@ class FramePairByColumns:
 
 
 def stock_twin(cls):
-    """A record class's fields under a stock @dataclass(frozen=True).
+    """A framekit dataclass's fields under a stock @dataclass(frozen=True).
 
     The twin has the same qualname and the same fields, with their defaults
     and their init, repr, hash and compare flags, and dataclass generates
-    its __eq__, __hash__ and __repr__, as it did for every record before
-    they shared numerics._Record.
+    its __init__, frozen guards, __eq__, __hash__ and __repr__, as it did
+    for every framekit dataclass before they shared numerics._Frozen.
     """
     spec = [(f.name, f.type, dataclasses.field(default=f.default, default_factory=f.default_factory,
                                                init=f.init, repr=f.repr, hash=f.hash,

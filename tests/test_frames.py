@@ -415,6 +415,22 @@ def test_interpolate_bad_coefficients():
         fk.interpolate_parseval(fp, gq, two, zero, two, zero)
 
 
+def test_interpolate_checks_the_coefficient_shapes():
+    # k x (m + 1) coefficients used to fail inside matmul, and a 1-D C with m = 1 was accepted
+    fp, gq = block_pair(True), block_pair(False)
+    wide, zero = np.eye(2, 3), np.zeros((2, 3))
+    with pytest.raises(ShapeMismatch, match=r"^A, B, C and D must be k x 2 matrices of one shape, "
+                                            r"got \(2, 3\), \(2, 3\), \(2, 3\), \(2, 3\)$"):
+        fk.interpolate_parseval(fp, gq, wide, zero, wide, zero)
+    first = FramePair([[1.0, 0.0]], [[1.0, 0.0]], "real")
+    second = FramePair([[0.0, 1.0]], [[0.0, 1.0]], "real")
+    with pytest.raises(ShapeMismatch, match=r"^A, B, C and D must be k x 1 matrices of one shape, "
+                                            r"got \(1, 1\), \(1, 1\), \(1,\), \(1, 1\)$"):
+        fk.interpolate_parseval(first, second, [[1.0]], [[0.0]], [1.0], [[0.0]])
+    mixed = fk.interpolate_parseval(first, second, [[1.0]], [[0.0]], [[1.0]], [[0.0]])
+    assert fk.verify(mixed).parseval
+
+
 def test_interpolate_requires_parseval():
     fp = FramePair(2 * block_pair(True).X, block_pair(True).T, "real")
     with pytest.raises(NotParseval):

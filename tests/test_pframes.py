@@ -174,6 +174,16 @@ def test_p_orthonormal_check_rejects_p_below_one(p):
             fk.paley_wiener_check(np.eye(2), np.eye(2), p)
 
 
+def test_p_orthonormal_check_rejects_infinite_p():
+    # at p = inf a draw with an entry above 1 made both sides inf, and lhs - rhs warned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadExponent, match=r"^p must be a finite number >= 1, got inf$"):
+            fk.p_orthonormal_check(np.array([[1.0], [0.0]]), np.inf)
+        with pytest.raises(BadExponent, match=r"^p must be a finite number >= 1, got inf$"):
+            fk.paley_wiener_check(np.eye(2), np.eye(2), np.inf)
+
+
 def test_paley_wiener_sign_flip_not_concluded():
     result = fk.paley_wiener_check(np.eye(3), -np.eye(3), 3.0)
     assert result.lambda_upper == pytest.approx(2.0, abs=1e-12)

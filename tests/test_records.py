@@ -1,22 +1,30 @@
-"""Result records: one shared ==, hash and repr with the generated semantics.
+"""Framekit dataclasses: one shared __init__, frozen guard and repr, and records' ==, hash.
 
-Every frozen result record is declared @dataclass(frozen=True, eq=False,
-repr=False) on numerics._Record, which writes __eq__, __hash__ and __repr__
-once over the dataclass fields.  Each record is checked against its stock
-@dataclass(frozen=True) twin (oracles.stock_twin) on seeded instances:
-==, !=, hash, repr, dataclasses.replace and the frozen guards agree,
-including comparisons with other classes and array fields whose == raises.
+Every framekit dataclass is declared with numerics._frozen on the shared
+base numerics._Frozen, which writes __init__, __setattr__, __delattr__ and
+the field-based __repr__ once, so dataclass generates no code at import.
+The value records derive from _Record, which adds == and hash over the
+fields; the pairs, tables and representations compare by identity.  Each
+class is checked against its stock @dataclass(frozen=True) twin
+(oracles.stock_twin) on seeded instances: ==, !=, hash, repr,
+dataclasses.replace, asdict and astuple, the frozen guards, copies and
+pickle round trips, the order of vars(obj) and the TypeError of a bad
+call agree, including comparisons with other classes and array fields
+whose == raises.
 """
 
+import copy
 import dataclasses
 import importlib
 import inspect
+import pickle
+import sys
 
 import numpy as np
 import pytest
 
-from framekit import Tolerance
-from framekit.numerics import PNormInterval, _Record
+from framekit import Tolerance, constructors, frames, ovf, pframes
+from framekit.numerics import PNormInterval, _Frozen, _Record, _frozen
 
 from oracles import stock_twin
 
@@ -76,8 +84,8 @@ def test_the_records_are_the_frozen_value_classes():
     assert every - {cls.__name__ for cls in RECORDS} == IDENTITY_EQ
     assert len(RECORDS) == 30
     for cls in RECORDS:
-        params = cls.__dataclass_params__
-        assert params.frozen and not params.eq and not params.repr, cls
+        assert all(getattr(cls, method) is getattr(_Frozen, method)
+                   for method in ("__init__", "__setattr__", "__delattr__")), cls
         for method in ("__eq__", "__hash__", "__repr__"):
             assert getattr(cls, method) is getattr(_Record, method), (cls, method)
 
@@ -130,3 +138,133 @@ def test_every_dataclass_has_a_written_docstring(cls):
     # dataclass writes Name(signature) when a class has none, calling inspect.signature at import
     generated = cls.__name__ + str(inspect.signature(cls)).replace(" -> None", "")
     assert cls.__doc__ and cls.__doc__ != generated
+
+
+def identity_instances():
+    """One instance of each identity-== class, built through its public constructor."""
+    eye, swap = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])
+    table = constructors.GroupTable.cyclic(2)
+    return [frames._StackedPair._stacked(eye, swap, (1, 1), "real", Tolerance()),
+            frames.FramePair(eye, swap, "real"),
+            ovf.OvfPair.from_members([eye], [swap]),
+            pframes.PFramePair(eye, swap, 3.0, "real"),
+            table,
+            constructors.Representation(table, (eye, swap))]
+
+
+def twin_of(obj):
+    """obj's stock twin, built from obj's init fields, with the non-init fields obj's
+    __post_init__ set (Representation's index rows)."""
+    twin = stock_twin(type(obj))(**{f.name: getattr(obj, f.name)
+                                    for f in dataclasses.fields(obj) if f.init})
+    for f in dataclasses.fields(obj):
+        if not f.init:
+            object.__setattr__(twin, f.name, getattr(obj, f.name))
+    return twin
+
+
+def instances():
+    """(instance, its stock twin) for seeded draws of every record, then each identity class."""
+    rng = np.random.default_rng(23000)
+    made = [(cls(**row), stock_twin(cls)(**row)) for cls in RECORDS for row in draws(cls, rng, 4)]
+    return made + [(obj, twin_of(obj)) for obj in identity_instances()]
+
+
+def test_every_dataclass_is_checked_with_its_twin():
+    assert {type(obj) for obj, _ in instances()} == set(framekit_dataclasses())
+    for cls in framekit_dataclasses():
+        assert issubclass(cls, _Frozen)
+        for method in ("__setattr__", "__delattr__", "__repr__"):
+            assert getattr(cls, method) is getattr(_Frozen, method), (cls, method)
+
+
+def pickled_twin(twin, protocol):
+    """What unpickling twin would give: the stock twin class is not importable, so its
+    state, vars(twin), makes the round trip that pickle gives a dataclass's state."""
+    made = object.__new__(type(twin))
+    vars(made).update(pickle.loads(pickle.dumps(vars(twin), protocol)))
+    return made
+
+
+def test_copies_pickles_and_field_order_match_the_stock_dataclass():
+    for obj, twin in instances():
+        names = [f.name for f in dataclasses.fields(obj)]
+        assert list(vars(obj)) == list(vars(twin)) == names, type(obj)
+        made = [("copy", copy.copy(obj), copy.copy(twin)),
+                ("deepcopy", copy.deepcopy(obj), copy.deepcopy(twin))]
+        made += [(f"pickle {protocol}", pickle.loads(pickle.dumps(obj, protocol)),
+                  pickled_twin(twin, protocol))
+                 for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        for kind, copied, twin_copied in made:
+            assert type(copied) is type(obj), kind
+            assert repr(copied) == repr(twin_copied), kind
+            assert list(vars(copied)) == names, kind
+            if isinstance(obj, _Record):
+                assert outcome(lambda: copied == obj) == outcome(lambda: twin_copied == twin), kind
+            else:
+                assert copied is not obj and copied != obj, kind  # identity ==
+            assert (outcome(lambda: setattr(copied, names[0], 0))
+                    == outcome(lambda: setattr(twin_copied, names[0], 0))), kind
+        assert repr(dataclasses.asdict(obj)) == repr(dataclasses.asdict(twin))
+        assert repr(dataclasses.astuple(obj)) == repr(dataclasses.astuple(twin))
+
+
+def test_bad_calls_raise_type_error_as_the_stock_dataclass():
+    for obj, twin in instances():
+        cls, twin_cls = type(obj), type(twin)
+        init = [f.name for f in dataclasses.fields(obj) if f.init]
+        values = [getattr(obj, n) for n in init]
+        calls = {"extra": (values + [None], {}),
+                 "duplicate": (values[:1], {init[0]: values[0]}),
+                 "unknown": (values, {"not_a_field": None})}
+        if any(f.init and f.default is dataclasses.MISSING for f in dataclasses.fields(obj)):
+            calls["missing"] = ((), {})
+        for kind, (args, kwargs) in calls.items():
+            got = outcome(lambda: cls(*args, **kwargs))
+            stock = outcome(lambda: twin_cls(*args, **kwargs))
+            assert got[:2] == stock[:2] == ("raised", TypeError), (cls, kind, got)
+
+
+def test_keywords_defaults_and_non_init_fields_bind_as_the_stock_dataclass():
+    @_frozen
+    class Bound(_Record):
+        """A record with every kind of field."""
+
+        a: int
+        b: list = dataclasses.field(default_factory=list)
+        c: int = 3
+        d: int = dataclasses.field(default=4, init=False)
+        e: int = dataclasses.field(default=5, init=False, repr=False)
+        f: int = 6
+
+    twin = stock_twin(Bound)
+    in_order, reordered = {"a": 1, "b": [], "c": 3, "f": 0}, {"f": 0, "c": 3, "b": [], "a": 1}
+    for args, kwargs in [((1,), {}), ((1, [2]), {}), ((1, [2], 7), {}), ((1, [2], 7, 8), {}),
+                         ((), {"a": 1}), ((), {"c": 9, "a": 1}), ((1,), {"f": 9}),
+                         ((), in_order), ((), reordered)]:
+        made, stock = Bound(*args, **kwargs), twin(*args, **kwargs)
+        assert repr(made) == repr(stock) and list(vars(made)) == list(vars(stock))
+        assert vars(made) == vars(stock)
+    assert Bound(1).b is not Bound(1).b  # a fresh default per call
+    for args, kwargs in [((1, [], 3, 6, 0), {}), ((1,), {"a": 1}), ((1,), {"d": 4}),
+                         ((1,), {"z": 0})]:
+        assert outcome(lambda: Bound(*args, **kwargs))[:2] == ("raised", TypeError)
+        assert outcome(lambda: twin(*args, **kwargs))[:2] == ("raised", TypeError)
+    with pytest.raises(TypeError, match=r"^test_.*Bound\(\) missing required arguments: 'a'$"):
+        Bound(c=1)
+
+
+def test_no_framekit_class_carries_generated_code():
+    # dataclass compiles what it generates from source text, so its functions' file is "<string>"
+    for name in ["cli", "frames", "ovf", "pframes", "analysis", "constructors"]:
+        importlib.import_module(f"framekit.{name}")
+    generated = []
+    for module in [m for n, m in sorted(sys.modules.items()) if n.split(".")[0] == "framekit"]:
+        for cls in [c for c in vars(module).values()
+                    if inspect.isclass(c) and c.__module__ == module.__name__]:
+            for attr, value in vars(cls).items():
+                func = inspect.unwrap(getattr(value, "__func__", value))
+                code = getattr(func, "__code__", None)
+                if code is not None and code.co_filename == "<string>":
+                    generated.append(f"{cls.__qualname__}.{attr}")
+    assert generated == []
