@@ -48,14 +48,16 @@ class _Frozen:
     __init__ adopts one fresh dict of the values, in field order, as the
     instance's __dict__.  Under CPython 3.11 that costs less than a store
     per field once a record has five fields, and reads of the attributes
-    stay as fast; after vars(self).update(zip(...)) they would not.
+    stay as fast; after stores into vars(self) they would not.
 
     @_frozen reads each class's fields once, when the class is declared.
     _init_spec holds what every call reads: the names of the fields
     __init__ stores, the arity and whether __post_init__ exists.  The
     arity is the number of stored fields when all of them are init
     fields, else -1; a call with exactly that many positional arguments
-    takes them in order, and any other call goes through _bind.
+    takes them in order, and any other call goes through _bind, which
+    reads _init_bind: the init field names, the required ones, and the
+    defaults and default factories by name.
     """
 
     __slots__ = ()
@@ -77,12 +79,7 @@ class _Frozen:
     def _bind(self, args: tuple, kwargs: dict) -> dict:
         """The stored fields' values, in field order, of a call other than the positional one."""
         cls = type(self)
-        names, arity, _ = cls._init_spec
-        stored, init, required, tail = cls._init_bind
-        if not kwargs and required <= len(args) <= arity:  # a prefix, then the trailing defaults
-            return dict(zip(names, args + tail[len(args) - required:]))
-        if not args and arity >= 0 and tuple(kwargs) == names:  # every field by name, in order
-            return kwargs
+        init, required, defaults, factories = cls._init_bind
         if len(args) > len(init):
             raise TypeError(f"{cls.__qualname__}() takes at most {len(init)} positional "
                             f"arguments ({len(args)} given)")
@@ -93,14 +90,13 @@ class _Frozen:
             if name not in init:
                 raise TypeError(f"{cls.__qualname__}() got an unexpected keyword argument {name!r}")
         given.update(kwargs)
-        missing = [f.name for f in stored if f.name not in given
-                   and f.default is MISSING and f.default_factory is MISSING]
+        missing = [name for name in required if name not in given]
         if missing:
             raise TypeError(f"{cls.__qualname__}() missing required arguments: "
                             + ", ".join(map(repr, missing)))
-        return {f.name: given[f.name] if f.name in given
-                else f.default if f.default is not MISSING else f.default_factory()
-                for f in stored}
+        return {name: given[name] if name in given
+                else defaults[name] if name in defaults else factories[name]()
+                for name in cls._init_spec[0]}
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -121,12 +117,12 @@ def _frozen(cls):
     stored = tuple(f for f in fields(cls) if f.init or f.default_factory is not MISSING)
     names = tuple(f.name for f in stored)
     arity = len(stored) if all(f.init for f in stored) else -1
-    required = len(stored)
-    while required and stored[required - 1].default is not MISSING:
-        required -= 1
     cls._init_spec = (names, arity, hasattr(cls, "__post_init__"))
-    cls._init_bind = (stored, tuple(f.name for f in stored if f.init), required,
-                      tuple(f.default for f in stored[required:]))
+    init = dict.fromkeys(f.name for f in stored if f.init)
+    defaults = {f.name: f.default for f in stored if f.default is not MISSING}
+    factories = {f.name: f.default_factory for f in stored if f.default_factory is not MISSING}
+    required = tuple(name for name in init if name not in defaults and name not in factories)
+    cls._init_bind = (init, required, defaults, factories)
     return cls
 
 

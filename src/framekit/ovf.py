@@ -155,7 +155,8 @@ def verify_ovf(op: OvfPair) -> OvfReport:
     """
     S, base = _pair_flags(op)
     riesz, orthonormal = _refinements(op, S, base)
-    return OvfReport(**vars(base), riesz_ovf=riesz, orthonormal_ovf=orthonormal)
+    # an OvfReport's fields are base's, in field order, then the two refinements
+    return OvfReport(*vars(base).values(), riesz, orthonormal)
 
 
 def canonical_dual_ovf(op: OvfPair) -> OvfPair:

@@ -254,6 +254,25 @@ def test_keywords_defaults_and_non_init_fields_bind_as_the_stock_dataclass():
         Bound(c=1)
 
 
+def test_a_record_subclass_is_declared_with_frozen():
+    @_frozen
+    class Noted(PNormInterval):
+        """An interval with a note."""
+
+        note: str = ""
+
+    made, stock = Noted(1.0, 2.0, note="x"), stock_twin(Noted)(1.0, 2.0, note="x")
+    assert repr(made) == repr(stock) and vars(made) == vars(stock)
+    assert made == Noted(1.0, 2.0, "x") != PNormInterval(1.0, 2.0)
+    assert outcome(lambda: setattr(made, "note", "y")) == outcome(lambda: setattr(stock, "note", "y"))
+    # __dataclass_params__.frozen reads False, so dataclass declares neither kind of subclass
+    with pytest.raises(TypeError, match="cannot inherit frozen dataclass from a non-frozen one"):
+        dataclasses.dataclass(frozen=True)(type("Frozen", (PNormInterval,), {}))
+    plain = dataclasses.dataclass(type("Plain", (PNormInterval,), {}))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plain(1.0, 2.0)
+
+
 def test_no_framekit_class_carries_generated_code():
     # dataclass compiles what it generates from source text, so its functions' file is "<string>"
     for name in ["cli", "frames", "ovf", "pframes", "analysis", "constructors"]:
