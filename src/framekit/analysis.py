@@ -50,10 +50,10 @@ from .numerics import (
     _frozen,
     _gaussian_blocks,
     _hermitian,
+    _hermitian_part,
     _psd,
     _require_finite,
     entry_max,
-    hermitian_part,
     opnorm2,
 )
 
@@ -150,7 +150,9 @@ def _first_misaligned(theta_T: np.ndarray, theta_Y: np.ndarray, tol: Tolerance) 
     """First member j whose tau_j y_j^* is not Hermitian psd, or None.
 
     theta_T and theta_Y hold the rows tau_j^* and y_j^*.  The Hermitian and
-    psd rules of numerics decide each outer product on its own.  Members
+    psd rules of numerics decide each outer product on its own, and one
+    pass reads its scale max |tau_j y_j^*| for the Hermitian rule, the
+    Hermitian part and the finiteness test (a scale not below inf).  Members
     go in order, in numerics' blocks of m x m outer products (one member
     at the least) with one batched eigvalsh each, so the temporaries stay
     small however large m and n are, and the first block that holds a
@@ -161,11 +163,14 @@ def _first_misaligned(theta_T: np.ndarray, theta_Y: np.ndarray, tol: Tolerance) 
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
             # [i] = tau_j y_j^*, j = block.start + i: column theta_T[j]^* times row theta_Y[j]
             outer = theta_T[block].conj()[:, :, None] * theta_Y[block][:, None, :]
-            finite = np.isfinite(outer).all(axis=(1, 2))
-            checked = finite & _hermitian(outer, tol)
+            scale = np.abs(outer).max(axis=(1, 2))
+            finite = scale < np.inf  # NaN fails it too
+            checked = finite & _hermitian(outer, tol, scale=scale)
         psd = np.zeros(len(outer), dtype=bool)
         if checked.any():
-            psd[checked] = _psd(np.linalg.eigvalsh(hermitian_part(outer[checked])), tol)
+            kept = outer[checked]
+            H = _hermitian_part(kept, kept.swapaxes(-1, -2).conj(), scale[checked].max())
+            psd[checked] = _psd(np.linalg.eigvalsh(H), tol)
         bad = np.flatnonzero(~psd)
         if not bad.size:
             continue

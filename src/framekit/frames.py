@@ -50,7 +50,9 @@ from .numerics import (
     _hermitian,
     _hermitian_eig,
     _invertible,
+    _margins,
     _members_close,
+    _overflow,
     _pd,
     _psd,
     _rank_excludes_identity,
@@ -209,9 +211,28 @@ def frame_operator(pair) -> np.ndarray:
     """S = theta_Psi^* theta_A = sum_j Psi_j^* A_j  (m x m) of a pair of either layer.
 
     For a vector pair this is T X^* = sum_j tau_j x_j^*.  NumericalOverflow
-    when it overflows.
+    when an entry is not finite, or its modulus is not
+    (_frame_operator_scale).
     """
-    return _finite_product(pair.theta_Psi.conj().T, pair.theta_A, "frame operator")
+    return _frame_operator_scale(pair)[0]
+
+
+def _frame_operator_scale(pair):
+    """(S, max |S|) of a pair of either layer: S is frame_operator's.
+
+    One pass over S gives both its finiteness and the scale of the
+    Hermitian rule: max |S| is below inf unless an entry overflowed to
+    +-inf or is NaN (inf - inf), and then NumericalOverflow names the
+    largest input magnitude, as numerics._finite_product does.  The
+    product runs with numpy's overflow and invalid warnings off.
+    """
+    L, R = pair.theta_Psi.conj().T, pair.theta_A
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = L @ R
+    scale = np.abs(S).max(initial=0.0)
+    if not scale < np.inf:  # NaN fails it too
+        raise _overflow("frame operator", L, R)
+    return S, scale
 
 
 def frame_flags(S, tol: Tolerance) -> FrameReport:
@@ -225,26 +246,30 @@ def frame_flags(S, tol: Tolerance) -> FrameReport:
     return _frame_flags(_require_square(S), tol)
 
 
-def _frame_flags(S: np.ndarray, tol: Tolerance, short: bool = False) -> FrameReport:
+def _frame_flags(S: np.ndarray, tol: Tolerance, short: bool = False, scale=None) -> FrameReport:
     """frame_flags for a finite square S, such as the one frame_operator forms.
 
     One decomposition decides everything.  A Hermitian S (within
-    tolerance) pays one eigvalsh of its Hermitian part: is_frame is the pd
-    rule, lambda_min > abs_tol, and invertible reads min |lambda| >
-    abs_tol, which a frame meets at once: its ascending lambda have
-    lambda_min > abs_tol >= 0, so min |lambda| = lambda_min.  A
-    non-Hermitian S, which is never a frame, pays one SVD to report
-    invertible as sigma_min(S) > abs_tol.  A short S (_short) is neither a
-    frame's nor invertible, whatever its eigenvalues.
+    tolerance) pays one eigvalsh of its Hermitian part, which does not
+    overflow for a finite S: is_frame is the pd rule, lambda_min >
+    abs_tol, and invertible reads min |lambda| > abs_tol, which a frame
+    meets at once: its ascending lambda have lambda_min > abs_tol >= 0, so
+    min |lambda| = lambda_min.  A non-Hermitian S, which is never a frame,
+    pays one SVD to report invertible as sigma_min(S) > abs_tol.  A short
+    S (_short) is neither a frame's nor invertible, whatever its
+    eigenvalues.  scale is max |S| when the caller holds it
+    (_frame_operator_scale), for the Hermitian rule and the Hermitian
+    part; without it they read S for it.  tight and parseval compare with
+    numerics._margins at b and at max(1, b).
     """
-    w = _hermitian_eig(S, tol)
+    w = _hermitian_eig(S, tol, scale=scale)
     psd, is_frame = bool(_psd(w, tol)), not short and bool(_pd(w, tol))
     if not is_frame:
         invertible = not short and _invertible(S if w is None else w, tol)
         return FrameReport(w is not None, psd, invertible, psd, False, 0.0, 0.0, False, False)
     a, b = float(w[0]), float(w[-1])
-    tight = b - a <= tol.margin(b)
-    parseval = tight and abs(b - 1.0) <= tol.margin(1.0, b)
+    tight = b - a <= _margins(tol, b)  # b > abs_tol >= 0, so |b| = b
+    parseval = tight and abs(b - 1.0) <= _margins(tol, max(1.0, b))
     return FrameReport(True, True, True, True, True, a, b, tight, parseval)
 
 
@@ -260,8 +285,8 @@ def _short(pair, S: np.ndarray) -> bool:
 
 def _pair_flags(pair):
     """(S, flags) of a pair of either layer: _frame_flags with the count rule (_short)."""
-    S = frame_operator(pair)
-    return S, _frame_flags(S, pair.tol, _short(pair, S))
+    S, scale = _frame_operator_scale(pair)
+    return S, _frame_flags(S, pair.tol, _short(pair, S), scale)
 
 
 def verify(fp: FramePair) -> FrameReport:
@@ -296,8 +321,8 @@ def _frame_eigh(pair, message: str = "operation requires a frame"):
     eigenvalues (not short, S Hermitian within tolerance and the pd rule),
     else NotAFrame(message).
     """
-    S = frame_operator(pair)
-    eig = None if _short(pair, S) else _hermitian_eig(S, pair.tol, vectors=True)
+    S, scale = _frame_operator_scale(pair)
+    eig = None if _short(pair, S) else _hermitian_eig(S, pair.tol, vectors=True, scale=scale)
     if eig is None or not _pd(eig[0], pair.tol):
         raise NotAFrame(message)
     return eig
@@ -718,8 +743,9 @@ def _extend_tight(pair, lam: float):
     columns of B^* = B appended to X and T (herm_sqrt's B is exactly
     Hermitian).
     """
-    S, tol = frame_operator(pair), pair.tol
-    w = _hermitian_eig(S, tol)
+    S, scale = _frame_operator_scale(pair)
+    tol = pair.tol
+    w = _hermitian_eig(S, tol, scale=scale)
     if not _psd(w, tol):
         raise NotBessel("tight extension starts from a Bessel pair")
     top = float(w[-1])
@@ -752,11 +778,12 @@ def _right_similarity(pair1, S: np.ndarray, pair2):
     """Invertible (R, R') with B_j = A_j R and Phi_j = Psi_j R', or None.
 
     pair1 = (A, Psi) with frame operator S, pair2 = (B, Phi) of the same member shapes.
+    NumericalOverflow when theta_Psi^* theta_B or theta_A^* theta_Phi overflows.
     """
     theta_A, theta_Psi, codims, tol = pair1.theta_A, pair1.theta_Psi, pair1.codims, pair1.tol
     theta_B, theta_Phi = pair2.theta_A, pair2.theta_Psi
-    R = np.linalg.solve(S, theta_Psi.conj().T @ theta_B)
-    R2 = np.linalg.solve(S, theta_A.conj().T @ theta_Phi)
+    R = np.linalg.solve(S, _finite_product(theta_Psi.conj().T, theta_B, "similarity product"))
+    R2 = np.linalg.solve(S, _finite_product(theta_A.conj().T, theta_Phi, "similarity product"))
     if not (_invertible(R, tol) and _invertible(R2, tol)):
         return None
     if not (_members_close(theta_A @ R, theta_B, codims, tol)

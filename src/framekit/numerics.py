@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import reprlib
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -57,7 +58,9 @@ class _Frozen:
     fields, else -1; a call with exactly that many positional arguments
     takes them in order, and any other call goes through _bind, which
     reads _init_bind: the init field names, the required ones, and the
-    defaults and default factories by name.
+    defaults and default factories by name.  _shown names the fields repr
+    shows, and a _Record's _compared and _hashed read the tuples its ==
+    and hash compare.
     """
 
     __slots__ = ()
@@ -106,15 +109,27 @@ class _Frozen:
 
     @reprlib.recursive_repr()
     def __repr__(self):
-        shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self) if f.repr)
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._shown])
         return f"{self.__class__.__qualname__}({shown})"
+
+
+def _tuple_getter(names: tuple) -> staticmethod:
+    """The function of an instance that returns the tuple of its attributes
+    named in names, as a staticmethod for a class to hold."""
+    if len(names) > 1:
+        return staticmethod(attrgetter(*names))
+    if names:
+        get = attrgetter(*names)
+        return staticmethod(lambda obj: (get(obj),))
+    return staticmethod(lambda obj: ())
 
 
 def _frozen(cls):
     """cls, a _Frozen subclass, as a dataclass that keeps _Frozen's methods (see there)."""
     cls = dataclass(init=False, eq=False, repr=False)(cls)
+    every = fields(cls)
     # as in dataclass, a non-init field with a plain default is read from the class attribute
-    stored = tuple(f for f in fields(cls) if f.init or f.default_factory is not MISSING)
+    stored = tuple(f for f in every if f.init or f.default_factory is not MISSING)
     names = tuple(f.name for f in stored)
     arity = len(stored) if all(f.init for f in stored) else -1
     cls._init_spec = (names, arity, hasattr(cls, "__post_init__"))
@@ -123,6 +138,10 @@ def _frozen(cls):
     factories = {f.name: f.default_factory for f in stored if f.default_factory is not MISSING}
     required = tuple(name for name in init if name not in defaults and name not in factories)
     cls._init_bind = (init, required, defaults, factories)
+    cls._shown = tuple(f.name for f in every if f.repr)
+    cls._compared = _tuple_getter(tuple(f.name for f in every if f.compare))
+    cls._hashed = _tuple_getter(tuple(f.name for f in every
+                                      if (f.compare if f.hash is None else f.hash)))
     return cls
 
 
@@ -141,14 +160,11 @@ class _Record(_Frozen):
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            names = [f.name for f in fields(self) if f.compare]
-            return (tuple(getattr(self, n) for n in names)
-                    == tuple(getattr(other, n) for n in names))
+            return self._compared(self) == self._compared(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(tuple(getattr(self, f.name) for f in fields(self)
-                          if (f.compare if f.hash is None else f.hash)))
+        return hash(self._hashed(self))
 
 
 @_frozen
@@ -199,6 +215,13 @@ def opnorm2(A) -> float:
     return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
+def _overflow(what: str, L: np.ndarray, R: np.ndarray) -> NumericalOverflow:
+    """The error for a product L @ R of finite factors that is not finite,
+    naming the largest input magnitude."""
+    largest = max(entry_max(L), entry_max(R))
+    return NumericalOverflow(f"{what} overflows: largest input magnitude {largest:.6g}")
+
+
 def _finite_product(L: np.ndarray, R: np.ndarray, what: str) -> np.ndarray:
     """L @ R for finite L and R, or NumericalOverflow when an entry overflows.
 
@@ -208,15 +231,34 @@ def _finite_product(L: np.ndarray, R: np.ndarray, what: str) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         P = L @ R
     if not np.isfinite(P).all():
-        largest = max(entry_max(L), entry_max(R))
-        raise NumericalOverflow(f"{what} overflows: largest input magnitude {largest:.6g}")
+        raise _overflow(what, L, R)
     return P
 
 
+_FLOAT_MAX = np.finfo(float).max
+_HALF_FLOAT_MAX = _FLOAT_MAX / 2  # M + M^* may overflow above this max |M|
+
+
 def hermitian_part(M) -> np.ndarray:
-    """(M + M^*) / 2, for a matrix or each matrix of a stack (..., k, k)."""
+    """(M + M^*) / 2, for a matrix or each matrix of a stack (..., k, k).
+
+    A finite M gives a finite result (_hermitian_part).
+    """
     M = np.asarray(M)
-    return 0.5 * (M + M.swapaxes(-1, -2).conj())
+    return _hermitian_part(M, M.swapaxes(-1, -2).conj(), entry_max(M))
+
+
+def _hermitian_part(M: np.ndarray, Mh: np.ndarray, scale) -> np.ndarray:
+    """(M + Mh) / 2 for Mh = M^* and scale = max |M| over all of M.
+
+    Up to scale = FLOAT_MAX / 2 this is 0.5 * (M + Mh).  Above it the sum
+    could overflow, so each term is halved first: 0.5 * M + 0.5 * Mh.
+    Halving is exact barring subnormal entries, so the second form rounds
+    the same sum once and differs from the first only where that overflows.
+    """
+    if scale > _HALF_FLOAT_MAX:
+        return 0.5 * M + 0.5 * Mh
+    return 0.5 * (M + Mh)
 
 
 def _require_finite(M) -> np.ndarray:
@@ -341,15 +383,19 @@ def _blocks(count: int, width: int) -> list:
 # reads.  They take matrices the caller already holds as finite and square.
 
 
-def _hermitian(M, tol: Tolerance, Mh=None):
+def _hermitian(M, tol: Tolerance, Mh=None, scale=None):
     """Whether M, or each matrix of a stack (..., k, k), is Hermitian within tol.
 
     The deviation max |M - M^*| is compared with tol's margin at the
-    scale max |M|.  Mh is M^* when the caller has formed it already.
+    scale max |M|.  Mh is M^*, and scale that max (of each matrix), when
+    the caller holds them already; a frame operator's builder reads its
+    scale in the same pass that tests S finite (frames._frame_operator_scale).
     """
     Mh = M.swapaxes(-1, -2).conj() if Mh is None else Mh
+    if scale is None:
+        scale = np.abs(M).max(axis=(-2, -1), initial=0.0)
     dev = np.abs(M - Mh).max(axis=(-2, -1), initial=0.0)
-    return dev <= _margins(tol, np.abs(M).max(axis=(-2, -1), initial=0.0))
+    return dev <= _margins(tol, scale)
 
 
 # In the psd and pd rules, w[..., 0][()] is lambda_min of each matrix: a
@@ -400,16 +446,21 @@ def _decompose(fn, M):
         raise EigenFailure(str(exc)) from exc
 
 
-def _hermitian_eig(M, tol: Tolerance, vectors: bool = False):
+def _hermitian_eig(M, tol: Tolerance, vectors: bool = False, scale=None):
     """Ascending eigenvalues w of M's Hermitian part, or its eigh (w, V) with
     vectors; None when M fails the Hermitian rule.
 
-    M^* is formed once, for both the rule and the Hermitian part.
+    M^* and the scale max |M| are read once, for both the rule and the
+    Hermitian part; scale is that max when the caller holds it already.
+    The Hermitian part does not overflow (_hermitian_part).
     """
     Mh = M.swapaxes(-1, -2).conj()
-    if not _hermitian(M, tol, Mh):
+    if scale is None:
+        scale = np.abs(M).max(initial=0.0)
+    if not _hermitian(M, tol, Mh, scale):
         return None
-    return _decompose(np.linalg.eigh if vectors else np.linalg.eigvalsh, 0.5 * (M + Mh))
+    return _decompose(np.linalg.eigh if vectors else np.linalg.eigvalsh,
+                      _hermitian_part(M, Mh, scale))
 
 
 @_frozen
@@ -488,7 +539,6 @@ class PNormInterval(_Record):
 
 # _lp_norms sums unscaled only within [_LP_SUM_MIN, _FLOAT_MAX]; below, the
 # round-off of subnormal terms may reach an ulp of the sum.
-_FLOAT_MAX = np.finfo(float).max
 _LP_SUM_MIN = np.finfo(float).tiny * 2.0**53
 
 
