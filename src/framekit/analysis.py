@@ -127,7 +127,7 @@ def extend_tight_minimal(fp: FramePair) -> FramePair:
         return fp
     extra = (V[:, deficient] * np.sqrt(gaps[deficient])).conj().T  # rows (sqrt(gap_j) v_j)^*
     return type(fp)._stacked(np.vstack([fp.theta_A, extra]), np.vstack([fp.theta_Psi, extra]),
-                             (), fp.field, fp.tol)
+                             (), fp.tol)
 
 
 @_frozen
@@ -329,8 +329,7 @@ def _perturbed_rows(fp: FramePair, Y) -> np.ndarray:
 
 def _actual_bounds(fp: FramePair, theta_Y):
     """The optimal bounds of the pair (Y, T); it adopts theta_Y, which no one writes after."""
-    field = COMPLEX if (fp.field == COMPLEX or np.iscomplexobj(theta_Y)) else REAL
-    report = verify(type(fp)._stacked(theta_Y, fp.theta_Psi, (), field, fp.tol))
+    report = verify(type(fp)._stacked(theta_Y, fp.theta_Psi, (), fp.tol))
     return report.lower_a, report.upper_b
 
 
@@ -441,7 +440,7 @@ def real_to_complex(fp: FramePair) -> FramePair:
         raise HypothesisFails("sum tau_j x_j^T must be symmetric")
     # over C the rows are conj(x_j + 0i), imaginary parts -0.0, as a complex FramePair stores them
     return type(fp)._stacked(np.conjugate(fp.theta_A, dtype=complex),
-                             np.conjugate(fp.theta_Psi, dtype=complex), (), COMPLEX, fp.tol)
+                             np.conjugate(fp.theta_Psi, dtype=complex), (), fp.tol)
 
 
 def complex_to_real(fp: FramePair) -> FramePair:
@@ -454,4 +453,4 @@ def complex_to_real(fp: FramePair) -> FramePair:
     Pr, Pi = fp.theta_Psi.real, fp.theta_Psi.conj().imag
     if not fp.tol.mat_close(Pi.T @ Ar, Pr.T @ Ai):
         raise HypothesisFails("mixed real/imaginary part sums must agree")
-    return type(fp)._stacked(np.vstack([Ar, Ai]), np.vstack([Pr, Pi]), (), REAL, fp.tol)
+    return type(fp)._stacked(np.vstack([Ar, Ai]), np.vstack([Pr, Pi]), (), fp.tol)

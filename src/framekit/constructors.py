@@ -26,7 +26,7 @@ from .errors import (
     NotInvariant,
     NotParseval,
 )
-from .frames import FramePair, FrameReport, REAL, infer_field, verify
+from .frames import FramePair, FrameReport, verify
 from .numerics import (Tolerance, _Frozen, _Record, _blocks, _finite_product, _frozen, _identities,
                        _members_close, entry_max)
 
@@ -275,7 +275,7 @@ def circular_general(a, theta, b, phi, tol: Tolerance = Tolerance()) -> Circular
         raise NegativeRadius("radii must be nonnegative")
     theta_x = np.column_stack([a * np.cos(theta), a * np.sin(theta)])  # rows x_j^T
     theta_tau = np.column_stack([b * np.cos(phi), b * np.sin(phi)])
-    fp = FramePair._stacked(theta_x, theta_tau, (), REAL, tol)
+    fp = FramePair._stacked(theta_x, theta_tau, (), tol)
     w = a * b
     residual = np.array([
         float(np.sum(w * np.cos(theta + phi))),
@@ -317,7 +317,7 @@ def group_frame(rep: Representation, x, tau, tol: Tolerance = Tolerance()) -> Gr
     if x.shape != (rep.dim,) or tau.shape != (rep.dim,):
         raise DimMismatch("generator vectors must match the representation dimension")
     theta_x, theta_tau = _orbit(rep, x), _orbit(rep, tau)
-    fp = FramePair._stacked(theta_x, theta_tau, (), infer_field(theta_x, theta_tau), tol)
+    fp = FramePair._stacked(theta_x, theta_tau, (), tol)
     report = verify(fp)
     if not report.is_frame:
         return GroupFrameResult(fp, report, True)

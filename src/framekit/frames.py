@@ -11,10 +11,11 @@ and both pair classes share one storage (_StackedPair): the read-only
 analysis operators theta_A and theta_Psi, here theta_x = X^* and
 theta_tau = T^* with codims = (1,) * n.  Every body reads those stacked
 operators and builds its pair through type(pair)._stacked, adopting the
-arrays it has just computed.  X and T are caller-side adjoints, a fresh
-conjugate copy on each read of a complex pair, and only FramePair and io
-know that layout.  Each operation both layers share has one body below,
-which takes a pair of either class and returns the caller's class.
+arrays it has just computed, whose dtype sets the pair's field.  X and T
+are caller-side adjoints, a fresh conjugate copy on each read of a
+complex pair, and only FramePair and io know that layout.  Each
+operation both layers share has one body below, which takes a pair of
+either class and returns the caller's class.
 """
 
 from __future__ import annotations
@@ -109,15 +110,17 @@ class _StackedPair(_Frozen):
     _rank_one = False  # True: every row is a member; _store sets codims = (1,) * N, N and m >= 1
 
     @classmethod
-    def _stacked(cls, theta_A, theta_Psi, codims: tuple, field: str, tol: Tolerance):
+    def _stacked(cls, theta_A, theta_Psi, codims: tuple, tol: Tolerance):
         """The pair of cls whose members are the row blocks of sizes codims.
 
-        Its callers pass arrays no one else writes: a body's fresh result
-        or another pair's frozen operators.  So they are adopted, cast
-        without a copy when they already have the field's dtype, checked
-        finite and frozen.
+        The pair takes its field from the arrays' dtype: complex exactly
+        when either array is complex (infer_field).  Its callers pass
+        arrays no one else writes: a body's fresh result or another pair's
+        frozen operators.  So they are adopted, cast without a copy when
+        they already have the field's dtype, checked finite and frozen.
         """
         pair = object.__new__(cls)
+        field = infer_field(theta_A, theta_Psi)
         theta_A, theta_Psi = (_as_matrix(M, field, copy=False) for M in (theta_A, theta_Psi))
         pair._store(theta_A, theta_Psi, codims, field, tol)
         return pair
@@ -189,7 +192,7 @@ class FramePair(_StackedPair):
         return _adjoint(self.theta_Psi[j])
 
     def with_tol(self, tol: Tolerance) -> "FramePair":
-        return self._stacked(self.theta_A, self.theta_Psi, self.codims, self.field, tol)
+        return self._stacked(self.theta_A, self.theta_Psi, self.codims, tol)
 
 
 @_frozen
@@ -260,7 +263,8 @@ def _frame_flags(S: np.ndarray, tol: Tolerance, short: bool = False, scale=None)
     eigenvalues.  scale is max |S| when the caller holds it
     (_frame_operator_scale), for the Hermitian rule and the Hermitian
     part; without it they read S for it.  tight and parseval compare with
-    numerics._margins at b and at max(1, b).
+    numerics._margins at b and at max(1, b); an infinite b (S finite, its
+    largest eigenvalue overflowed) is never tight.
     """
     w = _hermitian_eig(S, tol, scale=scale)
     psd, is_frame = bool(_psd(w, tol)), not short and bool(_pd(w, tol))
@@ -268,7 +272,7 @@ def _frame_flags(S: np.ndarray, tol: Tolerance, short: bool = False, scale=None)
         invertible = not short and _invertible(S if w is None else w, tol)
         return FrameReport(w is not None, psd, invertible, psd, False, 0.0, 0.0, False, False)
     a, b = float(w[0]), float(w[-1])
-    tight = b - a <= _margins(tol, b)  # b > abs_tol >= 0, so |b| = b
+    tight = b < np.inf and b - a <= _margins(tol, b)  # b > abs_tol >= 0, so |b| = b
     parseval = tight and abs(b - 1.0) <= _margins(tol, max(1.0, b))
     return FrameReport(True, True, True, True, True, a, b, tight, parseval)
 
@@ -378,8 +382,7 @@ def make_dual_from_params(fp: FramePair, U, V) -> FramePair:
     W = _require_square(Sinv + U @ V.conj().T - (V @ TSiXU).conj().T)
     if not _pd(_hermitian_eig(W, fp.tol), fp.tol):
         raise ParamNotAdmissible("parameters fail the positivity/invertibility condition")
-    field = infer_field(theta_Y, theta_Om) if fp.field == REAL else fp.field
-    return type(fp)._stacked(theta_Y, theta_Om, (), field, fp.tol)
+    return type(fp)._stacked(theta_Y, theta_Om, (), fp.tol)
 
 
 def common_dual(fp: FramePair, gq: FramePair) -> FramePair:
@@ -390,8 +393,7 @@ def common_dual(fp: FramePair, gq: FramePair) -> FramePair:
         raise NotOrthogonal("common dual needs orthogonal frames")
     theta_Z = _solve_adjoint(fp.theta_A, S1) + _solve_adjoint(gq.theta_A, S2)
     theta_R = _solve_adjoint(fp.theta_Psi, S1) + _solve_adjoint(gq.theta_Psi, S2)
-    return type(fp)._stacked(theta_Z, theta_R, (), fp.field if fp.field == gq.field else COMPLEX,
-                             fp.tol)
+    return type(fp)._stacked(theta_Z, theta_R, (), fp.tol)
 
 
 def frame_idempotent(fp: FramePair) -> np.ndarray:
@@ -434,9 +436,8 @@ def direct_sum(fp: FramePair, gq: FramePair) -> FramePair:
     """Stack the members: (x_j + y_j, tau_j + omega_j) in K^(m1+m2)."""
     if fp.n != gq.n:
         raise CountMismatch(f"counts differ: {fp.n} vs {gq.n}")
-    field = fp.field if fp.field == gq.field else COMPLEX
     return type(fp)._stacked(np.hstack([fp.theta_A, gq.theta_A]),
-                             np.hstack([fp.theta_Psi, gq.theta_Psi]), (), field, fp.tol)
+                             np.hstack([fp.theta_Psi, gq.theta_Psi]), (), fp.tol)
 
 
 def tensor_product(fp: FramePair, gq: FramePair) -> FramePair:
@@ -466,8 +467,7 @@ def interpolate_parseval(fp: FramePair, gq: FramePair, A, B, C, D) -> FramePair:
     # transpose, so that it broadcasts as A X_fp + B X_gq does
     theta_X = (A.conj() @ fp.theta_A.T + B.conj() @ gq.theta_A.T).T
     theta_T = (C.conj() @ fp.theta_Psi.T + D.conj() @ gq.theta_Psi.T).T
-    field = infer_field(theta_X, theta_T) if fp.field == REAL == gq.field else COMPLEX
-    return type(fp)._stacked(theta_X, theta_T, (), field, fp.tol)
+    return type(fp)._stacked(theta_X, theta_T, (), fp.tol)
 
 
 @_frozen
@@ -513,7 +513,7 @@ def parsevalize(fp: FramePair, mode: str = SPLIT) -> FramePair:
             raise ValueError(f"unknown mode {mode!r}")
         theta_A = _solve_adjoint(fp.theta_A, S) if mode == LEFT_ON_X else fp.theta_A
         theta_Psi = _solve_adjoint(fp.theta_Psi, S) if mode == LEFT_ON_T else fp.theta_Psi
-    return type(fp)._stacked(theta_A, theta_Psi, fp.codims, fp.field, fp.tol)
+    return type(fp)._stacked(theta_A, theta_Psi, fp.codims, fp.tol)
 
 
 @_frozen
@@ -567,9 +567,10 @@ def dilate(fp: FramePair) -> DilationResult:
 # The bodies take pairs of either layer and read them through the stacked
 # view: theta_A and theta_Psi are N x m, the members' d_j x m blocks in
 # order, and codims lists the d_j.  A body that builds a pair returns the
-# caller's class through type(pair)._stacked.  The array kernels among them
-# (_idempotent, _dilation_rows, ..., and numerics' _block_identities_ok and
-# _members_close) take the stacked operators themselves.
+# caller's class through type(pair)._stacked, which reads the field from the
+# arrays.  The array kernels among them (_idempotent, _dilation_rows, ...,
+# and numerics' _block_identities_ok and _members_close) take the stacked
+# operators themselves.
 
 
 def _times_adjoint(theta: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -654,10 +655,8 @@ def _tensor(pair1, pair2):
     """
     rows = _pair_rows(pair1.codims, pair2.codims)
     codims = tuple(d1 * d2 for d1 in pair1.codims for d2 in pair2.codims)
-    field = pair1.field if pair1.field == pair2.field else COMPLEX
     return type(pair1)._stacked(np.kron(pair1.theta_A, pair2.theta_A)[rows],
-                                np.kron(pair1.theta_Psi, pair2.theta_Psi)[rows],
-                                codims, field, pair1.tol)
+                                np.kron(pair1.theta_Psi, pair2.theta_Psi)[rows], codims, pair1.tol)
 
 
 def _canonical_dual(pair, message: str = "operation requires a frame"):
@@ -668,8 +667,7 @@ def _canonical_dual(pair, message: str = "operation requires a frame"):
     """
     S = _require_frame(pair, message)
     Sinv = np.linalg.solve(S, np.eye(S.shape[0], dtype=S.dtype))
-    return type(pair)._stacked(pair.theta_A @ Sinv, pair.theta_Psi @ Sinv,
-                               pair.codims, pair.field, pair.tol)
+    return type(pair)._stacked(pair.theta_A @ Sinv, pair.theta_Psi @ Sinv, pair.codims, pair.tol)
 
 
 def _complement_rows(Q: np.ndarray) -> np.ndarray:
@@ -711,7 +709,7 @@ def _dilation_rows(theta_A: np.ndarray, theta_Psi: np.ndarray, S: np.ndarray, to
     ranges raise RangesDiffer(message), which names the operators as the
     caller's layer does.
     """
-    if not _frame_flags(S, tol).parseval:
+    if not _frame_flags(S, tol, theta_A.shape[0] < S.shape[0]).parseval:  # _short
         raise NotParseval("dilation starts from a Parseval pair")
     Q = _shared_range_basis(theta_A, theta_Psi, tol)
     if Q is None:
@@ -733,7 +731,7 @@ def _dilate(pair, message: str = "theta_A and theta_Psi must have equal ranges")
     theta_A, theta_Psi = pair.theta_A, pair.theta_Psi
     cols = _dilation_rows(theta_A, theta_Psi, frame_operator(pair), pair.tol, message).conj().T
     return type(pair)._stacked(np.hstack([theta_A, cols]), np.hstack([theta_Psi, cols]),
-                               pair.codims, pair.field, pair.tol)
+                               pair.codims, pair.tol)
 
 
 def _extend_tight(pair, lam: float):
@@ -753,7 +751,7 @@ def _extend_tight(pair, lam: float):
         raise LambdaTooSmall(f"lambda must exceed the top eigenvalue {top}")
     B = herm_sqrt(lam * np.eye(S.shape[0]) - S, tol)
     return type(pair)._stacked(np.vstack([pair.theta_A, B]), np.vstack([pair.theta_Psi, B]),
-                               pair.codims + (pair.m,), pair.field, tol)
+                               pair.codims + (pair.m,), tol)
 
 
 def _weighted_onb(pair, c):

@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import CodomainNotOneDim, NotOnb, ShapeMismatch
 from .frames import (
-    COMPLEX,
     REAL,
     FramePair,
     FrameReport,
@@ -310,10 +309,9 @@ def compose_ovf(outer: OvfPair, inner: OvfPair) -> OvfPair:
         per_member = theta_inner.reshape(inner.n, inner.d, inner.m).transpose(1, 0, 2)
         return (theta_outer @ per_member.reshape(inner.d, -1)).reshape(-1, inner.m)[rows]
 
-    field = outer.field if outer.field == inner.field else COMPLEX
     codims = tuple(d for d in outer.codims for _ in range(inner.n))
     return OvfPair._stacked(stacked(outer.theta_A, inner.theta_A),
-                            stacked(outer.theta_Psi, inner.theta_Psi), codims, field, inner.tol)
+                            stacked(outer.theta_Psi, inner.theta_Psi), codims, inner.tol)
 
 
 def tensor_ovf(op1: OvfPair, op2: OvfPair) -> OvfPair:
@@ -346,11 +344,11 @@ def dilate_ovf(op: OvfPair) -> OvfPair:
 
 def ovf_bridge(fp: FramePair) -> OvfPair:
     """Frame pair -> rank-one OVF pair: A_j = x_j^*, Psi_j = tau_j^*."""
-    return OvfPair._stacked(fp.theta_A, fp.theta_Psi, fp.codims, fp.field, fp.tol)
+    return OvfPair._stacked(fp.theta_A, fp.theta_Psi, fp.codims, fp.tol)
 
 
 def ovf_bridge_inverse(op: OvfPair) -> FramePair:
     """Rank-one OVF pair -> frame pair; requires codomain dimension one."""
     if op.d != 1:
         raise CodomainNotOneDim("the inverse bridge needs d = 1")
-    return FramePair._stacked(op.theta_A, op.theta_Psi, op.codims, op.field, op.tol)
+    return FramePair._stacked(op.theta_A, op.theta_Psi, op.codims, op.tol)

@@ -197,10 +197,10 @@ def riesz_p_bounds(vectors, p: float, trials: int = 200, seed: int = 0,
     """
     M = _require_finite(vectors)
     n = M.shape[1]
-    if M.shape[1] > M.shape[0] or not _invertible(M, tol):
+    s = np.linalg.svd(M, compute_uv=False)  # one SVD: _invertible reads a 1-D s as |values|
+    if n > M.shape[0] or not _invertible(s, tol):
         raise RankDeficient("columns do not admit a left inverse (a = 0)")
     if p == 2:
-        s = np.linalg.svd(M, compute_uv=False)
         a = PNormInterval(float(s[-1]) ** 2, float(s[-1]) ** 2)
         b = PNormInterval(float(s[0]) ** 2, float(s[0]) ** 2)
         return RieszPBounds(a, b)

@@ -1061,8 +1061,8 @@ class FramePairByColumns:
         return (1,) * self.n
 
     @classmethod
-    def _stacked(cls, theta_A, theta_Psi, codims, field, tol):
-        return cls(theta_A.conj().T, theta_Psi.conj().T, field, tol)
+    def _stacked(cls, theta_A, theta_Psi, codims, tol):
+        return cls(theta_A.conj().T, theta_Psi.conj().T, infer_field(theta_A, theta_Psi), tol)
 
 
 

@@ -535,6 +535,24 @@ def test_dilate_requires_parseval():
         fk.dilate(mercedes_benz())
 
 
+def test_dilation_reads_the_count_rule():
+    # m = 3 and two orthonormal members: rank S = 2 < 3, so no frame by counting.  At
+    # abs_tol 0 and rel_tol 2, rounding leaves lambda_min of some draws' S positive,
+    # and the spectral rules alone call those S Parseval.
+    tol = Tolerance(0.0, 2.0)
+    spectral_only = 0
+    for seed in range(8):
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 2)))
+        fp = FramePair(q, q, "real", tol)
+        spectral_only += frames.frame_flags(fk.frame_operator(fp), tol).parseval
+        assert not fk.verify(fp).parseval
+        with pytest.raises(NotParseval):
+            fk.dilate(fp)
+        with pytest.raises(NotParseval):
+            fk.dilate_ovf(fk.ovf_bridge(fp))
+    assert spectral_only > 0
+
+
 def test_dilate_non_self_dual_and_complex(rng):
     # U F against U^-* F is Parseval with a Hermitian idempotent, so the
     # dilation hypothesis holds even though x != tau

@@ -80,6 +80,26 @@ def test_cli_verifies_that_frame(tmp_path, capsys):
     assert "\nis_frame = true\n" in out and "\npsd = true\n" in out
 
 
+# a finite S whose eigenvalues are 7e307 and 2.7e308: the top one overflows to b = inf,
+# and b - a = inf passed a tight margin that is inf at b = inf
+TOP_OVERFLOWS = np.array([[1.7e308, 1e308], [1e308, 1.7e308]])
+
+
+def test_an_infinite_upper_bound_is_neither_tight_nor_parseval(tmp_path, capsys):
+    fp = fk.FramePair(np.eye(2), TOP_OVERFLOWS, "real")
+    reports = [quiet(lambda: frames.frame_flags(TOP_OVERFLOWS, fk.Tolerance())),
+               quiet(lambda: fk.verify(fp)), quiet(lambda: fk.verify_ovf(fk.ovf_bridge(fp)))]
+    for report in reports:
+        assert report.is_frame and report.upper_b == np.inf
+        assert not (report.tight or report.parseval)
+    path = tmp_path / "top.json"
+    path.write_text(json.dumps({"field": "real", "dim": 2, "count": 2,
+                                "x": np.eye(2).tolist(), "tau": TOP_OVERFLOWS.tolist()}))
+    assert quiet(lambda: run(["verify", str(path)])) == 0
+    out = capsys.readouterr().out
+    assert "\nupper_b = inf\n" in out and "\ntight = false\n" in out and "\nparseval = false\n" in out
+
+
 def test_similarity_products_that_overflow_raise():
     # S = 4 I and S = 1.5 I: both frames, but theta_Psi^* theta_B overflows
     small = fk.FramePair(2.0 * np.eye(2), 2.0 * np.eye(2), "real")

@@ -1463,7 +1463,7 @@ def test_verify_ovf_verdicts_match_the_idempotent(rng, field):
         else:
             op = heterogeneous_ovf(rng, m, field)
         for tol in TOLERANCES:
-            cases.append(OvfPair._stacked(op.theta_A, op.theta_Psi, op.codims, field, tol))
+            cases.append(OvfPair._stacked(op.theta_A, op.theta_Psi, op.codims, tol))
     half = np.array([[1.0, 1.0]]) / np.sqrt(2.0)  # N = 2 > m = 1, as in classify_cases
     cases += [fk.ovf_bridge(FramePair(half, half, field, Tolerance(0.6, 0.0))), fk.onb_blocks(3, 2)]
     moved = collections.Counter()

@@ -74,7 +74,7 @@ def frame_pair_bits(fp):
 def test_the_stacked_view_rebuilds_the_vector_pair(seed, mn, field):
     fp = random_frame(rng_for(seed), *mn, field)
     assert fp.codims == (1,) * fp.n
-    back = fk.FramePair._stacked(fp.theta_A, fp.theta_Psi, fp.codims, fp.field, fp.tol)
+    back = fk.FramePair._stacked(fp.theta_A, fp.theta_Psi, fp.codims, fp.tol)
     assert frame_pair_bits(back) == frame_pair_bits(fp)
 
 

@@ -144,7 +144,7 @@ def identity_instances():
     """One instance of each identity-== class, built through its public constructor."""
     eye, swap = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])
     table = constructors.GroupTable.cyclic(2)
-    return [frames._StackedPair._stacked(eye, swap, (1, 1), "real", Tolerance()),
+    return [frames._StackedPair._stacked(eye, swap, (1, 1), Tolerance()),
             frames.FramePair(eye, swap, "real"),
             ovf.OvfPair.from_members([eye], [swap]),
             pframes.PFramePair(eye, swap, 3.0, "real"),

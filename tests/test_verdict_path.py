@@ -128,7 +128,7 @@ def test_ovf_reports_match_every_rule(rng, tol):
         else:  # singular or non-Hermitian S
             op = OvfPair(tuple(random_matrix(rng, d, m, field) for _ in range(n)),
                          tuple(random_matrix(rng, d, m, field) for _ in range(n)), field)
-        op = OvfPair._stacked(op.theta_A, op.theta_Psi, op.codims, field, tol)
+        op = OvfPair._stacked(op.theta_A, op.theta_Psi, op.codims, tol)
         S = fk.frame_operator(op)
         want = oracles.pair_flags_by_every_rule(op, S, tol)
         riesz, orthonormal = _refinements(op, S, want)
