@@ -47,14 +47,21 @@ from .numerics import (
     _Record,
     _frozen,
     _block_identities_ok,
+    _certifiable,
+    _checked_hermitian_part,
+    _decompose,
+    _finite_eigenvalues,
     _finite_product,
+    _gate,
     _hermitian,
+    _hermitian_deviation,
     _hermitian_eig,
     _invertible,
     _margins,
     _members_close,
     _overflow,
     _pd,
+    _pd_certified,
     _psd,
     _rank_excludes_identity,
     _require_square,
@@ -305,16 +312,52 @@ def verify(fp: FramePair) -> FrameReport:
     return _pair_flags(fp)[1]
 
 
+def _not_a_frame(pair, S: np.ndarray, scale, message: str, w=None) -> NotAFrame:
+    """NotAFrame(message), naming the rule the pair's S failed and its numbers.
+
+    Only the raising path builds it.  The rules go in the order the gates
+    read them: the count (_short), the Hermitian rule, then the pd rule on
+    lambda_min, taken from w when the caller holds the eigenvalues.
+    """
+    tol = pair.tol
+    if _short(pair, S):
+        reason = f"N = {pair.theta_A.shape[0]} stacked rows < m = {S.shape[0]}"
+    else:
+        w = _hermitian_eig(S, tol, scale=scale) if w is None else w
+        if w is None:
+            deviation, margin = _hermitian_deviation(S, S.conj().T, scale, tol)
+            reason = f"S not Hermitian: deviation {float(deviation)!r} > margin {float(margin)!r}"
+        elif not w.size:
+            reason = "S is 0 x 0"
+        else:
+            reason = f"lambda_min {float(w[0])!r} <= abs_tol {tol.abs_tol!r}"
+    return NotAFrame(f"{message}: {reason}")
+
+
 def _require_frame(pair, message: str = "operation requires a frame") -> np.ndarray:
-    """S of a pair of either layer that must be a frame, else NotAFrame(message)."""
-    return _require_frame_flags(pair, message)[0]
+    """S of a pair of either layer that must be a frame, else NotAFrame(message).
+
+    The gate reports no bound, so where it applies (numerics._certifiable)
+    one Cholesky that proves lambda_min > abs_tol (numerics._pd_certified)
+    decides it.  Otherwise, and whenever the certificate fails, the
+    eigenvalue rule of _frame_flags decides, so NotAFrame still means that
+    the count, the Hermitian or the pd rule failed.
+    """
+    S, scale = _frame_operator_scale(pair)
+    w = None
+    if not _short(pair, S):
+        passed, w = _gate(S, pair.tol, _pd, scale)
+        if passed:
+            return S
+    raise _not_a_frame(pair, S, scale, message, w)
 
 
 def _require_frame_flags(pair, message: str = "operation requires a frame"):
     """_pair_flags(pair) for a pair that must be a frame, else NotAFrame(message)."""
-    S, report = _pair_flags(pair)
+    S, scale = _frame_operator_scale(pair)
+    report = _frame_flags(S, pair.tol, _short(pair, S), scale)
     if not report.is_frame:
-        raise NotAFrame(message)
+        raise _not_a_frame(pair, S, scale, message)
     return S, report
 
 
@@ -323,12 +366,14 @@ def _frame_eigh(pair, message: str = "operation requires a frame"):
 
     One eigh both gates and decomposes: _pair_flags' rules on its own
     eigenvalues (not short, S Hermitian within tolerance and the pd rule),
-    else NotAFrame(message).
+    else NotAFrame(message).  A frame whose largest eigenvalue overflows
+    (S finite) raises NumericalOverflow.
     """
     S, scale = _frame_operator_scale(pair)
     eig = None if _short(pair, S) else _hermitian_eig(S, pair.tol, vectors=True, scale=scale)
     if eig is None or not _pd(eig[0], pair.tol):
-        raise NotAFrame(message)
+        raise _not_a_frame(pair, S, scale, message, None if eig is None else eig[0])
+    _finite_eigenvalues(eig[0], "frame operator")
     return eig
 
 
@@ -422,8 +467,13 @@ def classify(fp: FramePair) -> ClassifyResult:
     The d = 1 case of ovf.verify_ovf's refinements (_refinements), decided
     by counting members without forming P: a frame has n >= m, one with
     n = m is Riesz, and for n > m neither holds.  Only a tolerance too
-    loose for that rank rule forms P.
+    loose for that rank rule forms P.  When the rank rule alone decides
+    (False, False), only the frame gate runs (_require_frame), which reads
+    no bound.
     """
+    if _rank_excludes_identity(fp.theta_A.shape[0], fp.m, fp.tol):
+        _require_frame(fp)
+        return ClassifyResult(False, False, fp)
     return _classify(fp, *_require_frame_flags(fp))
 
 
@@ -739,16 +789,25 @@ def _extend_tight(pair, lam: float):
 
     B is m x m; a vector pair reads its rows as m rank-one members, the
     columns of B^* = B appended to X and T (herm_sqrt's B is exactly
-    Hermitian).
+    Hermitian).  Where it applies (numerics._certifiable), a Cholesky
+    proves each gate: psd as lambda_min(H) > -abs_tol, and lam > top +
+    abs_tol as lambda_min(-H) > abs_tol - lam, for S's Hermitian part H.
+    A gate it cannot prove reads the eigenvalues of one eigvalsh, and
+    LambdaTooSmall names the top one.
     """
     S, scale = _frame_operator_scale(pair)
     tol = pair.tol
-    w = _hermitian_eig(S, tol, scale=scale)
-    if not _psd(w, tol):
-        raise NotBessel("tight extension starts from a Bessel pair")
-    top = float(w[-1])
-    if lam <= top + tol.abs_tol:
-        raise LambdaTooSmall(f"lambda must exceed the top eigenvalue {top}")
+    H = _checked_hermitian_part(S, tol, scale)
+    certifiable = H is not None and _certifiable(H, scale)
+    w = None
+    if not (certifiable and _pd_certified(H, -tol.abs_tol)):
+        w = None if H is None else _decompose(np.linalg.eigvalsh, H)
+        if not _psd(w, tol):
+            raise NotBessel("tight extension starts from a Bessel pair")
+    if not (certifiable and _pd_certified(-H, tol.abs_tol - lam)):
+        top = float((_decompose(np.linalg.eigvalsh, H) if w is None else w)[-1])
+        if lam <= top + tol.abs_tol:
+            raise LambdaTooSmall(f"lambda must exceed the top eigenvalue {top}")
     B = herm_sqrt(lam * np.eye(S.shape[0]) - S, tol)
     return type(pair)._stacked(np.vstack([pair.theta_A, B]), np.vstack([pair.theta_Psi, B]),
                                pair.codims + (pair.m,), tol)
@@ -768,8 +827,7 @@ def _weighted_onb(pair, c):
         raise NotWeightedOnb("Psi_j must equal c_j A_j")
     eye = np.eye(theta_A.shape[1], dtype=theta_A.dtype)
     deficiency = eye - theta_Psi.conj().T @ (np.repeat(2.0 - weights, codims)[:, None] * theta_A)
-    w = _hermitian_eig(_require_square(deficiency), tol)
-    return bool(_psd(w, tol)), deficiency
+    return _gate(_require_square(deficiency), tol, _psd)[0], deficiency
 
 
 def _right_similarity(pair1, S: np.ndarray, pair2):

@@ -390,12 +390,31 @@ def _hermitian(M, tol: Tolerance, Mh=None, scale=None):
     scale max |M|.  Mh is M^*, and scale that max (of each matrix), when
     the caller holds them already; a frame operator's builder reads its
     scale in the same pass that tests S finite (frames._frame_operator_scale).
+    Both numbers come from _hermitian_deviation, so scale is a numpy float
+    or array, as numpy's max returns it.
     """
     Mh = M.swapaxes(-1, -2).conj() if Mh is None else Mh
     if scale is None:
         scale = np.abs(M).max(axis=(-2, -1), initial=0.0)
-    dev = np.abs(M - Mh).max(axis=(-2, -1), initial=0.0)
-    return dev <= _margins(tol, scale)
+    dev, margin = _hermitian_deviation(M, Mh, scale, tol)
+    return dev <= margin
+
+
+def _hermitian_deviation(M, Mh, scale, tol: Tolerance):
+    """(deviation, margin) that the Hermitian rule compares, for Mh = M^* and
+    scale = max |M| (a numpy float, or an array of one per matrix of a stack).
+
+    Up to scale = FLOAT_MAX / 2 they are max |M - M^*| and tol's margin at
+    scale.  Above it M - M^* could overflow, so, as in _hermitian_part, each
+    term is halved first: max |0.5 M - 0.5 M^*| against half the margin.
+    Halving is exact barring subnormal entries, so the verdict is the one
+    the unhalved comparison gives wherever that does not overflow.  A stack
+    with one matrix above FLOAT_MAX / 2 takes the halved form for all.
+    """
+    big = scale > _HALF_FLOAT_MAX
+    if big.any() if big.ndim else big:
+        return np.abs(0.5 * M - 0.5 * Mh).max(axis=(-2, -1), initial=0.0), 0.5 * _margins(tol, scale)
+    return np.abs(M - Mh).max(axis=(-2, -1), initial=0.0), _margins(tol, scale)
 
 
 # In the psd and pd rules, w[..., 0][()] is lambda_min of each matrix: a
@@ -446,21 +465,155 @@ def _decompose(fn, M):
         raise EigenFailure(str(exc)) from exc
 
 
-def _hermitian_eig(M, tol: Tolerance, vectors: bool = False, scale=None):
-    """Ascending eigenvalues w of M's Hermitian part, or its eigh (w, V) with
-    vectors; None when M fails the Hermitian rule.
+def _checked_hermitian_part(M, tol: Tolerance, scale=None):
+    """M's Hermitian part, or None when M fails the Hermitian rule.
 
     M^* and the scale max |M| are read once, for both the rule and the
     Hermitian part; scale is that max when the caller holds it already.
-    The Hermitian part does not overflow (_hermitian_part).
+    The Hermitian part does not overflow (_hermitian_part), and it is
+    exactly Hermitian: entry ij is 0.5 fl(m_ij + conj(m_ji)), the conjugate
+    of entry ji.
     """
     Mh = M.swapaxes(-1, -2).conj()
     if scale is None:
         scale = np.abs(M).max(initial=0.0)
     if not _hermitian(M, tol, Mh, scale):
         return None
-    return _decompose(np.linalg.eigh if vectors else np.linalg.eigvalsh,
-                      _hermitian_part(M, Mh, scale))
+    return _hermitian_part(M, Mh, scale)
+
+
+def _hermitian_eig(M, tol: Tolerance, vectors: bool = False, scale=None):
+    """Ascending eigenvalues w of M's Hermitian part, or its eigh (w, V) with
+    vectors; None when M fails the Hermitian rule (_checked_hermitian_part)."""
+    H = _checked_hermitian_part(M, tol, scale)
+    if H is None:
+        return None
+    return _decompose(np.linalg.eigh if vectors else np.linalg.eigvalsh, H)
+
+
+def _finite_eigenvalues(w, what: str) -> None:
+    """NumericalOverflow naming the first eigenvalue of w that is not finite, if any.
+
+    A finite Hermitian matrix can have an eigenvalue beyond the float range;
+    a result built from such an eigh (a root, S^-1/2) would be meaningless.
+    """
+    bad = np.flatnonzero(~np.isfinite(w))
+    if bad.size:
+        k = int(bad[0])
+        raise NumericalOverflow(f"{what}: eigenvalue {k + 1} of {w.size} overflows to {w[k]}")
+
+
+# --- the positive-definiteness certificate ------------------------------------
+#
+# A gate that reports no eigenvalue asks only whether lambda_min(H) > t.  One
+# Cholesky of a shifted H can prove that; where it cannot, the caller runs
+# the eigenvalue rule, which alone says "no".  It runs only where it pays,
+# from _CERT_MIN rows (eigvalsh costs about as much as the certificate near
+# 8 to 12 rows, with BLAS on one thread, and far more above), and only for
+# max |M| in [_CERT_LO, _CERT_HI], clear of the float limits.
+
+_CERT_MIN = 12
+_CERT_LO, _CERT_HI = 2.0**-500, 2.0**500
+_CERT_BIG = 2.0**1000  # no proof is attempted when sum |h_ii - t| or |t| exceeds this
+_UNIT = 2.0**-53  # unit roundoff u of float64
+_TINY = 2.0**-1022  # the smallest normal float64
+
+
+def _certifiable(H: np.ndarray, scale) -> bool:
+    """Whether _pd_certified applies to H, the Hermitian part of a matrix M with max |M| = scale."""
+    return H.shape[0] >= _CERT_MIN and _CERT_LO <= scale <= _CERT_HI
+
+
+def _pd_certified(H: np.ndarray, t: float) -> bool:
+    """True only when one floating-point Cholesky of H - s I succeeds, s = fl(t + c);
+    that proves lambda_min(H) > t for the exactly Hermitian m x m H.
+
+    False proves nothing: the caller then runs the eigenvalue rule.
+
+    Write A~ = fl(H - s I), a~_ii = fl(h_ii - s), its off-diagonal that of H.
+    A~ is formed in H's own diagonal, which is restored exactly afterwards,
+    so H must be a writable array no one else reads meanwhile; no m x m
+    copy is made beside the one np.linalg.cholesky makes.  The shift c
+    covers four terms.
+
+    1. Backward error.  If Cholesky runs to completion on A~, its factor
+       satisfies R^* R = A~ + dA with |dA| <= g d d^T, d_i = sqrt(a~_ii) and
+       g = gamma_k / (1 - gamma_k), gamma_k = k u / (1 - k u), k = m + 1
+       (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+       SIAM 2002, Thm 10.3 with |R^*| |R| <= d d^T / (1 - gamma_k); the
+       bound holds for any order of the inner products, so for LAPACK's
+       blocked potrf).  So ||dA||_2 <= g d^T d = g tr A~, and R^* R pd gives
+       lambda_min(A~) > -g tr A~.  In complex arithmetic a product carries a
+       relative error up to sqrt(2) gamma_2 < 4u (Higham section 3.6), so k
+       = 4 (m + 1) there.
+    2. The m diagonal subtractions: a~_ii = (h_ii - s)(1 + delta_i) with
+       |delta_i| <= u, so H - s I = A~ - E with |E_ii| <= u a~_ii / (1 - u).
+    3. Underflow.  With gradual underflow a product or quotient also
+       carries an absolute error up to eta / 2, eta = 2^-1074 (sums and
+       square roots carry none); through the inner products and the
+       divisions by r_ii they add at most m (m + max d_i) eta to ||dA||_2, a
+       term of the kind Rump, "Verification of positive definiteness",
+       BIT 46 (2006), adds.  m (m + 2) tiny, tiny = 2^-1022 = 2^52 eta,
+       covers all of it but m max(d_i) eta <= m eta (1 + tr A~), whose
+       second part is below u tr A~ and goes to term 1's factor 2.
+    4. A stated extra margin, so that an H the certificate accepts also
+       passes the eigenvalue rule as eigvalsh computes it: eigvalsh's
+       eigenvalues lie within p(m) u ||H||_2 of the exact ones (LAPACK
+       Users' Guide, 3rd ed., section 4.7), with p(m) "a modestly growing
+       function" here taken as m.  Once lambda_min(H) > t,
+       ||H||_2 <= |t| + tr(H - t I) <= |t| + sum |h_ii - t|.
+
+    With T = sum |fl(h_ii - t)| (computed), s >= t, so tr A~ <= (1 + u) sum
+    |h_ii - t|, and the final form is
+
+        c = 2 g T + 2 m u (|t| + T) + m (m + 2) tiny.
+
+    The factor 2 on g T covers terms 1 and 2 and the rounding of T and c
+    (g >= 2u, and g tr A~ + u tr A~ / (1 - u) stays below 2 g T by a
+    quarter of it for any m below 2^40).  Of 2 m u (|t| + T), half is
+    term 4, and half covers the rounding of s = fl(t + c), |s - t - c| <=
+    u (|t| + c).  Then lambda_min(H) >= lambda_min(A~) + s - max |E_ii|
+    > t whenever the Cholesky succeeds.
+
+    No proof is attempted when T or |t| exceeds 2^1000 or is NaN: below
+    that no pivot or product of the factorization overflows, since a
+    factor entry's square is at most its column's a~_ii.
+    """
+    m = H.shape[0]
+    diag = H.diagonal().copy()
+    T = float(np.abs(diag.real - t).sum())
+    if not (T <= _CERT_BIG and abs(t) <= _CERT_BIG):  # NaN fails both
+        return False
+    k = (m + 1) * (4 if H.dtype.kind == "c" else 1)
+    g = k * _UNIT / (1.0 - 2.0 * k * _UNIT)  # gamma_k / (1 - gamma_k)
+    np.fill_diagonal(H, diag - (t + (2.0 * g * T + 2.0 * m * _UNIT * (abs(t) + T) + m * (m + 2) * _TINY)))
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        np.fill_diagonal(H, diag)
+    return True
+
+
+def _gate(M, tol: Tolerance, rule, scale=None):
+    """Whether M passes the Hermitian rule and rule (_psd or _pd) on the
+    eigenvalues of its Hermitian part H, as (passed, w ascending or None).
+
+    A Cholesky that proves lambda_min(H) > t, t = -abs_tol for _psd and
+    abs_tol for _pd, decides "yes" without eigenvalues (w None).  Else w
+    comes from one eigvalsh, and w is None only when M failed the
+    Hermitian rule.  scale is max |M| when the caller holds it.
+    """
+    if scale is None:
+        scale = np.abs(M).max(initial=0.0)
+    H = _checked_hermitian_part(M, tol, scale)
+    if H is None:
+        return False, None
+    if _certifiable(H, scale) and _pd_certified(H, -tol.abs_tol if rule is _psd else tol.abs_tol):
+        return True, None
+    w = _decompose(np.linalg.eigvalsh, H)
+    return bool(rule(w, tol)), w
 
 
 @_frozen
@@ -497,12 +650,14 @@ def herm_sqrt(M, tol: Tolerance = Tolerance()) -> np.ndarray:
     One eigh of the Hermitian part both gates and builds the root: the
     input must pass the Hermitian and psd rules.  Eigenvalues in
     [-abs_tol, 0] are clipped to 0 so that round-off on an intended-psd
-    input does not raise.
+    input does not raise.  An eigenvalue beyond the float range (of a
+    finite M) raises NumericalOverflow.
     """
     eig = _hermitian_eig(_require_square(M), tol, vectors=True)
     if eig is None or not _psd(eig[0], tol):
         raise NotPsd("herm_sqrt needs a Hermitian positive semidefinite matrix")
     w, V = eig
+    _finite_eigenvalues(w, "herm_sqrt")
     R = hermitian_part((V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T)
     return R.real if np.isrealobj(M) else R
 

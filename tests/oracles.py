@@ -45,7 +45,6 @@ from framekit.frames import (
     _as_matrix,
     _check_shapes,
     _frame_flags,
-    _require_frame,
     _shared_range_basis,
     frame_flags,
     frame_operator,
@@ -528,6 +527,33 @@ def pair_flags_by_every_rule(pair, S, tol):
                        0.0, 0.0, False, False)
 
 
+def not_a_frame_by_rules(pair, S, message):
+    """NotAFrame(message) naming the first rule the pair's S fails: the count,
+    the Hermitian rule (adjoint copies) or the pd rule on eigvalsh's lambda_min."""
+    tol = pair.tol
+    if pair.theta_A.shape[0] < S.shape[0]:
+        reason = f"N = {pair.theta_A.shape[0]} stacked rows < m = {S.shape[0]}"
+    elif not hermitian_by_adjoint_copies(S, tol):
+        deviation = float(np.abs(S - S.conj().T).max())
+        margin = float(margin_by_generator(tol, np.abs(S).max()))
+        reason = f"S not Hermitian: deviation {deviation!r} > margin {margin!r}"
+    else:
+        w = np.linalg.eigvalsh(0.5 * (S + S.conj().T))
+        reason = f"lambda_min {float(w[0])!r} <= abs_tol {tol.abs_tol!r}"
+    return NotAFrame(f"{message}: {reason}")
+
+
+def require_frame_by_eigenvalues(pair, message="operation requires a frame"):
+    """S of a pair that must be a frame, decided by the eigenvalue rules alone:
+    the count, the Hermitian rule and lambda_min > abs_tol from one eigvalsh.
+    This is the gate the library ran before its Cholesky certificate, and the
+    reference every "frame required" verdict is checked against."""
+    S = frame_operator(pair)
+    if not pair_flags_by_every_rule(pair, S, pair.tol).is_frame:
+        raise not_a_frame_by_rules(pair, S, message)
+    return S
+
+
 def frame_flags_by_svd(S, tol):
     """Frame verdict with invertibility from a separate SVD: sigma_min(S) > abs_tol."""
     rep = spectral(S, tol)
@@ -624,7 +650,7 @@ def tensor_shuffle_permutation(n1, d1, n2, d2):
 
 def frame_idempotent_by_solve(fp):
     """P = X^* S^-1 T."""
-    S = _require_frame(fp)
+    S = require_frame_by_eigenvalues(fp)
     return fp.X.conj().T @ np.linalg.solve(S, fp.T)
 
 
@@ -663,8 +689,8 @@ def weighted_onb_check_by_gram(fp, c):
 
 def similarity_detect_by_inverse(fp, gq):
     """Txy = Y T^* S^-1 and Ttw = Omega X^* S^-1, checked with one global margin."""
-    S = _require_frame(fp)
-    _require_frame(gq)
+    S = require_frame_by_eigenvalues(fp)
+    require_frame_by_eigenvalues(gq)
     _check_shapes(fp, gq)
     Sinv = np.linalg.inv(S)
     Txy = gq.X @ fp.T.conj().T @ Sinv
@@ -690,7 +716,7 @@ def classify_by_idempotent(fp):
     S = frame_operator(fp)
     report = frame_flags(S, fp.tol)
     if not report.is_frame:
-        raise NotAFrame("operation requires a frame")
+        raise not_a_frame_by_rules(fp, S, "operation requires a frame")
     P = fp.X.conj().T @ np.linalg.solve(S, fp.T)
     gram = fp.T.conj().T @ fp.X
     return fp.tol.is_identity(P), report.parseval and fp.tol.is_identity(gram), gram
@@ -716,13 +742,13 @@ def double_sum_by_gram(fp):
 
 def canonical_dual_by_solves(fp):
     """(S^-1 X, S^-1 T), one solve per family."""
-    S = _require_frame(fp)
+    S = require_frame_by_eigenvalues(fp)
     return FramePair(np.linalg.solve(S, fp.X), np.linalg.solve(S, fp.T), fp.field, fp.tol)
 
 
 def parsevalize_split_by_inverse_root(fp):
     """(R^-1 X, R^-1 T) for R = herm_sqrt(S), gated by frame_flags."""
-    S = _require_frame(fp)
+    S = require_frame_by_eigenvalues(fp)
     Rinv = np.linalg.inv(herm_sqrt(S, fp.tol))
     return FramePair(Rinv @ fp.X, Rinv @ fp.T, fp.field, fp.tol)
 
@@ -733,7 +759,7 @@ def extend_tight_minimal_by_flags(fp):
         raise NotSelfPair("minimal extension needs x_j = tau_j")
     S = frame_operator(fp)
     if not frame_flags(S, fp.tol).is_frame:
-        raise NotAFrame("minimal extension starts from a frame")
+        raise not_a_frame_by_rules(fp, S, "minimal extension starts from a frame")
     w, V = np.linalg.eigh(0.5 * (S + S.conj().T))
     top = float(w[-1])
     cols = [np.sqrt(top - float(lam)) * v for lam, v in zip(w, V.T)
@@ -777,7 +803,7 @@ def duality_relation_by_sum_scale(op1, op2):
 
 def make_dual_from_params_by_cross(fp, U, V):
     """make_dual_from_params through the n x n products T^* S^-1 X and X^* S^-1 T."""
-    S = _require_frame(fp)
+    S = require_frame_by_eigenvalues(fp)
     U = np.asarray(U)
     V = np.asarray(V)
     if U.shape != (fp.m, fp.n) or V.shape != (fp.m, fp.n):
@@ -812,7 +838,7 @@ def perturbation_certificate_by_columns(fp, Y, kind, alpha=0.0, beta=0.0, gamma=
     from first_misaligned_by_spectral and the sampled verdicts from
     first_falsifying_sample.
     """
-    S = _require_frame(fp, "perturbation certificates start from a frame")
+    S = require_frame_by_eigenvalues(fp, "perturbation certificates start from a frame")
     X, T, tol = fp.X, fp.T, fp.tol
     Y = np.asarray(Y)
     if Y.shape != (fp.m, fp.n):
@@ -869,7 +895,7 @@ def direct_sum_by_columns(fp, gq):
 
 def common_dual_by_columns(fp, gq):
     """(S_fp^-1 x_j + S_gq^-1 y_j), by solves against the columns."""
-    S1, S2 = _require_frame(fp), _require_frame(gq)
+    S1, S2 = require_frame_by_eigenvalues(fp), require_frame_by_eigenvalues(gq)
     if not is_orthogonal(fp, gq):
         raise NotOrthogonal("common dual needs orthogonal frames")
     Z = np.linalg.solve(S1, fp.X) + np.linalg.solve(S2, gq.X)
@@ -894,7 +920,7 @@ def interpolate_parseval_by_columns(fp, gq, A, B, C, D):
 
 def make_dual_from_params_by_columns(fp, U, V):
     """make_dual_from_params on the columns X and T, with its m x m groupings."""
-    S = _require_frame(fp)
+    S = require_frame_by_eigenvalues(fp)
     U = np.asarray(U)
     V = np.asarray(V)
     if U.shape != (fp.m, fp.n) or V.shape != (fp.m, fp.n):

@@ -100,6 +100,49 @@ def test_an_infinite_upper_bound_is_neither_tight_nor_parseval(tmp_path, capsys)
     assert "\nupper_b = inf\n" in out and "\ntight = false\n" in out and "\nparseval = false\n" in out
 
 
+# a finite S, not Hermitian: opposite entries above FLOAT_MAX / 2, so M - M^* overflows
+OPPOSITE = np.array([[1.0, 1.2e308], [-1.2e308, 1.0]])
+
+
+def test_the_hermitian_rule_does_not_overflow_above_half_the_float_range(tmp_path, capsys):
+    for M in (OPPOSITE, OPPOSITE.astype(complex), np.stack([OPPOSITE, OPPOSITE.T])):
+        assert not quiet(lambda: numerics._hermitian(M, fk.Tolerance())).any()
+    report = quiet(lambda: frames.frame_flags(OPPOSITE, fk.Tolerance()))
+    assert not (report.self_adjoint or report.psd or report.is_frame) and report.invertible
+    path = tmp_path / "opposite.json"
+    path.write_text(json.dumps({"field": "real", "dim": 2, "count": 2,
+                                "x": np.eye(2).tolist(), "tau": OPPOSITE.T.tolist()}))
+    assert quiet(lambda: run(["verify", str(path)])) == 0
+    assert "\nself_adjoint = false\n" in capsys.readouterr().out
+
+
+def test_the_halved_hermitian_rule_is_the_unhalved_one_below_the_overflow(rng):
+    """Above FLOAT_MAX / 2 both terms and the margin are halved, which is
+    exact for these entries, so a matrix Hermitian to within its margin
+    still passes and one a little beyond it still fails."""
+    tol = fk.Tolerance()
+    for k in range(40):
+        M = rng.uniform(-1.0, 1.0, (3, 3)) * 1.5e308
+        M = np.triu(M) + np.triu(M, 1).T
+        margin = tol.abs_tol + tol.rel_tol * np.abs(M).max()
+        M[0, 2] = M[2, 0] + (0.9 if k % 2 else 1.1) * margin
+        assert bool(quiet(lambda: numerics._hermitian(M, tol))) == (k % 2 == 1)
+
+
+def test_an_eigh_whose_eigenvalue_overflows_raises():
+    """S is finite with eigenvalues 7e307 and 2.7e308: herm_sqrt returned
+    all-inf entries and parsevalize a pair that verify called no frame."""
+    with pytest.raises(NumericalOverflow, match=r"^herm_sqrt: eigenvalue 2 of 2 overflows to inf$"):
+        quiet(lambda: fk.herm_sqrt(TOP_OVERFLOWS, fk.Tolerance()))
+    p, q = np.sqrt(0.7) * 1e154, np.sqrt(2.7) * 1e154
+    root = 0.5 * np.array([[p + q, q - p], [q - p, p + q]])  # X X^* is TOP_OVERFLOWS, rounded
+    message = r"^frame operator: eigenvalue 2 of 2 overflows to inf$"
+    for call in (lambda: fk.parsevalize(fk.FramePair(np.eye(2), TOP_OVERFLOWS, "real")),
+                 lambda: fk.extend_tight_minimal(fk.FramePair(root, root, "real"))):
+        with pytest.raises(NumericalOverflow, match=message):
+            quiet(call)
+
+
 def test_similarity_products_that_overflow_raise():
     # S = 4 I and S = 1.5 I: both frames, but theta_Psi^* theta_B overflows
     small = fk.FramePair(2.0 * np.eye(2), 2.0 * np.eye(2), "real")

@@ -1535,8 +1535,8 @@ def test_one_eigh_gate_moves_only_where_the_two_drivers_straddle_abs_tol(rng):
             if straddle:
                 moved += 1
                 assert abs(by_eigh - by_eigvalsh) <= 64 * np.finfo(float).eps * np.abs(H).max() * m
-            elif isinstance(got, tuple):
-                assert got == want
+            elif isinstance(got, tuple):  # each message names the lambda_min of its own routine
+                assert got == (want[0], want[1].replace(repr(float(by_eigvalsh)), repr(float(by_eigh))))
     assert moved > 0
 
 

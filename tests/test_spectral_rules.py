@@ -11,7 +11,8 @@ import pytest
 import framekit as fk
 from framekit import FramePair, PFramePair, Tolerance
 from framekit.analysis import _first_misaligned
-from framekit.errors import NotPFrame, ParamNotAdmissible, SpectrumOnCut
+from framekit import numerics
+from framekit.errors import LambdaTooSmall, NotAFrame, NotPFrame, ParamNotAdmissible, SpectrumOnCut
 
 import oracles
 from conftest import random_frame, random_matrix, random_parseval, random_parseval_ovf
@@ -103,6 +104,57 @@ def test_make_dual_with_a_non_hermitian_w_runs_no_eigvals(rng, linalg_calls):
     V = random_matrix(rng, 3, 6)
     calls = linalg_calls(lambda: fk.make_dual_from_params(fp, U, V), raises=ParamNotAdmissible)
     assert "eigvals" not in calls
+
+
+# --- gates that report no bound: one Cholesky from numerics._CERT_MIN rows ------------
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_a_gate_that_reports_no_bound_runs_one_cholesky(rng, linalg_calls, field):
+    fp = random_frame(rng, 64, 80, field)
+    op = fk.ovf_bridge(fp)
+    assert linalg_calls(lambda: fk.canonical_dual(fp)) == {"cholesky": 1, "solve": 1}
+    assert linalg_calls(lambda: fk.canonical_dual_ovf(op)) == {"cholesky": 1, "solve": 1}
+    assert linalg_calls(lambda: fk.classify(fp)) == {"cholesky": 1}  # N > m: the rank rule decides
+    assert linalg_calls(lambda: fk.frame_idempotent(fp)) == {"cholesky": 1, "solve": 1}
+    assert linalg_calls(lambda: fk.verify(fp)) == {"eigvalsh": 1}  # it reports the bounds
+    assert linalg_calls(lambda: fk.extend_tight_append(fp, 4.0)) == {"cholesky": 2, "eigh": 1}
+    onb = fk.ovf_bridge(FramePair(np.eye(64), np.eye(64), field))
+    weights = np.linspace(0.5, 1.5, 64)
+    weighted = fk.OvfPair._stacked(onb.theta_A, onb.theta_Psi * weights[:, None], onb.codims, onb.tol)
+    assert linalg_calls(lambda: fk.weighted_onb_bessel_check(weighted, weights)) == {"cholesky": 1}
+    assert fk.weighted_onb_bessel_check(weighted, weights).holds
+
+
+def test_a_gate_the_certificate_cannot_pass_falls_back_to_the_eigenvalue_rule(rng, linalg_calls):
+    X = random_matrix(rng, 64, 80)
+    X[-1] = 0.0  # S singular
+    fp = FramePair(X, X, "real")
+    for call in (fk.canonical_dual, fk.classify):
+        assert linalg_calls(lambda: call(fp), raises=NotAFrame) == {"cholesky": 1, "eigvalsh": 1}
+    frame = random_frame(rng, 64, 80)
+    S = fk.frame_operator(frame)
+    top = float(np.linalg.eigvalsh(0.5 * (S + S.T))[-1])
+    assert linalg_calls(lambda: fk.extend_tight_append(frame, top), raises=LambdaTooSmall) == {
+        "cholesky": 2, "eigvalsh": 1}
+    with pytest.raises(LambdaTooSmall, match=f"top eigenvalue {top}$"):
+        fk.extend_tight_append(frame, top)
+
+
+def test_below_the_certificate_size_the_gates_run_eigvalsh(rng, linalg_calls):
+    fp = random_frame(rng, numerics._CERT_MIN - 1, numerics._CERT_MIN + 8)
+    assert linalg_calls(lambda: fk.canonical_dual(fp)) == {"eigvalsh": 1, "solve": 1}
+    assert linalg_calls(lambda: fk.classify(fp)) == {"eigvalsh": 1}
+    assert linalg_calls(lambda: fk.extend_tight_append(fp, 4.0)) == {"eigvalsh": 1, "eigh": 1}
+
+
+@pytest.mark.parametrize("power", [-260, 260])
+def test_outside_the_scale_window_no_cholesky_runs(rng, linalg_calls, power):
+    """max |S| below 2^-500 or above 2^500: the eigenvalue rule decides alone."""
+    X = random_matrix(rng, 64, 80) * 2.0**power
+    fp = FramePair(X, X, "real", Tolerance(0.0, 1e-9))
+    assert not 2.0**-500 <= np.abs(fk.frame_operator(fp)).max() <= 2.0**500
+    assert linalg_calls(lambda: fk.classify(fp)) == {"eigvalsh": 1}
+    assert linalg_calls(lambda: fk.canonical_dual(fp)) == {"eigvalsh": 1, "solve": 1}
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
