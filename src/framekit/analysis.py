@@ -23,7 +23,6 @@ import numpy as np
 from .errors import (
     BadParams,
     HypothesisFails,
-    NotParseval,
     NotReal,
     NotSelfPair,
     NumericalOverflow,
@@ -35,9 +34,10 @@ from .frames import (
     FramePair,
     _extend_tight,
     _frame_eigh,
-    _pair_flags,
     _require_frame,
     _require_frame_flags,
+    _require_parseval_pair,
+    _tight_report,
     _times_adjoint,
     _weighted_onb,
     frame_operator,
@@ -238,8 +238,14 @@ def formulas_report(fp: FramePair) -> FormulasReport:
     sum_jk <tau_j, x_k><tau_k, x_j>, is tr(X^* T X^* T) = tr(S^2) by the
     cyclic trace, taken as sum_ab S_ab S_ba from the m x m S rather than
     from the n x n Gram X^* T; no conjugate enters, so this holds over C.
+
+    Only a tight pair's checks read a bound (b, for equal_diag_b), so
+    "not tight" needs no eigenvalues where frames._tight_report proves it:
+    from 12 rows, the spread of S's diagonal beyond the tight margin plus
+    eigvalsh's error (numerics._not_tight_certified).  Every other pair
+    pays the one eigvalsh of _pair_flags, whose rules decide "tight".
     """
-    S, report = _pair_flags(fp)
+    S, report = _tight_report(fp)
     diag = np.einsum("ji,ji->j", fp.theta_Psi, fp.theta_A.conj())  # [j] = <x_j, tau_j>
     sum_inner = complex(diag.sum())
     trace_S = complex(np.trace(S))
@@ -247,14 +253,14 @@ def formulas_report(fp: FramePair) -> FormulasReport:
     double_sum = complex(np.sum(S * S.T))
     tol = fp.tol
     variation_ok = dim_ok = equal_b = equal_ok = None
-    if report.tight:
+    if report is not None and report.tight:
         target = sum_inner**2 / fp.m
         variation_ok = bool(abs(double_sum - target) <= tol.margin(abs(double_sum), abs(target)))
         spread = float(np.abs(diag - diag[0]).max())
         if spread <= tol.margin(float(np.abs(diag).max())):
             equal_b = report.upper_b * fp.m / fp.n
             equal_ok = bool(abs(equal_b - diag[0]) <= tol.margin(equal_b, abs(diag[0])))
-    if report.parseval:
+    if report is not None and report.parseval:
         dim_ok = bool(abs(sum_inner - fp.m) <= tol.margin(fp.m))
     return FormulasReport(trace_S, sum_inner, trace_S2, double_sum,
                           variation_ok, dim_ok, equal_b, equal_ok)
@@ -272,8 +278,7 @@ class TraceFormulaResult(_Record):
 
 def trace_formula(fp: FramePair, M) -> TraceFormulaResult:
     """Trace(M) against sum_j tau_j^* M x_j on a Parseval pair."""
-    if not verify(fp).parseval:
-        raise NotParseval("the trace identity needs a Parseval pair")
+    _require_parseval_pair(fp, "the trace identity needs a Parseval pair")
     M = np.asarray(M)
     if M.shape != (fp.m, fp.m):
         raise ShapeMismatch("M must be m x m")

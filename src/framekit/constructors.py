@@ -24,9 +24,8 @@ from .errors import (
     NegativeRadius,
     NotARepresentation,
     NotInvariant,
-    NotParseval,
 )
-from .frames import FramePair, FrameReport, verify
+from .frames import FramePair, FrameReport, _require_parseval_pair, verify
 from .numerics import (Tolerance, _Frozen, _Record, _blocks, _finite_product, _frozen, _identities,
                        _members_close, entry_max)
 
@@ -380,8 +379,7 @@ def synthesize_representation(fp: FramePair, g: GroupTable) -> RepresentationSyn
     records whether x_g = pi_g x_e and tau_g = pi_g tau_e hold for every
     element.
     """
-    if not verify(fp).parseval:
-        raise NotParseval("synthesis needs a Parseval pair")
+    _require_parseval_pair(fp, "synthesis needs a Parseval pair")
     if not check_group_invariance(fp, g):
         raise NotInvariant("pair is not group invariant")
     n, m = g.order, fp.m

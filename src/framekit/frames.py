@@ -59,6 +59,7 @@ from .numerics import (
     _invertible,
     _margins,
     _members_close,
+    _not_tight_certified,
     _overflow,
     _pd,
     _pd_certified,
@@ -256,7 +257,8 @@ def frame_flags(S, tol: Tolerance) -> FrameReport:
     return _frame_flags(_require_square(S), tol)
 
 
-def _frame_flags(S: np.ndarray, tol: Tolerance, short: bool = False, scale=None) -> FrameReport:
+def _frame_flags(S: np.ndarray, tol: Tolerance, short: bool = False, scale=None,
+                 H=None) -> FrameReport:
     """frame_flags for a finite square S, such as the one frame_operator forms.
 
     One decomposition decides everything.  A Hermitian S (within
@@ -269,11 +271,12 @@ def _frame_flags(S: np.ndarray, tol: Tolerance, short: bool = False, scale=None)
     S (_short) is neither a frame's nor invertible, whatever its
     eigenvalues.  scale is max |S| when the caller holds it
     (_frame_operator_scale), for the Hermitian rule and the Hermitian
-    part; without it they read S for it.  tight and parseval compare with
-    numerics._margins at b and at max(1, b); an infinite b (S finite, its
-    largest eigenvalue overflowed) is never tight.
+    part; without it they read S for it.  H is that Hermitian part when
+    the caller has already found S Hermitian.  tight and parseval compare
+    with numerics._margins at b and at max(1, b); an infinite b (S finite,
+    its largest eigenvalue overflowed) is never tight.
     """
-    w = _hermitian_eig(S, tol, scale=scale)
+    w = _hermitian_eig(S, tol, scale=scale) if H is None else _decompose(np.linalg.eigvalsh, H)
     psd, is_frame = bool(_psd(w, tol)), not short and bool(_pd(w, tol))
     if not is_frame:
         invertible = not short and _invertible(S if w is None else w, tol)
@@ -312,26 +315,82 @@ def verify(fp: FramePair) -> FrameReport:
     return _pair_flags(fp)[1]
 
 
-def _not_a_frame(pair, S: np.ndarray, scale, message: str, w=None) -> NotAFrame:
-    """NotAFrame(message), naming the rule the pair's S failed and its numbers.
+def _tight_report(pair):
+    """(S, report) of a pair of either layer, for a verdict that reads a bound
+    only from a tight pair (analysis.formulas_report).
 
-    Only the raising path builds it.  The rules go in the order the gates
-    read them: the count (_short), the Hermitian rule, then the pd rule on
-    lambda_min, taken from w when the caller holds the eigenvalues.
+    report is _pair_flags' report, or None where the pair is proved not
+    tight without eigenvalues: by the count (_short), by the Hermitian
+    rule, or, where it applies (numerics._certifiable), by the diagonal of
+    S's Hermitian part (numerics._not_tight_certified).  Every pair with
+    report None has tight and parseval False in _pair_flags' report too;
+    it pays neither the eigvalsh nor the SVD that reports invertible.
     """
+    S, scale = _frame_operator_scale(pair)
     tol = pair.tol
     if _short(pair, S):
-        reason = f"N = {pair.theta_A.shape[0]} stacked rows < m = {S.shape[0]}"
+        return S, None
+    H = _checked_hermitian_part(S, tol, scale)
+    if H is None or (_certifiable(H, scale) and _not_tight_certified(H, scale, tol)):
+        return S, None
+    return S, _frame_flags(S, tol, False, scale, H)
+
+
+def _frame_reason(rows: int, S: np.ndarray, scale, tol: Tolerance, w=None) -> Optional[str]:
+    """The first frame rule that an S of rows stacked rows fails, with its numbers, or None.
+
+    The rules go in the order the gates read them: the count (_short), the
+    Hermitian rule, then the pd rule on lambda_min, taken from w when the
+    caller holds the eigenvalues.  scale is max |S|, or None.
+    """
+    if rows < S.shape[0]:
+        return f"N = {rows} stacked rows < m = {S.shape[0]}"
+    if scale is None:
+        scale = np.abs(S).max(initial=0.0)
+    w = _hermitian_eig(S, tol, scale=scale) if w is None else w
+    if w is None:
+        deviation, margin = _hermitian_deviation(S, S.conj().T, scale, tol)
+        return f"S not Hermitian: deviation {float(deviation)!r} > margin {float(margin)!r}"
+    if not w.size:
+        return "S is 0 x 0"
+    if not _pd(w, tol):
+        return f"lambda_min {float(w[0])!r} <= abs_tol {tol.abs_tol!r}"
+    return None
+
+
+def _not_a_frame(pair, S: np.ndarray, scale, message: str, w=None) -> NotAFrame:
+    """NotAFrame(message), naming the rule the pair's S failed and its numbers
+    (_frame_reason).  Only the raising path builds it."""
+    return NotAFrame(f"{message}: {_frame_reason(pair.theta_A.shape[0], S, scale, pair.tol, w)}")
+
+
+def _require_parseval(rows: int, S: np.ndarray, tol: Tolerance, message: str, scale=None) -> None:
+    """Nothing when an S of rows stacked rows passes _frame_flags' Parseval
+    verdict, else NotParseval(message) naming the first rule it failed.
+
+    The reasons go in the order the verdict reads its rules: those of
+    _frame_reason, then b - a against the margin at b (tight), then
+    |b - 1| against the margin at max(1, b), their numbers from the
+    report.  Only the raising path builds them.
+    """
+    report = _frame_flags(S, tol, rows < S.shape[0], scale)
+    if report.parseval:
+        return
+    if not report.is_frame:
+        reason = _frame_reason(rows, S, scale, tol)
     else:
-        w = _hermitian_eig(S, tol, scale=scale) if w is None else w
-        if w is None:
-            deviation, margin = _hermitian_deviation(S, S.conj().T, scale, tol)
-            reason = f"S not Hermitian: deviation {float(deviation)!r} > margin {float(margin)!r}"
-        elif not w.size:
-            reason = "S is 0 x 0"
+        a, b = report.lower_a, report.upper_b
+        if not report.tight:
+            reason = f"b - a = {b - a!r} > margin {float(_margins(tol, b))!r}"
         else:
-            reason = f"lambda_min {float(w[0])!r} <= abs_tol {tol.abs_tol!r}"
-    return NotAFrame(f"{message}: {reason}")
+            reason = f"|b - 1| = {abs(b - 1.0)!r} > margin {float(_margins(tol, max(1.0, b)))!r}"
+    raise NotParseval(f"{message}: {reason}")
+
+
+def _require_parseval_pair(pair, message: str) -> None:
+    """_require_parseval on a pair of either layer: its S and its stacked rows."""
+    S, scale = _frame_operator_scale(pair)
+    _require_parseval(pair.theta_A.shape[0], S, pair.tol, message, scale)
 
 
 def _require_frame(pair, message: str = "operation requires a frame") -> np.ndarray:
@@ -410,8 +469,10 @@ def make_dual_from_params(fp: FramePair, U, V) -> FramePair:
     y_j = S^-1 x_j + V e_j - V theta_tau S^-1 x_j and the mirrored omega_j;
     admissible exactly when S^-1 + U V^* - U theta_x S^-1 theta_tau^* V^*
     is Hermitian positive definite (this matrix is the frame operator of
-    the produced pair).  Products are grouped through m x m factors
-    (V theta_tau, U theta_x), so the cost is O(m^2 n), never O(m n^2).
+    the produced pair), a bool that numerics._gate decides: one Cholesky
+    from 12 rows, and the eigenvalue rule wherever that proves nothing.
+    Products are grouped through m x m factors (V theta_tau, U theta_x),
+    so the cost is O(m^2 n), never O(m n^2).
     """
     S = _require_frame(fp)
     U = np.asarray(U)
@@ -425,7 +486,7 @@ def make_dual_from_params(fp: FramePair, U, V) -> FramePair:
     theta_Y = XSi + V.conj().T - _times_adjoint(XSi, V @ fp.theta_Psi)
     theta_Om = TSi + U.conj().T - TSiXU
     W = _require_square(Sinv + U @ V.conj().T - (V @ TSiXU).conj().T)
-    if not _pd(_hermitian_eig(W, fp.tol), fp.tol):
+    if not _gate(W, fp.tol, _pd)[0]:
         raise ParamNotAdmissible("parameters fail the positivity/invertibility condition")
     return type(fp)._stacked(theta_Y, theta_Om, (), fp.tol)
 
@@ -507,8 +568,8 @@ def interpolate_parseval(fp: FramePair, gq: FramePair, A, B, C, D) -> FramePair:
     if A.ndim != 2 or A.shape[1] != fp.m or shapes.count(A.shape) != 4:
         raise ShapeMismatch(f"A, B, C and D must be k x {fp.m} matrices of one shape, "
                             f"got {', '.join(map(str, shapes))}")
-    if not (verify(fp).parseval and verify(gq).parseval):
-        raise NotParseval("both pairs must be Parseval")
+    _require_parseval_pair(fp, "both pairs must be Parseval: pair 1")
+    _require_parseval_pair(gq, "both pairs must be Parseval: pair 2")
     if not is_orthogonal(fp, gq):
         raise NotOrthogonal("pairs must be orthogonal")
     if not fp.tol.is_identity(A @ C.conj().T + B @ D.conj().T):
@@ -586,15 +647,17 @@ def _shared_range_basis(A: np.ndarray, B: np.ndarray, tol: Tolerance) -> Optiona
 
     The test is on the mutual projection residuals, each below tol's margin
     at its matrix's scale.  When B equals A entry for entry (every self-dual
-    pair), A's basis serves as B's: the same input gives the same SVD, so
-    skipping the second one changes no verdict.
+    pair), A's basis serves as B's and A's residual as B's: the same input
+    gives the same SVD and the same product, so skipping the second of each
+    changes no verdict.
     """
+    same = np.array_equal(A, B)
     QA = range_basis(A, tol)
-    QB = QA if np.array_equal(A, B) else range_basis(B, tol)
+    QB = QA if same else range_basis(B, tol)
     if QA.shape[1] != QB.shape[1]:
         return None
     resB = entry_max(B - QA @ (QA.conj().T @ B))
-    resA = entry_max(A - QB @ (QB.conj().T @ A))
+    resA = resB if same else entry_max(A - QB @ (QB.conj().T @ A))
     if resB <= tol.margin(entry_max(B)) and resA <= tol.margin(entry_max(A)):
         return QA
     return None
@@ -759,8 +822,7 @@ def _dilation_rows(theta_A: np.ndarray, theta_Psi: np.ndarray, S: np.ndarray, to
     ranges raise RangesDiffer(message), which names the operators as the
     caller's layer does.
     """
-    if not _frame_flags(S, tol, theta_A.shape[0] < S.shape[0]).parseval:  # _short
-        raise NotParseval("dilation starts from a Parseval pair")
+    _require_parseval(theta_A.shape[0], S, tol, "dilation starts from a Parseval pair")
     Q = _shared_range_basis(theta_A, theta_Psi, tol)
     if Q is None:
         raise RangesDiffer(message)

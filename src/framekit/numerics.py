@@ -288,8 +288,18 @@ def _require_square(M) -> np.ndarray:
 
 
 def _margins(tol: Tolerance, scale):
-    """tol's margin abs_tol + rel_tol * scale, at a scale or at each of an array of them."""
-    return tol.abs_tol + tol.rel_tol * scale
+    """tol's margin abs_tol + rel_tol * scale, at a scale or at each of an array of them.
+
+    A margin beyond FLOAT_MAX is inf, with no warning.  With abs_tol <= 1
+    and rel_tol <= 1, the defaults among them, it cannot overflow:
+    rel_tol * scale <= scale <= FLOAT_MAX, and adding abs_tol <= 1, far
+    below half an ulp of FLOAT_MAX, rounds to at most FLOAT_MAX.  Only a
+    larger tolerance forms it with numpy's overflow warning off.
+    """
+    if tol.abs_tol <= 1.0 and tol.rel_tol <= 1.0:
+        return tol.abs_tol + tol.rel_tol * scale
+    with np.errstate(over="ignore"):
+        return tol.abs_tol + tol.rel_tol * scale
 
 
 def _identity_deviation(P: np.ndarray):
@@ -594,6 +604,49 @@ def _pd_certified(H: np.ndarray, t: float) -> bool:
     finally:
         np.fill_diagonal(H, diag)
     return True
+
+
+def _not_tight_certified(H: np.ndarray, scale, tol: Tolerance) -> bool:
+    """True only when the diagonal of H proves that H fails the tight rule,
+    b - a <= abs_tol + rel_tol b on its extreme eigenvalues a <= b, both in
+    exact arithmetic and as frames._frame_flags computes it from eigvalsh.
+
+    H is the exactly Hermitian m x m part of a matrix M with max |M| =
+    scale (_checked_hermitian_part), so its diagonal is real; the caller
+    checks _certifiable(H, scale).  False proves nothing: the caller then
+    runs the eigenvalue rule.  The test reads the m diagonal entries and
+    does a few float operations.  With u = 2^-53:
+
+    1. Rayleigh quotients.  Each h_ii = e_i^* H e_i lies in [a, b], so
+       b - a >= delta = max h_ii - min h_ii.  D = fl(delta) has delta >=
+       D (1 - u); a subtraction that underflows is exact.
+    2. The norm.  |h_ij| = |fl(m_ij + conj(m_ji))| / 2 <= scale (1 + u),
+       so ||H||_2 <= m max |h_ij| <= m scale (1 + u) <= N, where N =
+       fl(fl(m scale) (1 + 4u)) >= m scale (1 + 4u)(1 - u)^2.
+    3. eigvalsh's error.  Its eigenvalues lie within p(m) u ||H||_2 of the
+       exact ones (LAPACK Users' Guide, 3rd ed., section 4.7), with p(m)
+       taken as m, the model of _pd_certified's term 4.  So the computed
+       ends satisfy b^ - a^ >= delta - 2 m u N, and 0 <= b^ <= b + m u N
+       <= N (1 + m u) wherever the tight rule is read (b^ > abs_tol).
+    4. The computed rule compares fl(b^ - a^) >= (b^ - a^)(1 - u) with
+       fl(abs_tol + fl(rel_tol b^)) <= (abs_tol + rel_tol b^)(1 + u)^2.
+       With L = abs_tol + rel_tol N (1 + m u) + 2 m u N, it fails once
+       D > L (1 + u)^2 / (1 - u)^2, below L (1 + 4.1 u); and then b - a >=
+       delta > L >= abs_tol + rel_tol b fails the exact rule too.
+
+    The bound is computed as C = fl(L (1 + 16u)): at most six roundings,
+    each by a factor no lower than 1 - u, reach C, so C > L (1 + 9u).
+    Products that underflow add at most 2^-1074 each, far below the slack
+    5 u L > 2^-600 that the factor leaves once scale >= 2^-500.
+    A term that overflows makes C inf, and no proof is given.
+    """
+    m = H.shape[0]
+    diag = H.diagonal().real
+    spread = float(diag.max() - diag.min())
+    N = m * float(scale) * (1.0 + 4.0 * _UNIT)
+    mu = m * _UNIT
+    bound = (float(tol.abs_tol) + float(tol.rel_tol) * N * (1.0 + mu) + 2.0 * mu * N) * (1.0 + 16.0 * _UNIT)
+    return spread > bound
 
 
 def _gate(M, tol: Tolerance, rule, scale=None):

@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from framekit.analysis import PerturbCertificate, SpanCharacterization, _rank
+from framekit.analysis import FormulasReport, PerturbCertificate, SpanCharacterization, _rank
 from framekit.constructors import Representation, RepresentationSynthesis
 from framekit.errors import (
     BadCoefficients,
@@ -425,7 +425,8 @@ def synthesize_representation_by_loops(fp, g):
     """pi_g = T lambda_g X^* with the dense left translation lambda_g, and
     pi_reproduces by one pair of products per element."""
     if not verify(fp).parseval:
-        raise NotParseval("synthesis needs a Parseval pair")
+        raise not_parseval_by_rules(fp.theta_A.shape[0], frame_operator(fp), fp.tol,
+                                    "synthesis needs a Parseval pair")
     if not check_group_invariance_by_loops(fp, g):
         raise NotInvariant("pair is not group invariant")
     mats = tuple(fp.T @ left_translation_by_loop(g.mul, idx) @ fp.X.conj().T for idx in range(g.order))
@@ -527,20 +528,80 @@ def pair_flags_by_every_rule(pair, S, tol):
                        0.0, 0.0, False, False)
 
 
-def not_a_frame_by_rules(pair, S, message):
-    """NotAFrame(message) naming the first rule the pair's S fails: the count,
-    the Hermitian rule (adjoint copies) or the pd rule on eigvalsh's lambda_min."""
-    tol = pair.tol
-    if pair.theta_A.shape[0] < S.shape[0]:
-        reason = f"N = {pair.theta_A.shape[0]} stacked rows < m = {S.shape[0]}"
-    elif not hermitian_by_adjoint_copies(S, tol):
+def failed_frame_rule(rows, S, tol):
+    """(reason, w): the first frame rule that an S of rows stacked rows fails
+    with its numbers, the count, the Hermitian rule (adjoint copies) or the
+    pd rule on eigvalsh's lambda_min; else (None, eigvalsh's spectrum)."""
+    if rows < S.shape[0]:
+        return f"N = {rows} stacked rows < m = {S.shape[0]}", None
+    if not hermitian_by_adjoint_copies(S, tol):
         deviation = float(np.abs(S - S.conj().T).max())
         margin = float(margin_by_generator(tol, np.abs(S).max()))
-        reason = f"S not Hermitian: deviation {deviation!r} > margin {margin!r}"
-    else:
-        w = np.linalg.eigvalsh(0.5 * (S + S.conj().T))
-        reason = f"lambda_min {float(w[0])!r} <= abs_tol {tol.abs_tol!r}"
-    return NotAFrame(f"{message}: {reason}")
+        return f"S not Hermitian: deviation {deviation!r} > margin {margin!r}", None
+    w = np.linalg.eigvalsh(0.5 * (S + S.conj().T))
+    if w.size == 0:
+        return "S is 0 x 0", w
+    if not w[0] > tol.abs_tol:
+        return f"lambda_min {float(w[0])!r} <= abs_tol {tol.abs_tol!r}", w
+    return None, w
+
+
+def not_a_frame_by_rules(pair, S, message):
+    """NotAFrame(message) naming the first frame rule the pair's S fails."""
+    return NotAFrame(f"{message}: {failed_frame_rule(pair.theta_A.shape[0], S, pair.tol)[0]}")
+
+
+def not_parseval_by_rules(rows, S, tol, message):
+    """NotParseval(message) naming the first rule of a Parseval verdict that
+    an S of rows stacked rows fails: a frame rule, then on eigvalsh's ends
+    a <= b the tight rule, b - a against the margin at b, and the unit
+    rule, |b - 1| against the margin at max(1, b)."""
+    reason, w = failed_frame_rule(rows, S, tol)
+    if reason is None:
+        a, b = float(w[0]), float(w[-1])
+        margin = margin_by_generator(tol, b)
+        if not b - a <= margin:
+            reason = f"b - a = {b - a!r} > margin {margin!r}"
+        else:
+            reason = f"|b - 1| = {abs(b - 1.0)!r} > margin {margin_by_generator(tol, 1.0, b)!r}"
+    return NotParseval(f"{message}: {reason}")
+
+
+def tight_flags_by_eigenvalues(pair):
+    """(tight, parseval, b) of a pair by the eigenvalue rules alone: the count,
+    the Hermitian rule, and the pd, tight and unit rules on one eigvalsh of
+    its whole Hermitian part (b is 0.0 for a pair that is no frame).  The
+    reference of every verdict that reads a bound only from a tight pair."""
+    S = frame_operator(pair)
+    tol = pair.tol
+    reason, w = failed_frame_rule(pair.theta_A.shape[0], S, tol)
+    if reason is not None:
+        return False, False, 0.0
+    a, b = float(w[0]), float(w[-1])
+    tight = b < np.inf and b - a <= margin_by_generator(tol, b)
+    return tight, tight and abs(b - 1.0) <= margin_by_generator(tol, 1.0, b), b
+
+
+def formulas_report_by_eigenvalues(fp):
+    """analysis.formulas_report with its tight and Parseval verdicts from
+    tight_flags_by_eigenvalues; the sums are formed as the library forms them."""
+    tight, parseval, b = tight_flags_by_eigenvalues(fp)
+    S = frame_operator(fp)
+    diag = np.einsum("ji,ji->j", fp.theta_Psi, fp.theta_A.conj())
+    sum_inner = complex(diag.sum())
+    double_sum = complex(np.sum(S * S.T))
+    tol = fp.tol
+    variation_ok = dim_ok = equal_b = equal_ok = None
+    if tight:
+        target = sum_inner**2 / fp.m
+        variation_ok = bool(abs(double_sum - target) <= tol.margin(abs(double_sum), abs(target)))
+        if float(np.abs(diag - diag[0]).max()) <= tol.margin(float(np.abs(diag).max())):
+            equal_b = b * fp.m / fp.n
+            equal_ok = bool(abs(equal_b - diag[0]) <= tol.margin(equal_b, abs(diag[0])))
+    if parseval:
+        dim_ok = bool(abs(sum_inner - fp.m) <= tol.margin(fp.m))
+    return FormulasReport(complex(np.trace(S)), sum_inner, complex(np.einsum("ab,ba->", S, S)),
+                          double_sum, variation_ok, dim_ok, equal_b, equal_ok)
 
 
 def require_frame_by_eigenvalues(pair, message="operation requires a frame"):
@@ -584,7 +645,8 @@ def dilate_by_range_bases(fp):
     """Dilation that takes the range basis of theta_x once more after the range test."""
     tol = fp.tol
     if not verify(fp).parseval:
-        raise NotParseval("dilation starts from a Parseval pair")
+        raise not_parseval_by_rules(fp.theta_A.shape[0], frame_operator(fp), tol,
+                                    "dilation starts from a Parseval pair")
     theta_x = fp.X.conj().T
     theta_t = fp.T.conj().T
     QA, QB = range_basis(theta_x, tol), range_basis(theta_t, tol)
@@ -613,7 +675,7 @@ def dilation_rows_by_complete_qr(theta_A, theta_Psi, S, tol,
     P P - P formed as an N x N x N product, Qperp from a complete QR, and
     the rows Qperp^* P_perp."""
     if not _frame_flags(S, tol).parseval:
-        raise NotParseval("dilation starts from a Parseval pair")
+        raise not_parseval_by_rules(theta_A.shape[0], S, tol, "dilation starts from a Parseval pair")
     Q = _shared_range_basis(theta_A, theta_Psi, tol)
     if Q is None:
         raise RangesDiffer(message)
@@ -906,8 +968,10 @@ def common_dual_by_columns(fp, gq):
 def interpolate_parseval_by_columns(fp, gq, A, B, C, D):
     """({A x_j + B y_j}, {C tau_j + D omega_j}), the coefficients applied to the columns."""
     _check_shapes(fp, gq)
-    if not (verify(fp).parseval and verify(gq).parseval):
-        raise NotParseval("both pairs must be Parseval")
+    for k, pair in enumerate((fp, gq), 1):
+        if not verify(pair).parseval:
+            raise not_parseval_by_rules(pair.theta_A.shape[0], frame_operator(pair), pair.tol,
+                                        f"both pairs must be Parseval: pair {k}")
     if not is_orthogonal(fp, gq):
         raise NotOrthogonal("pairs must be orthogonal")
     A, B, C, D = (np.asarray(M) for M in (A, B, C, D))

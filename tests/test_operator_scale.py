@@ -116,6 +116,23 @@ def test_the_hermitian_rule_does_not_overflow_above_half_the_float_range(tmp_pat
     assert "\nself_adjoint = false\n" in capsys.readouterr().out
 
 
+def test_a_margin_beyond_the_float_range_reads_inf(tmp_path, capsys):
+    """abs_tol + rel_tol * scale above FLOAT_MAX compares as inf, with no warning:
+    rel_tol = 2 at S = diag(1.7e308, 1e308), where every margin at b is inf."""
+    wide = fk.Tolerance(0.0, 2.0)
+    assert quiet(lambda: numerics._margins(wide, np.float64(1.7e308))) == np.inf
+    assert quiet(lambda: numerics._margins(wide, np.array([1.0, 1.7e308]))).tolist() == [2.0, np.inf]
+    assert quiet(lambda: numerics._margins(fk.Tolerance(1.5e308, 1.0), np.float64(1e308))) == np.inf
+    S = np.diag([1.7e308, 1e308])
+    report = quiet(lambda: frames.frame_flags(S, wide))
+    assert report.is_frame and report.tight and report.parseval
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"field": "real", "dim": 2, "count": 2,
+                                "x": np.eye(2).tolist(), "tau": S.tolist()}))
+    assert quiet(lambda: run(["verify", str(path), "--rel-tol", "2"])) == 0
+    assert "\ntight = true\n" in capsys.readouterr().out
+
+
 def test_the_halved_hermitian_rule_is_the_unhalved_one_below_the_overflow(rng):
     """Above FLOAT_MAX / 2 both terms and the margin are halved, which is
     exact for these entries, so a matrix Hermitian to within its margin

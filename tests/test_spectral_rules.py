@@ -125,6 +125,40 @@ def test_a_gate_that_reports_no_bound_runs_one_cholesky(rng, linalg_calls, field
     assert fk.weighted_onb_bessel_check(weighted, weights).holds
 
 
+def test_make_dual_gates_w_with_one_cholesky(rng, linalg_calls):
+    """U = V = 0 gives W = S^-1: its admissibility, a bool, is one more Cholesky.
+    A W that is not pd still raises, from the eigenvalue rule."""
+    fp = random_frame(rng, 64, 80)
+    zero = np.zeros((64, 80))
+    assert linalg_calls(lambda: fk.make_dual_from_params(fp, zero, zero)) == {"cholesky": 2, "inv": 1}
+    X = np.hstack([np.eye(64), np.zeros((64, 16))])  # S = I; W = I - U (I - P) U^* for V = -U
+    U = np.zeros((64, 80))
+    U[:, 64:] = 2.0 * random_matrix(rng, 64, 16)
+    calls = linalg_calls(lambda: fk.make_dual_from_params(FramePair(X, X, "real"), U, -U),
+                         raises=ParamNotAdmissible)
+    assert calls == {"cholesky": 2, "inv": 1, "eigvalsh": 1}
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_formulas_report_proves_not_tight_from_the_diagonal(rng, linalg_calls, field):
+    """A non-tight 64-dim frame, and a non-Hermitian S, run no eigvalsh and no
+    SVD; a 2-tight one, x_j = tau_j = e_(j mod 64) for 128 members, whose
+    diagonal proves nothing, runs the one eigvalsh of the eigenvalue rule."""
+    fp = random_frame(rng, 64, 80, field)
+    assert linalg_calls(lambda: fk.formulas_report(fp)) == {}
+    assert fk.formulas_report(fp) == oracles.formulas_report_by_eigenvalues(fp)
+    T = np.eye(64) + np.triu(0.01 * np.ones((64, 64)), 1)  # S = T, not Hermitian
+    skew = FramePair(np.eye(64), T, field)
+    assert linalg_calls(lambda: fk.formulas_report(skew)) == {}
+    assert fk.formulas_report(skew) == oracles.formulas_report_by_eigenvalues(skew)
+    X = np.eye(64)[:, np.arange(128) % 64]
+    tight = FramePair(X, X, field)
+    assert linalg_calls(lambda: fk.formulas_report(tight)) == {"eigvalsh": 1}
+    report = fk.formulas_report(tight)
+    assert report == oracles.formulas_report_by_eigenvalues(tight)
+    assert report.variation_ok is True and report.equal_diag_b == 2.0 * 64 / 128
+
+
 def test_a_gate_the_certificate_cannot_pass_falls_back_to_the_eigenvalue_rule(rng, linalg_calls):
     X = random_matrix(rng, 64, 80)
     X[-1] = 0.0  # S singular
@@ -145,6 +179,7 @@ def test_below_the_certificate_size_the_gates_run_eigvalsh(rng, linalg_calls):
     assert linalg_calls(lambda: fk.canonical_dual(fp)) == {"eigvalsh": 1, "solve": 1}
     assert linalg_calls(lambda: fk.classify(fp)) == {"eigvalsh": 1}
     assert linalg_calls(lambda: fk.extend_tight_append(fp, 4.0)) == {"eigvalsh": 1, "eigh": 1}
+    assert linalg_calls(lambda: fk.formulas_report(fp)) == {"eigvalsh": 1}
 
 
 @pytest.mark.parametrize("power", [-260, 260])
@@ -155,6 +190,8 @@ def test_outside_the_scale_window_no_cholesky_runs(rng, linalg_calls, power):
     assert not 2.0**-500 <= np.abs(fk.frame_operator(fp)).max() <= 2.0**500
     assert linalg_calls(lambda: fk.classify(fp)) == {"eigvalsh": 1}
     assert linalg_calls(lambda: fk.canonical_dual(fp)) == {"eigvalsh": 1, "solve": 1}
+    if power < 0:  # above the window the sum tr(S^2) overflows
+        assert linalg_calls(lambda: fk.formulas_report(fp)) == {"eigvalsh": 1}
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
